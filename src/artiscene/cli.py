@@ -25,9 +25,9 @@ from .execution import execute_plan, opening_degree
 from .exploration import ExplorationConfig, explore_scene
 from .geometry import PointCloud, load_xyz, save_xyz
 from .planner import PlannerConfig, plan_scene, write_plan
-from .scene import (REVOLUTE, KinematicScene, RobotState, load_scene,
-                    load_scene_extras, save_scene)
-from .sim import Observation, SimConfig, sample_scene_surfaces
+from .scene import (REVOLUTE, KinematicScene, RobotState, goal_satisfied,
+                    load_scene, load_scene_extras, save_scene)
+from .sim import Observation, SimConfig, sample_static_map
 
 EXIT_USAGE = 1
 EXIT_VALIDATION = 2
@@ -107,29 +107,7 @@ def _load_goal(scene: KinematicScene, path: str) -> dict:
 
 def _base_map_cloud(scene: KinematicScene, sim: SimConfig) -> PointCloud:
     """Clean full-coverage cloud of the static map (the mapping-stage model)."""
-    pts = []
-    rng = np.random.default_rng(sim.rng_seed)
-    for box in scene.base.obstacles:
-        for sgn in (1.0, -1.0):
-            for k in range(3):
-                normal = sgn * box.orientation[:, k]
-                vp = box.center + normal * (float(box.half_extents[k]) + 1.0)
-                sampled, _ = sample_scene_surfaces(
-                    scene, scene.initial_state(), vp,
-                    dataclasses.replace(sim, noise_sigma=0.0, dropout_prob=0.0),
-                    rng, include_base=True, part_ids=())
-                pts.append(sampled)
-    if not pts:
-        return PointCloud(np.zeros((0, 3)))
-    allpts = np.vstack(pts)
-    # sampling from 6 directions duplicates faces; thin deterministically
-    order = np.lexsort(allpts.T)
-    allpts = allpts[order]
-    keep = np.ones(len(allpts), dtype=bool)
-    if len(allpts) > 1:
-        d = np.linalg.norm(np.diff(allpts, axis=0), axis=1)
-        keep[1:] = d > 1e-6
-    return PointCloud(allpts[keep])
+    return PointCloud(sample_static_map(scene, sim))
 
 
 def _write_observation(obs: Observation, stem: Path) -> dict:
@@ -366,7 +344,7 @@ def run_all(args) -> int:
         plan_out.mkdir(exist_ok=True)
         est_scene_path = estimate_out / "estimated_scene.json"
         t0 = time.perf_counter()
-        plan_info = run_plan(est_scene_path, args.goal, plan_out, _PlanArgs(args))
+        plan_info = run_plan(est_scene_path, args.goal, plan_out, args)
         manifest["stages"]["plan"] = {"out": str(plan_out),
                                       "seconds": round(time.perf_counter() - t0, 3)}
         plan = plan_info["plan"]
@@ -393,8 +371,6 @@ def run_all(args) -> int:
         manifest["plan_feasible"] = plan.feasible
         manifest["execution_opening_degrees"] = {k: round(v, 6)
                                                  for k, v in sorted(openings.items())}
-        from .scene import goal_satisfied
-
         final = result.final_state if plan.feasible and plan.steps else state
         manifest["goal_satisfied"] = goal_satisfied(scene, final, goal)
     except (SceneFormatError, SceneValidationError, UnknownPartError) as e:
@@ -406,16 +382,6 @@ def run_all(args) -> int:
         json.dump(manifest, f, indent=2)
     print(f"pipeline complete; manifest at {out / 'manifest.json'}")
     return 0
-
-
-class _PlanArgs:
-    """Plan-stage view of the run-all arguments."""
-
-    def __init__(self, args):
-        self.seed = args.seed
-        self.config = getattr(args, "config", None)
-        self.noise_sigma = getattr(args, "noise_sigma", None)
-        self.max_candidates = getattr(args, "max_candidates", None)
 
 
 # --- entry point -------------------------------------------------------------

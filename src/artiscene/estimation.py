@@ -10,7 +10,7 @@ parameters are registered into the scene frame.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -58,6 +58,7 @@ class EstimatedArticulation:
     mobile_mask: np.ndarray | None
     confidence: float
     motion_transform: RigidTransform | None = None  # pre -> post rigid motion
+    post_mask: np.ndarray | None = None  # moved part within the post cloud
 
 
 @dataclass(frozen=True)
@@ -331,11 +332,7 @@ def register_to_scene(est: EstimatedArticulation, object_cloud: PointCloud,
     motion = est.motion_transform
     if motion is not None:
         motion = t.compose(motion).compose(t.inverse())
-    registered = EstimatedArticulation(
-        part_id=est.part_id, kind=est.kind, axis=axis, pivot=pivot,
-        observed_delta=est.observed_delta, mobile_mask=est.mobile_mask,
-        confidence=est.confidence, motion_transform=motion)
-    return registered, result
+    return replace(est, axis=axis, pivot=pivot, motion_transform=motion), result
 
 
 @dataclass(frozen=True)
@@ -377,7 +374,8 @@ def estimate_record(part_id: str, pre: Observation, post: Observation,
     return EstimatedArticulation(
         part_id=part_id, kind=fit.kind, axis=fit.axis, pivot=fit.pivot,
         observed_delta=fit.observed_delta, mobile_mask=pre_mask,
-        confidence=fit.confidence, motion_transform=fit.transform)
+        confidence=fit.confidence, motion_transform=fit.transform,
+        post_mask=post_mask)
 
 
 def obb_from_points(points: np.ndarray, min_extent: float = 0.005) -> OrientedBox:
@@ -393,24 +391,17 @@ def obb_from_points(points: np.ndarray, min_extent: float = 0.005) -> OrientedBo
 
 
 def estimated_part(est: EstimatedArticulation, pre: Observation,
-                   post: Observation | None = None) -> MobilePart:
-    """Loadable mobile part from an estimate.
+                   post: Observation) -> MobilePart:
+    """Loadable mobile part from an estimate made by estimate_record.
 
-    The shape is a PCA box over the mobile points; when the post observation
-    and the recovered motion are available, its mobile points are mapped back
-    to the pre pose and unioned in, since the two views cover different
-    windows of the part. Limits default per kind; the pre hotspot is the
-    handle.
+    The shape is a PCA box over the mobile points of the pre observation,
+    unioned with those of the post observation mapped back to the pre pose by
+    the recovered motion, since the two views cover different windows of the
+    part. Limits default per kind; the pre hotspot is the handle.
     """
-    points = pre.cloud.points[est.mobile_mask]
-    if post is not None and est.motion_transform is not None:
-        try:
-            back = est.motion_transform.inverse()
-            post_mask = segment_mobile_part(post, pre,
-                                            ContactHeatmap(post.hotspot), 0.02)
-            points = np.vstack([points, back.apply(post.cloud.points[post_mask])])
-        except (SegmentationFailedError, ValueError):
-            pass
+    back = est.motion_transform.inverse()
+    points = np.vstack([pre.cloud.points[est.mobile_mask],
+                        back.apply(post.cloud.points[est.post_mask])])
     if est.kind == REVOLUTE:
         # a revolute panel is attached at its hinge: extend the geometry to the
         # axis line so the box covers the unobserved near-hinge portion

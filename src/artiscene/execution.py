@@ -50,7 +50,6 @@ def execute_plan(scene: KinematicScene, state: SceneState, plan: InteractionPlan
     for step in plan.steps:
         robot = robot.at(step.base_pose)
         est_part = est_scene.part(step.part_id)
-        true_part = scene.part(step.part_id)
         delta = step.trajectory.goal_delta
         start_est = step.goal - delta
         step_size = sim_config.step_size(est_part.joint.kind)
@@ -88,7 +87,6 @@ def execute_plan(scene: KinematicScene, state: SceneState, plan: InteractionPlan
             part_id=step.part_id, goal=step.goal, achieved=achieved,
             opening_degree=opening_degree(scene, step.part_id, achieved),
             pulls=pulls, completed=progress >= delta - 1e-9))
-        _ = true_part
     return ExecutionResult(outcomes, state)
 
 

@@ -7,7 +7,7 @@ constructed and are safe to share across threads.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -218,32 +218,19 @@ def obb_intersects(a: OrientedBox, b: OrientedBox, margin: float = 0.02) -> bool
 
 @dataclass(frozen=True)
 class PointCloud:
-    """Set of 3D points with optional per-point weights in [0, 1]."""
+    """Set of 3D points."""
 
     points: np.ndarray
-    weights: np.ndarray | None = field(default=None)
 
     def __post_init__(self):
         p = np.asarray(self.points, dtype=float).reshape(-1, 3)
         object.__setattr__(self, "points", p)
-        if self.weights is not None:
-            w = np.asarray(self.weights, dtype=float).reshape(-1)
-            if w.shape[0] != p.shape[0]:
-                raise ValueError("weights must match the point count")
-            if np.any(w < 0.0) or np.any(w > 1.0):
-                raise ValueError("weights must lie in [0, 1]")
-            object.__setattr__(self, "weights", w)
 
     def __len__(self) -> int:
         return int(self.points.shape[0])
 
-    def transformed(self, t: RigidTransform) -> "PointCloud":
-        return PointCloud(t.apply(self.points), self.weights)
-
     def subset(self, mask) -> "PointCloud":
-        m = np.asarray(mask)
-        w = self.weights[m] if self.weights is not None else None
-        return PointCloud(self.points[m], w)
+        return PointCloud(self.points[np.asarray(mask)])
 
 
 def save_xyz(cloud: PointCloud, path) -> None:
@@ -256,40 +243,6 @@ def load_xyz(path) -> PointCloud:
     if pts.size == 0:
         raise ValueError(f"empty point cloud file: {path}")
     return PointCloud(pts.reshape(-1, 3))
-
-
-def estimate_normals(cloud: PointCloud, k: int = 16, viewpoint=(0.0, 0.0, 0.0)):
-    """Per-point normals from PCA over the k nearest neighbors.
-
-    Normals are flipped to face the viewpoint. Returns (normals (N,3), valid (N,))
-    where degenerate neighborhoods (rank < 2, i.e. collinear) are marked invalid
-    and left as NaN.
-
-    Requires k >= 2 and at least k+1 points (the point itself plus k neighbors).
-    """
-    if k < 2:
-        raise ValueError("k must be >= 2")
-    pts = cloud.points
-    n = pts.shape[0]
-    if n < k + 1:
-        raise ValueError(f"cloud must have at least k+1={k + 1} points, got {n}")
-    vp = as_vec3(viewpoint)
-    tree = cKDTree(pts)
-    _, idx = tree.query(pts, k=k + 1)
-    neigh = pts[idx]  # (N, k+1, 3) including the point itself
-    centered = neigh - neigh.mean(axis=1, keepdims=True)
-    covs = np.einsum("nki,nkj->nij", centered, centered)
-    eigvals, eigvecs = np.linalg.eigh(covs)
-    normals = eigvecs[:, :, 0].copy()
-    # collinear neighborhood: second eigenvalue ~ 0 relative to the largest
-    scale = np.maximum(eigvals[:, 2], 1e-300)
-    valid = eigvals[:, 1] / scale > 1e-12
-    flip = np.einsum("ni,ni->n", normals, vp - pts) < 0.0
-    normals[flip] *= -1.0
-    norms = np.linalg.norm(normals, axis=1, keepdims=True)
-    normals = normals / np.maximum(norms, 1e-300)
-    normals[~valid] = np.nan
-    return normals, valid
 
 
 def plane_normal(points: np.ndarray, viewpoint=None) -> np.ndarray:

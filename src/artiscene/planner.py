@@ -11,7 +11,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import NoBaseFoundError
+from .errors import LimitViolationError, NoBaseFoundError
 from .geometry import as_vec3, obb_intersects
 from .scene import (REVOLUTE, JointModel, KinematicScene, MobilePart, RobotState,
                     SceneState, handle_at, part_shape_at, rodrigues_rotation)
@@ -65,8 +65,6 @@ def prismatic_trajectory(p, joint: JointModel, g_p: float, K: int) -> EndEffecto
 
 def _check_goal(joint: JointModel, g: float) -> None:
     if not (joint.limit_min - 1e-9 <= g <= joint.limit_max + 1e-9):
-        from .errors import LimitViolationError
-
         raise LimitViolationError(
             f"goal {g} outside joint limits [{joint.limit_min}, {joint.limit_max}]")
 
@@ -219,6 +217,29 @@ def _environment_boxes(scene: KinematicScene, committed: dict, active_id: str,
     return boxes
 
 
+def _step_world(scene: KinematicScene, committed: dict, part: MobilePart,
+                config: PlannerConfig):
+    """Collision-check one step's sweep, then build its grids.
+
+    Returns (colliding pair, None, None) when the sweep hits the committed
+    environment, so a rejected step builds no grid; otherwise (None, travel
+    grid, standing grid), the standing grid keeping the base clear of the
+    sweep.
+    """
+    sweep = sample_part_sweep(part, config.n_configs)
+    env = _environment_boxes(scene, committed, part.id, config.margin)
+    hit, pair = check_part_collision(sweep, env, config.margin)
+    if hit:
+        return pair, None, None
+    committed_state = SceneState(committed)
+    travel_grid = nav_grid(scene, committed_state, config.resolution,
+                           config.robot_radius)
+    standing = [b.inflated(config.standing_margin) for b in sweep]
+    standing_grid = nav_grid(scene, committed_state, config.resolution,
+                             config.robot_radius, extra_boxes=standing)
+    return None, travel_grid, standing_grid
+
+
 def evaluate_candidate_order(scene: KinematicScene, state: SceneState,
                              robot: RobotState, order, goal: dict,
                              config: PlannerConfig, candidate_idx: int = 0):
@@ -238,19 +259,11 @@ def evaluate_candidate_order(scene: KinematicScene, state: SceneState,
         theta_goal = goal[part_id]
         if theta_goal <= theta_start + 1e-12:
             continue
-        sweep = sample_part_sweep(part, config.n_configs)
-        env = _environment_boxes(scene, committed, part_id, config.margin)
-        hit, pair = check_part_collision(sweep, env, config.margin)
-        if hit:
+        pair, travel_grid, standing_grid = _step_world(scene, committed, part, config)
+        if pair is not None:
             return None, {"order": list(order), "step": part_id,
                           "reason": "part-collision",
                           "sweep_config": pair[0], "environment_box": pair[1]}
-        committed_state = SceneState(committed)
-        travel_grid = nav_grid(scene, committed_state, config.resolution,
-                               config.robot_radius)
-        standing = [b.inflated(config.standing_margin) for b in sweep]
-        standing_grid = nav_grid(scene, committed_state, config.resolution,
-                                 config.robot_radius, extra_boxes=standing)
         trajectory = part_trajectory(part, theta_start, theta_goal, config.K)
         rng = np.random.default_rng([config.seed, candidate_idx, step_idx])
         try:
@@ -312,19 +325,9 @@ def validate_plan(scene: KinematicScene, state: SceneState, robot: RobotState,
     committed = dict(state.joint_states)
     prev_pose = robot.base_pose
     for step in plan.steps:
-        part = scene.part(step.part_id)
-        sweep = sample_part_sweep(part, config.n_configs)
-        env = _environment_boxes(scene, committed, step.part_id, config.margin)
-        hit, _ = check_part_collision(sweep, env, config.margin)
-        if hit:
-            return False
-        committed_state = SceneState(committed)
-        travel_grid = nav_grid(scene, committed_state, config.resolution,
-                               config.robot_radius)
-        standing = [b.inflated(config.standing_margin) for b in sweep]
-        standing_grid = nav_grid(scene, committed_state, config.resolution,
-                                 config.robot_radius, extra_boxes=standing)
-        if not standing_grid.is_free(step.base_pose[:2]):
+        pair, travel_grid, standing_grid = _step_world(
+            scene, committed, scene.part(step.part_id), config)
+        if pair is not None or not standing_grid.is_free(step.base_pose[:2]):
             return False
         arm = robot.at(step.base_pose)
         recount = sum(1 for w in step.trajectory.waypoints if arm.can_reach(w))

@@ -115,8 +115,6 @@ class RobotState:
     r_max: float = 0.95
     z_min: float = 0.10
     z_max: float = 1.20
-    grasp_active: bool = False
-    gripper_open: int = 1
 
     def __post_init__(self):
         if not (0.0 < self.r_min < self.r_max):

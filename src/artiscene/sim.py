@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import GraspFailureError, InvalidViewpointError, UnknownPartError
+from .errors import GraspFailureError, InvalidViewpointError
 from .geometry import OrientedBox, PointCloud, as_vec3, require_unit, unit
 from .scene import (REVOLUTE, KinematicScene, MobilePart, RobotState, SceneState,
                     handle_at, part_shape_at)
@@ -84,10 +84,10 @@ def _node_hash(i: np.ndarray, j: np.ndarray, salt: float) -> np.ndarray:
     return v - np.floor(v)
 
 
-def _sample_box_faces(box: OrientedBox, viewpoint: np.ndarray,
+def _sample_box_faces(box: OrientedBox, viewpoint: np.ndarray | None,
                       density: float) -> np.ndarray:
     """Jittered-grid samples on the faces whose outward normal faces the
-    viewpoint.
+    viewpoint, or on every face when the viewpoint is None.
 
     Sample positions are a deterministic function of the box geometry, so
     repeated renders of a static surface yield the same support points and
@@ -101,7 +101,7 @@ def _sample_box_faces(box: OrientedBox, viewpoint: np.ndarray,
     for face_idx, ((iu, iv, inrm), sign) in enumerate(zip(_FACE_FRAMES, _FACE_SIGNS)):
         normal = sign * box.orientation[:, inrm]
         face_center = box.center + normal * h[inrm]
-        if float(normal @ (viewpoint - face_center)) <= 0.0:
+        if viewpoint is not None and float(normal @ (viewpoint - face_center)) <= 0.0:
             continue
         nu = max(1, int(round(2.0 * h[iu] / pitch)))
         nv = max(1, int(round(2.0 * h[iv] / pitch)))
@@ -122,31 +122,37 @@ def _sample_box_faces(box: OrientedBox, viewpoint: np.ndarray,
 
 
 def sample_scene_surfaces(scene: KinematicScene, state: SceneState, viewpoint,
-                          config: SimConfig, rng: np.random.Generator = None,
-                          include_base: bool = True, part_ids=None):
+                          config: SimConfig):
     """Sample visible surfaces; returns (points (N,3), labels list of str).
 
     Labels carry provenance: 'base' for static obstacles, else the part id.
-    The rng parameter is unused (sampling is deterministic) and kept for
-    call-site symmetry with render_observation.
     """
     vp = as_vec3(viewpoint)
     chunks = []
     labels = []
-    if include_base:
-        for box in scene.base.obstacles:
-            pts = _sample_box_faces(box, vp, config.surface_point_density)
-            chunks.append(pts)
-            labels.extend(["base"] * pts.shape[0])
+    for box in scene.base.obstacles:
+        pts = _sample_box_faces(box, vp, config.surface_point_density)
+        chunks.append(pts)
+        labels.extend(["base"] * pts.shape[0])
     for part in scene.parts:
-        if part_ids is not None and part.id not in part_ids:
-            continue
         box = part_shape_at(part, state.theta(part.id))
         pts = _sample_box_faces(box, vp, config.surface_point_density)
         chunks.append(pts)
         labels.extend([part.id] * pts.shape[0])
     points = np.vstack(chunks) if chunks else np.empty((0, 3))
     return points, labels
+
+
+def sample_static_map(scene: KinematicScene, config: SimConfig) -> np.ndarray:
+    """Noise-free samples on every face of every base obstacle, (N, 3).
+
+    This is the static map's model cloud. Each face is sampled once, back
+    faces included, and the points come in np.lexsort order.
+    """
+    chunks = [_sample_box_faces(box, None, config.surface_point_density)
+              for box in scene.base.obstacles]
+    points = np.vstack(chunks) if chunks else np.empty((0, 3))
+    return points[np.lexsort(points.T)]
 
 
 def render_observation(scene: KinematicScene, state: SceneState, viewpoint,
@@ -167,7 +173,7 @@ def render_observation(scene: KinematicScene, state: SceneState, viewpoint,
             raise InvalidViewpointError(f"viewpoint lies inside part {part.id!r}")
     if rng is None:
         rng = np.random.default_rng(config.rng_seed)
-    points, _ = sample_scene_surfaces(scene, state, vp, config, rng)
+    points, _ = sample_scene_surfaces(scene, state, vp, config)
     if points.shape[0] == 0:
         raise ValueError("nothing visible from this viewpoint")
     if config.dropout_prob > 0.0:
@@ -205,8 +211,6 @@ def attempt_pull(scene: KinematicScene, state: SceneState, part_id: str, grasp,
     config.slip_angle; otherwise the grasp slips and nothing moves.
     """
     part = scene.part(part_id)
-    if part is None:
-        raise UnknownPartError(part_id)
     d = require_unit(direction, "pull direction")
     g = as_vec3(grasp)
     theta = state.theta(part_id)
@@ -267,9 +271,6 @@ class OccupancyGrid:
     origin: np.ndarray      # (2,), min corner
     resolution: float
     occupied: np.ndarray    # (ny, nx) bool, indexed [iy, ix]
-
-    def shape(self) -> tuple:
-        return self.occupied.shape
 
     def cell_centers(self):
         ny, nx = self.occupied.shape

@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
+from artiscene import estimation
 from artiscene.errors import (EstimationFailedError, RegistrationFailedError,
                               SegmentationFailedError)
 from artiscene.estimation import (ContactHeatmap, EstimatedArticulation,
                                   articulation_errors, estimate_record,
-                                  fit_screw, obb_from_points, register_to_scene,
-                                  segment_mobile_part)
+                                  estimated_part, fit_screw, obb_from_points,
+                                  register_to_scene, segment_mobile_part)
 from artiscene.geometry import PointCloud, RigidTransform, rodrigues_rotation
 from artiscene.scene import JointModel
 from artiscene.sim import Observation
@@ -302,6 +303,20 @@ def test_estimate_record_on_synthetic_drawer():
     assert est.observed_delta == pytest.approx(0.10, abs=1e-6)
     assert est.mobile_mask.sum() >= 30
     assert 0.0 < est.confidence <= 1.0
+
+
+def test_estimated_part_reuses_the_record_masks(monkeypatch):
+    pre, _ = two_part_observation(np.random.default_rng(13))
+    post, _ = two_part_observation(np.random.default_rng(13), drawer_delta=0.10)
+    est = estimate_record("drawer", pre, post)
+
+    def segment_again(*args, **kwargs):
+        raise AssertionError("estimated_part segmented an observation again")
+
+    monkeypatch.setattr(estimation, "segment_mobile_part", segment_again)
+    part = estimated_part(est, pre, post)
+    assert part.id == "drawer"
+    assert part.joint.kind == "prismatic"
 
 
 def test_obb_from_points_wraps():

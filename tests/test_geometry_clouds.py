@@ -5,9 +5,9 @@ import pytest
 
 from artiscene.errors import DegenerateGeometryError
 from artiscene.geometry import (PointCloud, cloud_displacement,
-                                estimate_normals, fit_rigid_transform,
-                                icp_register, load_xyz, remove_statistical_outliers,
-                                rodrigues_rotation, save_xyz)
+                                fit_rigid_transform, icp_register, load_xyz,
+                                remove_statistical_outliers, rodrigues_rotation,
+                                save_xyz)
 
 
 def rand_rotation(rng, max_angle=math.pi):
@@ -19,49 +19,6 @@ def rand_rotation(rng, max_angle=math.pi):
 def rotation_angle_deg(r):
     c = np.clip((np.trace(r) - 1.0) / 2.0, -1.0, 1.0)
     return math.degrees(math.acos(c))
-
-
-# --- normals -----------------------------------------------------------------
-
-def test_plane_normals_face_viewpoint():
-    rng = np.random.default_rng(1)
-    pts = np.column_stack([rng.uniform(-1, 1, 500), rng.uniform(-1, 1, 500),
-                           np.zeros(500)])
-    normals, valid = estimate_normals(PointCloud(pts), k=16, viewpoint=(0, 0, 1))
-    assert valid.all()
-    angles = np.degrees(np.arccos(np.clip(normals @ [0, 0, 1.0], -1, 1)))
-    assert np.all(angles < 1.0)
-
-
-def test_three_points_k2_exact_triangle_normal():
-    pts = np.array([[0.0, 0, 0], [1.0, 0, 0], [0.0, 1, 0]])
-    normals, valid = estimate_normals(PointCloud(pts), k=2, viewpoint=(0, 0, 5))
-    assert valid.all()
-    assert np.allclose(np.abs(normals @ [0, 0, 1.0]), 1.0, atol=1e-12)
-    assert np.all(normals @ [0, 0, 1.0] > 0)
-
-
-def test_sphere_normals_radial():
-    rng = np.random.default_rng(2)
-    v = rng.normal(size=(2000, 3))
-    pts = v / np.linalg.norm(v, axis=1, keepdims=True)
-    normals, valid = estimate_normals(PointCloud(pts), k=16, viewpoint=(0, 0, 0))
-    inward = -pts  # flipped toward the center viewpoint
-    angles = np.degrees(np.arccos(np.clip(np.einsum("ij,ij->i", normals[valid],
-                                                    inward[valid]), -1, 1)))
-    assert np.all(angles < 5.0)
-
-
-def test_collinear_neighborhood_flagged_invalid():
-    line = np.column_stack([np.linspace(0, 1, 30), np.zeros(30), np.zeros(30)])
-    normals, valid = estimate_normals(PointCloud(line), k=4, viewpoint=(0, 0, 1))
-    assert not valid.any()
-    assert np.isnan(normals[~valid]).all()
-
-
-def test_too_few_points_rejected():
-    with pytest.raises(ValueError):
-        estimate_normals(PointCloud(np.zeros((3, 3))), k=3)
 
 
 # --- rigid fit ---------------------------------------------------------------
