@@ -1,7 +1,9 @@
 """Golden digests of the pipeline outputs at fixed seeds.
 
-Each case runs ``run-all`` in-process and compares the sha256 of five output
-files against pinned values. A refactor must leave every digest unchanged; a
+Each ``run-all`` case runs the whole pipeline in-process and compares the
+sha256 of five output files against pinned values; the staged case runs
+``explore``, ``estimate --truth`` and ``plan`` one after another and pins one
+file of each stage. A refactor must leave every digest unchanged; a
 deliberate behaviour change updates the digests here and says why in
 CHANGES.md.
 
@@ -47,6 +49,16 @@ GOLDEN = {
 }
 
 
+def _mismatches(root: Path, pinned: dict) -> list:
+    """``"name: digest"`` for every pinned file under root whose digest differs."""
+    out = []
+    for name, expected in pinned.items():
+        digest = hashlib.sha256((root / name).read_bytes()).hexdigest()
+        if digest != expected:
+            out.append(f"{name}: {digest}")
+    return out
+
+
 @pytest.mark.parametrize("scene,seed", sorted(GOLDEN))
 def test_run_all_outputs_match_golden_digests(tmp_path, scene, seed):
     out = tmp_path / "out"
@@ -54,10 +66,36 @@ def test_run_all_outputs_match_golden_digests(tmp_path, scene, seed):
                "--goal", str(SCENES / f"{scene}_goal.json"),
                "--out", str(out), "--seed", str(seed)])
     assert rc == 0
-    mismatches = []
-    for name, expected in GOLDEN[(scene, seed)].items():
-        digest = hashlib.sha256((out / name).read_bytes()).hexdigest()
-        if digest != expected:
-            mismatches.append(f"{name}: {digest}")
+    mismatches = _mismatches(out, GOLDEN[(scene, seed)])
     assert not mismatches, (f"{scene} seed {seed} digests changed:\n"
+                            + "\n".join(mismatches))
+
+
+STAGED = {
+    ("blocked_aisle", 3): {
+        "explore/exploration_log.jsonl":
+            "de39f2dddc5b86f63bf9b10e8d5dc8f7a73b90449e9bccefae0d317a28bdefdc",
+        "estimate/estimated_scene.json":
+            "cd1ba1b2c5525daf77528b9d4b066923a6d1bf296c754e0a3ae9869d7bb181e0",
+        "estimate/metrics.csv":
+            "5151f42c4b28728af4a9acf486208f89dec005deedc3163076443fb6736c31c3",
+        "plan/plan.json":
+            "c899a26ee3b24cedd95628fc589b99bf15127edbe712a0d0cab5647598fa9088",
+    },
+}
+
+
+@pytest.mark.parametrize("scene,seed", sorted(STAGED))
+def test_staged_commands_match_golden_digests(tmp_path, scene, seed):
+    scene_path = SCENES / f"{scene}.json"
+    explore, estimate, plan = (tmp_path / d for d in ("explore", "estimate", "plan"))
+    assert main(["explore", "--scene", str(scene_path), "--out", str(explore),
+                 "--seed", str(seed)]) == 0
+    assert main(["estimate", "--records", str(explore), "--truth", str(scene_path),
+                 "--out", str(estimate), "--seed", str(seed)]) == 0
+    assert main(["plan", "--scene", str(estimate / "estimated_scene.json"),
+                 "--goal", str(SCENES / f"{scene}_goal.json"),
+                 "--out", str(plan), "--seed", str(seed)]) == 0
+    mismatches = _mismatches(tmp_path, STAGED[(scene, seed)])
+    assert not mismatches, (f"{scene} seed {seed} staged digests changed:\n"
                             + "\n".join(mismatches))
