@@ -1,7 +1,10 @@
 """Command-line front end: explore, estimate, plan, and the full pipeline.
 
-Exit codes: 0 success (including an infeasible plan, which is a valid answer),
-1 usage errors, 2 scene/goal validation errors, 3 runtime failures.
+Every command reads its own inputs (scene, scene extras, --config, goal,
+--truth) and prepares --out before it runs any stage. Exit codes: 0 success
+(including an infeasible plan, which is a valid answer); 1 the command could
+not read its own inputs or use --out; 2 scene/goal validation errors; 3 a
+failure inside a stage.
 """
 
 from __future__ import annotations
@@ -19,8 +22,8 @@ import numpy as np
 
 from .errors import (ArtisceneError, SceneFormatError, SceneValidationError,
                      UnknownPartError)
-from .estimation import (articulation_errors, build_estimated_scene,
-                         estimate_record, estimated_part, register_to_scene)
+from .estimation import (articulation_errors, estimate_record, estimated_part,
+                         register_to_scene)
 from .execution import execute_plan, opening_degree
 from .exploration import ExplorationConfig, explore_scene
 from .geometry import PointCloud, load_xyz, save_xyz
@@ -33,68 +36,73 @@ EXIT_USAGE = 1
 EXIT_VALIDATION = 2
 EXIT_RUNTIME = 3
 
+VALIDATION_ERRORS = (SceneFormatError, SceneValidationError, UnknownPartError)
+
 
 def _fail(code: int, message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return code
 
 
-def _prepare_out(path: str, force: bool) -> Path | None:
+def _prepare_out(path: str, force: bool) -> Path:
     out = Path(path)
     if out.exists() and any(out.iterdir()) and not force:
-        return None
+        raise ValueError(f"output directory {path} is not empty (use --force)")
     out.mkdir(parents=True, exist_ok=True)
     return out
+
+
+def _read_json(path) -> dict:
+    with open(path) as f:
+        doc = json.load(f)
+    if not isinstance(doc, dict):
+        raise ValueError(f"{path}: expected a JSON object")
+    return doc
 
 
 def _load_overrides(arg: str | None) -> dict:
     if not arg:
         return {}
-    text = arg if arg.lstrip().startswith("{") else Path(arg).read_text()
-    return json.loads(text)
+    return json.loads(arg) if arg.lstrip().startswith("{") else _read_json(arg)
 
 
-def _dataclass_with(cls, base, overrides: dict):
+def _dataclass_with(cls, overrides: dict):
     fields = {f.name for f in dataclasses.fields(cls)}
     unknown = set(overrides) - fields
     if unknown:
         raise ValueError(f"unknown {cls.__name__} fields: {sorted(unknown)}")
-    return dataclasses.replace(base, **overrides)
+    return cls(**overrides)
 
 
-def _build_configs(scene_path, args):
+def _build_configs(extras: dict, args):
     """Merge scene-file extras, --config overrides and direct flags."""
-    extras = load_scene_extras(scene_path)
-    overrides = _load_overrides(getattr(args, "config", None))
+    overrides = _load_overrides(args.config)
     sim_kwargs = dict(extras.get("sim", {}))
     sim_kwargs.update(overrides.get("sim", {}))
     sim_kwargs["rng_seed"] = args.seed
-    if getattr(args, "noise_sigma", None) is not None:
+    if args.noise_sigma is not None:
         sim_kwargs["noise_sigma"] = args.noise_sigma
-    sim = SimConfig(**sim_kwargs)
+    sim = _dataclass_with(SimConfig, sim_kwargs)
 
-    expl = _dataclass_with(ExplorationConfig, ExplorationConfig(),
-                           overrides.get("exploration", {}))
+    expl = _dataclass_with(ExplorationConfig, overrides.get("exploration", {}))
 
     planner_kwargs = dict(overrides.get("planner", {}))
     planner_kwargs["seed"] = args.seed
-    if getattr(args, "max_candidates", None) is not None:
+    if args.max_candidates is not None:
         planner_kwargs["max_candidates"] = args.max_candidates
-    planner = _dataclass_with(PlannerConfig, PlannerConfig(), planner_kwargs)
+    planner = _dataclass_with(PlannerConfig, planner_kwargs)
 
     robot_kwargs = dict(extras.get("robot", {}))
     robot_kwargs.update(overrides.get("robot", {}))
     start = robot_kwargs.pop("start", None)
-    robot = _dataclass_with(RobotState, RobotState(), robot_kwargs)
+    robot = _dataclass_with(RobotState, robot_kwargs)
     if start is not None:
         robot = robot.at((start[0], start[1], math.radians(start[2])))
     return sim, expl, planner, robot
 
 
-def _load_goal(scene: KinematicScene, path: str) -> dict:
+def _parse_goal(scene: KinematicScene, raw: dict) -> dict:
     """Goal file maps part id -> threshold (degrees for revolute, meters else)."""
-    with open(path) as f:
-        raw = json.load(f)
     goal = {}
     for part_id, value in raw.items():
         part = scene.part(part_id)  # raises UnknownPartError
@@ -117,10 +125,9 @@ def _write_observation(obs: Observation, stem: Path) -> dict:
             "viewpoint": [float(v) for v in obs.viewpoint]}
 
 
-def run_explore(scene_path, out: Path, args) -> dict:
-    scene = load_scene(scene_path)
-    extras = load_scene_extras(scene_path)
-    sim, expl, _, robot = _build_configs(scene_path, args)
+def run_explore(scene: KinematicScene, extras: dict, sim: SimConfig,
+                expl: ExplorationConfig, robot: RobotState, out: Path) -> dict:
+    """Discovery stage; writes records, log, base map and breakdown to out."""
     rng = np.random.default_rng(sim.rng_seed)
     t0 = time.perf_counter()
     result = explore_scene(scene, sim, expl, robot=robot, rng=rng)
@@ -163,20 +170,14 @@ def run_explore(scene_path, out: Path, args) -> dict:
         json.dump(breakdown, f, indent=2)
     print(f"explored {breakdown['total']} handles: {breakdown['success']} succeeded "
           f"({elapsed:.1f}s)")
-    return {"elapsed": elapsed, "breakdown": breakdown}
+    return breakdown
 
 
-def cmd_explore(args) -> int:
-    out = _prepare_out(args.out, args.force)
-    if out is None:
-        return _fail(EXIT_USAGE, f"output directory {args.out} is not empty (use --force)")
-    try:
-        run_explore(args.scene, out, args)
-    except (SceneFormatError, SceneValidationError) as e:
-        return _fail(EXIT_VALIDATION, str(e))
-    except (ArtisceneError, OSError, ValueError) as e:
-        return _fail(EXIT_RUNTIME, str(e))
-    return 0
+def cmd_explore(args):
+    scene = load_scene(args.scene)
+    extras = load_scene_extras(args.scene)
+    sim, expl, _, robot = _build_configs(extras, args)
+    return lambda out: run_explore(scene, extras, sim, expl, robot, out)
 
 
 # --- estimate ----------------------------------------------------------------
@@ -191,7 +192,9 @@ def _read_record(records_dir: Path, doc: dict):
     return pre, post
 
 
-def run_estimate(records_root: Path, out: Path, truth_path=None) -> dict:
+def run_estimate(records_root: Path, out: Path,
+                 truth: KinematicScene | None = None) -> dict:
+    """Estimation stage over an explore output; metrics need the true scene."""
     records_dir = records_root / "records"
     if not records_dir.is_dir():
         raise SceneValidationError(f"no records directory under {records_root}")
@@ -200,7 +203,6 @@ def run_estimate(records_root: Path, out: Path, truth_path=None) -> dict:
     base_xyz = records_root / "base_map.xyz"
     if base_xyz.exists() and base_xyz.stat().st_size > 0:
         base_cloud = load_xyz(base_xyz)
-    truth = load_scene(truth_path) if truth_path else None
 
     estimates = []
     failures = []
@@ -221,7 +223,7 @@ def run_estimate(records_root: Path, out: Path, truth_path=None) -> dict:
             failures.append({"part_id": doc["part_id"], "stage": "estimation",
                              "reason": str(e)})
 
-    est_scene = build_estimated_scene(base_scene.base, parts)
+    est_scene = KinematicScene(base_scene.base, parts)
     extras = load_scene_extras(records_root / "base_map.json")
     save_scene(est_scene, out / "estimated_scene.json", extra=extras)
 
@@ -249,29 +251,17 @@ def run_estimate(records_root: Path, out: Path, truth_path=None) -> dict:
     return summary
 
 
-def cmd_estimate(args) -> int:
-    out = _prepare_out(args.out, args.force)
-    if out is None:
-        return _fail(EXIT_USAGE, f"output directory {args.out} is not empty (use --force)")
-    try:
-        run_estimate(Path(args.records), out, args.truth)
-    except (SceneFormatError, SceneValidationError) as e:
-        return _fail(EXIT_VALIDATION, str(e))
-    except (ArtisceneError, OSError, ValueError) as e:
-        return _fail(EXIT_RUNTIME, str(e))
-    return 0
+def cmd_estimate(args):
+    truth = load_scene(args.truth) if args.truth else None
+    return lambda out: run_estimate(Path(args.records), out, truth)
 
 
 # --- plan --------------------------------------------------------------------
 
-def run_plan(scene_path, goal_path, out: Path, args) -> dict:
-    scene = load_scene(scene_path)
-    _, _, planner_cfg, robot = _build_configs(scene_path, args)
-    goal = _load_goal(scene, goal_path)
-    state = scene.initial_state()
-    t0 = time.perf_counter()
-    plan = plan_scene(scene, state, robot, goal, planner_cfg)
-    elapsed = time.perf_counter() - t0
+def run_plan(scene: KinematicScene, goal: dict, planner_cfg: PlannerConfig,
+             robot: RobotState, out: Path):
+    """Planning stage from the closed state; writes plan.json and summary.txt."""
+    plan = plan_scene(scene, scene.initial_state(), robot, goal, planner_cfg)
     write_plan(plan, scene, out / "plan.json")
 
     lines = [f"feasible: {plan.feasible}"]
@@ -284,71 +274,58 @@ def run_plan(scene_path, goal_path, out: Path, args) -> dict:
         lines.append(f"rejected {d['order']}: {d['reason']} at {d['step']}")
     (out / "summary.txt").write_text("\n".join(lines) + "\n")
     print(lines[0] + (f"; order: {' -> '.join(plan.order())}" if plan.feasible else ""))
-    return {"elapsed": elapsed, "plan": plan, "scene": scene, "goal": goal}
+    return plan
 
 
-def cmd_plan(args) -> int:
-    out = _prepare_out(args.out, args.force)
-    if out is None:
-        return _fail(EXIT_USAGE, f"output directory {args.out} is not empty (use --force)")
-    try:
-        run_plan(args.scene, args.goal, out, args)
-    except (SceneFormatError, SceneValidationError, UnknownPartError) as e:
-        return _fail(EXIT_VALIDATION, str(e))
-    except (ArtisceneError, OSError, ValueError) as e:
-        return _fail(EXIT_RUNTIME, str(e))
-    return 0
+def cmd_plan(args):
+    scene = load_scene(args.scene)
+    _, _, planner_cfg, robot = _build_configs(load_scene_extras(args.scene), args)
+    goal = _parse_goal(scene, _read_json(args.goal))
+    return lambda out: run_plan(scene, goal, planner_cfg, robot, out)
 
 
 # --- run-all -----------------------------------------------------------------
 
-def run_all(args) -> int:
-    out = _prepare_out(args.out, args.force)
-    if out is None:
-        return _fail(EXIT_USAGE, f"output directory {args.out} is not empty (use --force)")
-    try:
-        scene = load_scene(args.scene)
-        sim, expl, planner_cfg, robot = _build_configs(args.scene, args)
-        goal = _load_goal(scene, args.goal)
-    except (SceneFormatError, SceneValidationError, UnknownPartError) as e:
-        return _fail(EXIT_VALIDATION, str(e))
-    except (OSError, ValueError) as e:
-        return _fail(EXIT_USAGE, str(e))
+def cmd_run_all(args):
+    scene = load_scene(args.scene)
+    extras = load_scene_extras(args.scene)
+    sim, expl, planner_cfg, robot = _build_configs(extras, args)
+    raw_goal = _read_json(args.goal)
+    goal = _parse_goal(scene, raw_goal)
 
-    manifest = {"scene": str(args.scene), "goal": str(args.goal), "seed": args.seed,
-                "stages": {}}
-    try:
+    def stages(out: Path) -> None:
+        manifest = {"scene": str(args.scene), "goal": str(args.goal), "seed": args.seed,
+                    "stages": {}}
         # discovery stage on the pristine scene
         explore_out = out / "explore"
         explore_out.mkdir(exist_ok=True)
         t0 = time.perf_counter()
-        info = run_explore(args.scene, explore_out, args)
+        breakdown = run_explore(scene, extras, sim, expl, robot, explore_out)
         manifest["stages"]["explore"] = {"out": str(explore_out),
                                          "seconds": round(time.perf_counter() - t0, 3)}
-        manifest["exploration_opening_degrees"] = info["breakdown"]["opening_degrees"]
+        manifest["exploration_opening_degrees"] = breakdown["opening_degrees"]
 
         estimate_out = out / "estimate"
         estimate_out.mkdir(exist_ok=True)
         t0 = time.perf_counter()
-        est_summary = run_estimate(explore_out, estimate_out, args.scene)
+        est_summary = run_estimate(explore_out, estimate_out, scene)
         manifest["stages"]["estimate"] = {"out": str(estimate_out),
                                           "seconds": round(time.perf_counter() - t0, 3)}
-        breakdown = dict(info["breakdown"])
-        breakdown.pop("opening_degrees", None)
+        breakdown.pop("opening_degrees")
         breakdown["estimation_failures"] = sum(
             1 for f in est_summary["failures"] if f["stage"] == "estimation")
         manifest["discovery_breakdown"] = breakdown
 
-        # manipulation stage: joints reset to closed, plan on the estimated model
+        # manipulation stage: joints reset to closed, plan on the estimated model;
+        # the goal's degree conversion follows the estimated joint kinds
         plan_out = out / "plan"
         plan_out.mkdir(exist_ok=True)
-        est_scene_path = estimate_out / "estimated_scene.json"
         t0 = time.perf_counter()
-        plan_info = run_plan(est_scene_path, args.goal, plan_out, args)
+        est_scene = load_scene(estimate_out / "estimated_scene.json")
+        plan = run_plan(est_scene, _parse_goal(est_scene, raw_goal), planner_cfg, robot,
+                        plan_out)
         manifest["stages"]["plan"] = {"out": str(plan_out),
                                       "seconds": round(time.perf_counter() - t0, 3)}
-        plan = plan_info["plan"]
-        est_scene = plan_info["scene"]
 
         t0 = time.perf_counter()
         state = scene.initial_state()
@@ -373,15 +350,12 @@ def run_all(args) -> int:
                                                  for k, v in sorted(openings.items())}
         final = result.final_state if plan.feasible and plan.steps else state
         manifest["goal_satisfied"] = goal_satisfied(scene, final, goal)
-    except (SceneFormatError, SceneValidationError, UnknownPartError) as e:
-        return _fail(EXIT_VALIDATION, str(e))
-    except (ArtisceneError, OSError, ValueError) as e:
-        return _fail(EXIT_RUNTIME, str(e))
 
-    with open(out / "manifest.json", "w") as f:
-        json.dump(manifest, f, indent=2)
-    print(f"pipeline complete; manifest at {out / 'manifest.json'}")
-    return 0
+        with open(out / "manifest.json", "w") as f:
+            json.dump(manifest, f, indent=2)
+        print(f"pipeline complete; manifest at {out / 'manifest.json'}")
+
+    return stages
 
 
 # --- entry point -------------------------------------------------------------
@@ -421,7 +395,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("run-all", help="explore, estimate, plan and execute")
     _add_common(p)
     p.add_argument("--goal", required=True, help="goal JSON: part id -> threshold")
-    p.set_defaults(func=run_all)
+    p.set_defaults(func=cmd_run_all)
     return parser
 
 
@@ -432,11 +406,20 @@ def main(argv=None) -> int:
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else 0
     try:
-        return args.func(args)
-    except json.JSONDecodeError as e:
-        return _fail(EXIT_VALIDATION, f"invalid JSON: {e}")
-    except FileNotFoundError as e:
+        # a command reads its inputs and returns its stages, run on the prepared --out
+        stages = args.func(args)
+        out = _prepare_out(args.out, args.force)
+    except VALIDATION_ERRORS as e:
+        return _fail(EXIT_VALIDATION, str(e))
+    except (OSError, ValueError) as e:
         return _fail(EXIT_USAGE, str(e))
+    try:
+        stages(out)
+    except VALIDATION_ERRORS as e:
+        return _fail(EXIT_VALIDATION, str(e))
+    except (ArtisceneError, OSError, ValueError) as e:
+        return _fail(EXIT_RUNTIME, str(e))
+    return 0
 
 
 if __name__ == "__main__":

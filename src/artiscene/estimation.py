@@ -21,8 +21,7 @@ from .geometry import (DegenerateGeometryError, OrientedBox, PointCloud,
                        RigidTransform, as_vec3, consensus_plane_normal,
                        erode_isolated, fit_rigid_transform, icp_register,
                        rotation_axis_angle, unit)
-from .scene import (PRISMATIC, REVOLUTE, JointModel, KinematicScene, MobilePart,
-                    StaticBaseMap, default_limits)
+from .scene import PRISMATIC, REVOLUTE, JointModel, MobilePart, default_limits
 from .sim import Observation
 
 REVOLUTE_MIN_ANGLE = math.radians(5.0)
@@ -413,7 +412,3 @@ def estimated_part(est: EstimatedArticulation, pre: Observation,
     joint = JointModel(est.kind, est.axis,
                        est.pivot if est.kind == REVOLUTE else None, lo, hi, 0.0)
     return MobilePart(est.part_id, shape, joint, pre.hotspot)
-
-
-def build_estimated_scene(base: StaticBaseMap, parts) -> KinematicScene:
-    return KinematicScene(base, tuple(parts))

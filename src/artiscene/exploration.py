@@ -162,13 +162,10 @@ def reposition_base(kind: str, hotspot, robot: RobotState, distance: float,
         direction = back
     else:
         raise ValueError(f"unknown joint kind {kind!r}")
-    target = h[:2] + direction * distance
-    if not grid.is_free(target):
-        snapped = grid.nearest_free(target, snap_radius)
-        if snapped is None:
-            raise RepositionFailedError(
-                f"no free cell within {snap_radius} m of the reposition target")
-        target = snapped
+    target = grid.nearest_free(h[:2] + direction * distance, snap_radius)
+    if target is None:
+        raise RepositionFailedError(
+            f"no free cell within {snap_radius} m of the reposition target")
     heading = math.atan2(h[1] - target[1], h[0] - target[0])
     return (float(target[0]), float(target[1]), heading)
 
@@ -209,12 +206,9 @@ def _approach_pose(scene: KinematicScene, grid: OccupancyGrid, hotspot,
         out = _outward_normal_xy(nearest, h)
     if out is None:
         out = np.array([0.0, -1.0])
-    target = h[:2] + out * distance
-    if not grid.is_free(target):
-        snapped = grid.nearest_free(target, 1.0)
-        if snapped is None:
-            return None
-        target = snapped
+    target = grid.nearest_free(h[:2] + out * distance, 1.0)
+    if target is None:
+        return None
     heading = math.atan2(h[1] - target[1], h[0] - target[0])
     return (float(target[0]), float(target[1]), heading)
 
@@ -345,10 +339,9 @@ def _explore_handle(scene, state, hd: Handle, sim_config, config, robot, rng, lo
     n = np.linalg.norm(away)
     away = away / n if n > 1e-9 else np.array([0.0, -1.0])
     grid = nav_grid(scene, state, config.grid_resolution, config.robot_radius)
-    target = np.array([bx, by]) + away * config.retreat_distance
-    if not grid.is_free(target):
-        snapped = grid.nearest_free(target, 1.0)
-        target = snapped if snapped is not None else np.array([bx, by])
+    target = grid.nearest_free(np.array([bx, by]) + away * config.retreat_distance, 1.0)
+    if target is None:
+        target = np.array([bx, by])
     viewpoint = np.array([target[0], target[1], sim_config.eye_height])
     log.add("retreat", handle=hd.label, base=_pose_to_list((target[0], target[1], heading)))
     post = _observe(scene, state, viewpoint, hotspot, site, sim_config, config, rng)

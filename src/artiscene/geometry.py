@@ -297,11 +297,11 @@ def consensus_plane_normal(points: np.ndarray, viewpoint=None, min_points: int =
     return plane_normal(pts[best_mask], viewpoint=viewpoint)
 
 
-def fit_rigid_transform(src: PointCloud, dst: PointCloud, weights=None) -> RigidTransform:
-    """Weighted least-squares rigid alignment src -> dst (point i <-> point i).
+def fit_rigid_transform(src: PointCloud, dst: PointCloud) -> RigidTransform:
+    """Least-squares rigid alignment src -> dst (point i <-> point i).
 
-    Minimizes sum w_i ||R s_i + t - d_i||^2 via the SVD of the weighted
-    cross-covariance, with the reflection corrected to a proper rotation.
+    Minimizes sum ||R s_i + t - d_i||^2 via the SVD of the cross-covariance,
+    with the reflection corrected to a proper rotation.
     """
     a = src.points
     b = dst.points
@@ -309,16 +309,7 @@ def fit_rigid_transform(src: PointCloud, dst: PointCloud, weights=None) -> Rigid
         raise ValueError("source and destination must have equal point counts")
     if a.shape[0] < 3:
         raise ValueError("need at least 3 correspondences")
-    if weights is None:
-        w = np.ones(a.shape[0])
-    else:
-        w = np.asarray(weights, dtype=float).reshape(-1)
-        if w.shape[0] != a.shape[0]:
-            raise ValueError("weights must match the point count")
-    wsum = float(w.sum())
-    if wsum <= 0.0:
-        raise ValueError("weight sum must be positive")
-    wn = w / wsum
+    wn = np.ones(a.shape[0]) / a.shape[0]
     ca = wn @ a
     cb = wn @ b
     aa = a - ca
@@ -349,7 +340,6 @@ class ICPResult:
     transform: RigidTransform
     residual: float
     iterations: int
-    converged: bool
     residual_history: tuple
 
 
@@ -378,7 +368,6 @@ def icp_register(src: PointCloud, dst: PointCloud, max_iters: int = 50, tol: flo
     history = [best_res]
     grow_streak = 0
     iters = 0
-    converged = False
     for iters in range(1, max_iters + 1):
         try:
             delta = fit_rigid_transform(PointCloud(moved), PointCloud(dst.points[idx]))
@@ -401,11 +390,9 @@ def icp_register(src: PointCloud, dst: PointCloud, max_iters: int = 50, tol: flo
         else:
             grow_streak = 0
         if abs(prev_res - res) < tol:
-            converged = True
-            prev_res = res
             break
         prev_res = res
-    return ICPResult(best_t, best_res, iters, converged, tuple(history))
+    return ICPResult(best_t, best_res, iters, tuple(history))
 
 
 def erode_isolated(points: np.ndarray, mask: np.ndarray, k: int = 6) -> np.ndarray:

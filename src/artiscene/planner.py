@@ -7,7 +7,7 @@ import itertools
 import json
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -72,19 +72,12 @@ def _check_goal(joint: JointModel, g: float) -> None:
 def part_trajectory(part: MobilePart, theta_start: float, theta_goal: float,
                     K: int) -> EndEffectorTrajectory:
     """Trajectory of the handle from its pose at theta_start to theta_goal."""
-    p = handle_at(part, theta_start)
-    delta = theta_goal - theta_start
-    if part.joint.kind == REVOLUTE:
-        shifted = JointModel(REVOLUTE, part.joint.axis, part.joint.pivot,
-                             part.joint.limit_min - theta_start,
-                             part.joint.limit_max - theta_start, 0.0)
-        traj = revolute_trajectory(p, shifted, delta, K)
-    else:
-        shifted = JointModel(part.joint.kind, part.joint.axis, None,
-                             part.joint.limit_min - theta_start,
-                             part.joint.limit_max - theta_start, 0.0)
-        traj = prismatic_trajectory(p, shifted, delta, K)
-    return EndEffectorTrajectory(part.id, traj.waypoints, delta, K)
+    j = part.joint
+    shifted = replace(j, limit_min=j.limit_min - theta_start,
+                      limit_max=j.limit_max - theta_start, state=0.0)
+    build = revolute_trajectory if j.kind == REVOLUTE else prismatic_trajectory
+    traj = build(handle_at(part, theta_start), shifted, theta_goal - theta_start, K)
+    return replace(traj, part_id=part.id)
 
 
 def sample_part_sweep(part: MobilePart, n_configs: int = 6) -> list:

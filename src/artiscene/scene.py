@@ -367,13 +367,9 @@ def _validate_handles_reachable(scene: KinematicScene, resolution: float = 0.05,
 
     grid = nav_grid(scene, scene.initial_state(), resolution=resolution,
                     robot_radius=robot_radius)
-    free = ~grid.occupied
-    if not free.any():
+    if grid.occupied.all():
         raise SceneValidationError("no free floor space in the scene")
-    xs, ys = grid.cell_centers()
     for part in scene.parts:
-        h = part.handle
-        dist2 = (xs[None, :] - h[0]) ** 2 + (ys[:, None] - h[1]) ** 2
-        if not bool((free & (dist2 <= reach * reach)).any()):
+        if grid.nearest_free(part.handle[:2], reach) is None:
             raise SceneValidationError(
                 f"part {part.id!r}: handle unreachable from free floor space")

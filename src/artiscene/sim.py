@@ -239,29 +239,10 @@ def arm_blocked(scene: KinematicScene, state: SceneState, part_id: str, grasp,
         return "unreachable"
     box = part_shape_at(scene.part(part_id), state.theta(part_id))
     # robot body as a vertical cylinder vs. the part footprint
-    fp = box.footprint()
-    if _point_polygon_distance(np.array(robot.base_pose[:2]), fp) <= robot_radius:
+    x, y, _ = robot.base_pose
+    if _near_polygon(x, y, box.footprint(), robot_radius):
         return "part-contact"
     return None
-
-
-def _point_polygon_distance(p: np.ndarray, poly: np.ndarray) -> float:
-    """Distance from a 2D point to a convex polygon (0 inside)."""
-    n = poly.shape[0]
-    if n == 1:
-        return float(np.linalg.norm(p - poly[0]))
-    inside = True
-    best = np.inf
-    for i in range(n):
-        a = poly[i]
-        b = poly[(i + 1) % n]
-        e = b - a
-        crossz = e[0] * (p[1] - a[1]) - e[1] * (p[0] - a[0])
-        if crossz < 0.0:
-            inside = False
-        tt = 0.0 if e @ e == 0 else float(np.clip((p - a) @ e / (e @ e), 0.0, 1.0))
-        best = min(best, float(np.linalg.norm(p - (a + tt * e))))
-    return 0.0 if inside and n >= 3 else best
 
 
 @dataclass(frozen=True)
@@ -293,12 +274,15 @@ class OccupancyGrid:
         return self.in_grid(ix, iy) and not bool(self.occupied[iy, ix])
 
     def nearest_free(self, xy, max_dist: float):
-        """Closest free cell center within max_dist of xy, or None."""
-        xs, ys = self.cell_centers()
+        """xy itself when its cell is free, else the closest free cell center
+        within max_dist of xy, or None."""
+        p = np.asarray(xy, dtype=float).reshape(2)
+        if self.is_free(p):
+            return p
         free = ~self.occupied
         if not free.any():
             return None
-        p = np.asarray(xy, dtype=float).reshape(2)
+        xs, ys = self.cell_centers()
         d2 = (xs[None, :] - p[0]) ** 2 + (ys[:, None] - p[1]) ** 2
         d2 = np.where(free, d2, np.inf)
         iy, ix = np.unravel_index(int(np.argmin(d2)), d2.shape)
@@ -307,24 +291,14 @@ class OccupancyGrid:
         return np.array([xs[ix], ys[iy]])
 
 
-def _rasterize_polygon(grid_x: np.ndarray, grid_y: np.ndarray, poly: np.ndarray,
-                       radius: float) -> np.ndarray:
-    """Cells whose center is within radius of the convex polygon."""
-    px = grid_x[None, :]
-    py = grid_y[:, None]
-    n = poly.shape[0]
-    if n < 3:
-        a = poly[0]
-        b = poly[-1]
-        return _segment_dist2(px, py, a, b) <= radius * radius
-    inside = np.ones((grid_y.size, grid_x.size), dtype=bool)
-    best = np.full((grid_y.size, grid_x.size), np.inf)
-    for i in range(n):
-        a = poly[i]
-        b = poly[(i + 1) % n]
+def _near_polygon(px, py, poly: np.ndarray, radius: float):
+    """Whether each point (px, py) lies inside or within radius of a convex
+    counterclockwise polygon; px and py broadcast, scalars give one bool."""
+    inside = True
+    best = np.inf
+    for a, b in zip(poly, np.roll(poly, -1, axis=0)):
         e = b - a
-        crossz = e[0] * (py - a[1]) - e[1] * (px - a[0])
-        inside &= crossz >= 0.0
+        inside &= e[0] * (py - a[1]) - e[1] * (px - a[0]) >= 0.0
         best = np.minimum(best, _segment_dist2(px, py, a, b))
     return inside | (best <= radius * radius)
 
@@ -357,5 +331,5 @@ def nav_grid(scene: KinematicScene, state: SceneState, resolution: float = 0.05,
     boxes.extend(part_shape_at(p, state.theta(p.id)) for p in scene.parts)
     boxes.extend(extra_boxes)
     for box in boxes:
-        occ |= _rasterize_polygon(xs, ys, box.footprint(), robot_radius)
+        occ |= _near_polygon(xs[None, :], ys[:, None], box.footprint(), robot_radius)
     return OccupancyGrid(np.asarray(lo, dtype=float).copy(), resolution, occ)

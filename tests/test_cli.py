@@ -177,6 +177,38 @@ def test_estimate_runtime_error_exits_3(tmp_path, drawer_scene):
     assert rc == 3
 
 
+@pytest.mark.parametrize("command,extra", [
+    pytest.param("explore", ["--config", "{bad"], id="explore-bad-config"),
+    pytest.param("explore", ["--config", '{"sim": {"bogus": 1}}'],
+                 id="explore-unknown-sim-field"),
+    pytest.param("plan", ["--config", "{bad"], id="plan-bad-config"),
+    pytest.param("plan", ["--goal", "TMP/missing_goal.json"], id="plan-missing-goal"),
+    pytest.param("plan", ["--goal", "TMP/list.json"], id="plan-goal-not-an-object"),
+    pytest.param("explore", ["--config", "TMP/list.json"], id="explore-config-not-an-object"),
+    pytest.param("estimate", ["--truth", "TMP/missing_truth.json"],
+                 id="estimate-missing-truth"),
+    pytest.param("explore", ["--out", "TMP/file"], id="explore-file-out"),
+    pytest.param("estimate", ["--out", "TMP/file"], id="estimate-file-out"),
+    pytest.param("plan", ["--out", "TMP/file"], id="plan-file-out"),
+    pytest.param("run-all", ["--out", "TMP/file"], id="run-all-file-out"),
+])
+def test_unreadable_inputs_exit_1(tmp_path, drawer_scene, capsys, command, extra):
+    # the command cannot read its own inputs or use --out: exit 1, no traceback
+    (tmp_path / "file").write_text("x")
+    (tmp_path / "list.json").write_text("[1]")
+    if command == "estimate":
+        argv = [command, "--records", str(tmp_path / "no_records")]
+    else:
+        argv = [command, "--scene", str(drawer_scene)]
+    if command in ("plan", "run-all"):
+        argv += ["--goal", str(write_goal(tmp_path, {"drawer_1": 0.15}))]
+    argv += ["--out", str(tmp_path / "out")]
+    argv += [v.replace("TMP", str(tmp_path)) for v in extra]  # a repeated flag wins
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
 def test_estimate_missing_records_exits_runtime(tmp_path):
     rc = main(["estimate", "--records", str(tmp_path / "nope"),
                "--out", str(tmp_path / "est")])

@@ -6,11 +6,11 @@ from scipy.spatial import cKDTree
 
 from artiscene.errors import GraspFailureError, InvalidViewpointError
 from artiscene.fixtures import kitchen, minimal_drawer
-from artiscene.geometry import OrientedBox
+from artiscene.geometry import OrientedBox, rodrigues_rotation
 from artiscene.scene import KinematicScene, SceneState, StaticBaseMap, handle_at
-from artiscene.sim import (Observation, SimConfig, attempt_pull, motion_direction,
-                           nav_grid, render_observation, sample_scene_surfaces,
-                           sample_static_map)
+from artiscene.sim import (Observation, SimConfig, _near_polygon, attempt_pull,
+                           motion_direction, nav_grid, render_observation,
+                           sample_scene_surfaces, sample_static_map)
 
 
 def slab_scene():
@@ -216,6 +216,47 @@ def test_inflation_monotone_in_radius():
         cur = nav_grid(scene, state, 0.05, r).occupied
         assert np.all(prev <= cur)
         prev = cur
+
+
+def test_nearest_free_keeps_a_free_point_and_snaps_an_occupied_one():
+    box = OrientedBox.axis_aligned((2.0, 2.0, 0.5), (0.4, 0.3, 0.5))
+    scene = KinematicScene(StaticBaseMap((box,), (0, 0), (4, 4)), ())
+    grid = nav_grid(scene, SceneState({}), 0.05, 0.3)
+    free_xy = np.array([0.512, 0.437])
+    assert np.array_equal(grid.nearest_free(free_xy, 0.0), free_xy)
+    snapped = grid.nearest_free((2.0, 2.0), 1.0)
+    assert grid.is_free(snapped)
+    assert np.hypot(snapped[0] - 2.0, snapped[1] - 2.0) <= 0.6 + 0.05
+    assert grid.nearest_free((2.0, 2.0), 0.3) is None
+
+
+def _polygon_distance(x, y, poly):
+    """Reference: distance from (x, y) to a convex counterclockwise polygon, 0 inside."""
+    inside, best = True, math.inf
+    for (ax, ay), (bx, by) in zip(poly, np.roll(poly, -1, axis=0)):
+        ex, ey = bx - ax, by - ay
+        if ex * (y - ay) - ey * (x - ax) < 0.0:
+            inside = False
+        t = min(max(((x - ax) * ex + (y - ay) * ey) / (ex * ex + ey * ey), 0.0), 1.0)
+        best = min(best, math.hypot(x - ax - t * ex, y - ay - t * ey))
+    return 0.0 if inside else best
+
+
+def test_point_and_grid_footprint_queries_agree():
+    # arm_blocked asks one point what nav_grid asks every cell center
+    box = OrientedBox((2.0, 2.0, 0.5), (0.4, 0.2, 0.5),
+                      rodrigues_rotation((0.0, 0.0, 1.0), 0.6))
+    scene = KinematicScene(StaticBaseMap((box,), (0, 0), (4, 4)), ())
+    grid = nav_grid(scene, SceneState({}), 0.1, 0.3)
+    xs, ys = grid.cell_centers()
+    fp = box.footprint()
+    point = [[bool(_near_polygon(x, y, fp, 0.3)) for x in xs] for y in ys]
+    assert np.array_equal(np.array(point), grid.occupied)
+    assert grid.occupied.any() and not grid.occupied.all()
+    for x, y in np.random.default_rng(3).uniform(0.5, 3.5, size=(2000, 2)):
+        d = _polygon_distance(x, y, fp)
+        if abs(d - 0.3) > 1e-9:
+            assert bool(_near_polygon(x, y, fp, 0.3)) == (d <= 0.3)
 
 
 def test_observation_hotspot_bound():
