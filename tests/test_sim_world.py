@@ -226,6 +226,7 @@ def test_nearest_free_keeps_a_free_point_and_snaps_an_occupied_one():
     assert np.array_equal(grid.nearest_free(free_xy, 0.0), free_xy)
     snapped = grid.nearest_free((2.0, 2.0), 1.0)
     assert grid.is_free(snapped)
+    # free floor starts 0.3 (half width) + 0.3 (inflation) from the center, within a cell
     assert np.hypot(snapped[0] - 2.0, snapped[1] - 2.0) <= 0.6 + 0.05
     assert grid.nearest_free((2.0, 2.0), 0.3) is None
 
