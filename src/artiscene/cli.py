@@ -16,6 +16,7 @@ import json
 import math
 import sys
 import time
+import typing
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +27,7 @@ from .estimation import (articulation_errors, estimate_record, estimated_part,
                          register_to_scene)
 from .execution import execute_plan, opening_degree
 from .exploration import ExplorationConfig, explore_scene
-from .geometry import PointCloud, load_xyz, save_xyz
+from .geometry import PointCloud, load_xyz, remove_statistical_outliers, save_xyz
 from .planner import PlannerConfig, plan_scene, write_plan
 from .scene import (REVOLUTE, KinematicScene, RobotState, goal_satisfied,
                     load_scene, load_scene_extras, save_scene)
@@ -66,17 +67,32 @@ def _load_overrides(arg: str | None) -> dict:
     return json.loads(arg) if arg.lstrip().startswith("{") else _read_json(arg)
 
 
+def _is_a(value, kind) -> bool:
+    """isinstance for JSON config values: an int is a float too, a bool never a number."""
+    return not isinstance(value, bool) and isinstance(
+        value, (int, float) if kind is float else kind)
+
+
 def _dataclass_with(cls, overrides: dict):
     fields = {f.name for f in dataclasses.fields(cls)}
     unknown = set(overrides) - fields
     if unknown:
         raise ValueError(f"unknown {cls.__name__} fields: {sorted(unknown)}")
+    hints = typing.get_type_hints(cls)
+    for name, value in overrides.items():
+        if hints[name] in (int, float) and not _is_a(value, hints[name]):
+            raise ValueError(f"{cls.__name__}.{name}: expected {hints[name].__name__}, "
+                             f"got {value!r}")
     return cls(**overrides)
 
 
 def _build_configs(extras: dict, args):
     """Merge scene-file extras, --config overrides and direct flags."""
     overrides = _load_overrides(args.config)
+    for doc in (extras, overrides):
+        for name in ("sim", "exploration", "planner", "robot"):
+            if not _is_a(doc.get(name, {}), dict):
+                raise ValueError(f"{name}: expected a JSON object")
     sim_kwargs = dict(extras.get("sim", {}))
     sim_kwargs.update(overrides.get("sim", {}))
     sim_kwargs["rng_seed"] = args.seed
@@ -97,6 +113,8 @@ def _build_configs(extras: dict, args):
     start = robot_kwargs.pop("start", None)
     robot = _dataclass_with(RobotState, robot_kwargs)
     if start is not None:
+        if not (_is_a(start, list) and len(start) == 3 and all(_is_a(v, float) for v in start)):
+            raise ValueError(f"robot.start: expected [x, y, heading_deg], got {start!r}")
         robot = robot.at((start[0], start[1], math.radians(start[2])))
     return sim, expl, planner, robot
 
@@ -199,10 +217,13 @@ def run_estimate(records_root: Path, out: Path,
     if not records_dir.is_dir():
         raise SceneValidationError(f"no records directory under {records_root}")
     base_scene = load_scene(records_root / "base_map.json", validate_reachability=False)
-    base_cloud = None
+    static_map = None
     base_xyz = records_root / "base_map.xyz"
     if base_xyz.exists() and base_xyz.stat().st_size > 0:
         base_cloud = load_xyz(base_xyz)
+        if len(base_cloud) > 100:
+            # every part registers against the same map: filter it once
+            static_map = remove_statistical_outliers(base_cloud)
 
     estimates = []
     failures = []
@@ -215,9 +236,9 @@ def run_estimate(records_root: Path, out: Path,
         pre, post = _read_record(records_dir, doc)
         try:
             est = estimate_record(doc["part_id"], pre, post)
-            if base_cloud is not None and len(base_cloud) > 100:
-                est, _ = register_to_scene(est, pre.cloud, base_cloud)
-            estimates.append((est, pre))
+            if static_map is not None:
+                est, _ = register_to_scene(est, pre.cloud, static_map)
+            estimates.append(est)
             parts.append(estimated_part(est, pre, post))
         except ArtisceneError as e:
             failures.append({"part_id": doc["part_id"], "stage": "estimation",
@@ -229,7 +250,7 @@ def run_estimate(records_root: Path, out: Path,
 
     rows = []
     if truth is not None:
-        for est, _pre in estimates:
+        for est in estimates:
             try:
                 joint = truth.part(est.part_id).joint
             except UnknownPartError:

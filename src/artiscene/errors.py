@@ -10,12 +10,7 @@ class DegenerateGeometryError(ArtisceneError):
 
 
 class RegistrationFailedError(ArtisceneError):
-    """ICP diverged or could not align the clouds; carries the best transform seen."""
-
-    def __init__(self, message, best_transform=None, residual=None):
-        super().__init__(message)
-        self.best_transform = best_transform
-        self.residual = residual
+    """Registration residual exceeds its tolerance."""
 
 
 class LimitViolationError(ArtisceneError):

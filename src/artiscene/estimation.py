@@ -20,7 +20,7 @@ from .errors import (EstimationFailedError, RegistrationFailedError,
 from .geometry import (DegenerateGeometryError, OrientedBox, PointCloud,
                        RigidTransform, as_vec3, consensus_plane_normal,
                        erode_isolated, fit_rigid_transform, icp_register,
-                       rotation_axis_angle, unit)
+                       remove_statistical_outliers, rotation_axis_angle, unit)
 from .scene import PRISMATIC, REVOLUTE, JointModel, MobilePart, default_limits
 from .sim import Observation
 
@@ -28,6 +28,12 @@ REVOLUTE_MIN_ANGLE = math.radians(5.0)
 REVOLUTE_MAX_ANGLE = math.radians(175.0)
 MIN_TRANSLATION = 1e-4
 MIN_MOBILE_POINTS = 30
+HEATMAP_SIGMA = 0.10           # contact heatmap width for segmentation, meters
+MOTION_TAU = 0.02              # nearest-neighbor distance marking motion, meters
+FIT_RESIDUAL_TOL = 0.02        # screw-fit inlier distance for confidence, meters
+REGISTER_RESIDUAL_TOL = 0.05   # largest accepted scene-registration residual, meters
+REGISTER_MAX_ITERS = 50
+REGISTER_TOL = 1e-5
 
 
 @dataclass(frozen=True)
@@ -35,7 +41,7 @@ class ContactHeatmap:
     """Gaussian interaction-region weighting centered on the contact point."""
 
     center: np.ndarray
-    sigma: float = 0.10
+    sigma: float = HEATMAP_SIGMA
 
     def __post_init__(self):
         if self.sigma <= 0.0:
@@ -71,7 +77,7 @@ class ScrewFit:
 
 
 def segment_mobile_part(pre: Observation, post: Observation,
-                        heatmap: ContactHeatmap, tau: float = 0.02) -> np.ndarray:
+                        heatmap: ContactHeatmap, tau: float = MOTION_TAU) -> np.ndarray:
     """Mask over the pre cloud selecting the moved part.
 
     Points whose nearest neighbor in the post cloud is farther than tau are
@@ -223,8 +229,7 @@ def _refine_mutual(src: np.ndarray, dst: np.ndarray, tree: cKDTree,
     return transform, inlier_res
 
 
-def fit_screw(pre_mobile: PointCloud, post_mobile: PointCloud,
-              residual_tol: float = 0.02, anchors=None) -> ScrewFit:
+def fit_screw(pre_mobile: PointCloud, post_mobile: PointCloud, anchors=None) -> ScrewFit:
     """Recover the joint that carries the pre subset onto the post subset.
 
     ICP (seeded with a PCA-frame alignment, optionally anchored on a known
@@ -241,14 +246,8 @@ def fit_screw(pre_mobile: PointCloud, post_mobile: PointCloud,
     tree = cKDTree(dst)
     best = None
     for init in _alignment_candidates(src, dst, anchors)[:2]:
-        starts = [init]
-        try:
-            result = icp_register(PointCloud(src), PointCloud(dst), max_iters=40,
-                                  tol=1e-7, init=init, outlier_removal=False)
-            starts.append(result.transform)
-        except RegistrationFailedError as e:
-            if e.best_transform is not None:
-                starts.append(e.best_transform)
+        starts = [init, icp_register(PointCloud(src), PointCloud(dst), max_iters=40,
+                                     tol=1e-7, init=init).transform]
         # full-set ICP can drag a good start off under thin overlap; refine
         # from the raw candidate as well and keep whichever lands better
         for start in starts:
@@ -265,7 +264,7 @@ def fit_screw(pre_mobile: PointCloud, post_mobile: PointCloud,
     transform = best[0]
 
     d, _ = tree.query(transform.apply(src))
-    confidence = float((d < residual_tol).mean())
+    confidence = float((d < FIT_RESIDUAL_TOL).mean())
 
     axis, psi = rotation_axis_angle(transform.rotation)
     if psi >= REVOLUTE_MAX_ANGLE:
@@ -302,30 +301,21 @@ def _fixed_point(transform: RigidTransform, axis: np.ndarray, psi: float,
 
 
 def register_to_scene(est: EstimatedArticulation, object_cloud: PointCloud,
-                      base_map_cloud: PointCloud, residual_tol: float = 0.05,
-                      max_iters: int = 50, tol: float = 1e-5):
-    """Align the object's observation cloud to the base map and carry the
-    joint parameters along. Returns (registered estimate, ICPResult or None).
+                      static_map: PointCloud):
+    """Align the object's observation cloud to the static map and carry the
+    joint parameters along. Returns (registered estimate, ICPResult).
 
-    The object cloud contains the mobile part, which has no counterpart in the
-    static map; ICP may oscillate around the optimum and trip its divergence
-    detector. The best-so-far transform it carries is accepted when its
-    residual is within tolerance.
+    The object cloud is outlier-filtered here; static_map must already be
+    filtered by the caller, which does it once for every part of a run.
+    Raises RegistrationFailedError when the ICP residual exceeds
+    REGISTER_RESIDUAL_TOL.
     """
-    result = None
-    try:
-        result = icp_register(object_cloud, base_map_cloud, max_iters=max_iters,
-                              tol=tol)
-        best_transform, residual = result.transform, result.residual
-    except RegistrationFailedError as e:
-        if e.best_transform is None or e.residual is None:
-            raise
-        best_transform, residual = e.best_transform, e.residual
-    if residual > residual_tol:
-        raise RegistrationFailedError(
-            f"registration residual {residual:.4g} exceeds {residual_tol}",
-            best_transform=best_transform, residual=residual)
-    t = best_transform
+    result = icp_register(remove_statistical_outliers(object_cloud), static_map,
+                          max_iters=REGISTER_MAX_ITERS, tol=REGISTER_TOL)
+    if result.residual > REGISTER_RESIDUAL_TOL:
+        raise RegistrationFailedError(f"registration residual {result.residual:.4g} "
+                                      f"exceeds {REGISTER_RESIDUAL_TOL}")
+    t = result.transform
     axis = unit(t.rotation @ est.axis)
     pivot = t.apply(est.pivot) if est.pivot is not None else None
     motion = est.motion_transform
@@ -363,11 +353,10 @@ def _line_distance(p1, u1, p2, u2) -> float:
     return abs(float(w @ c)) / n
 
 
-def estimate_record(part_id: str, pre: Observation, post: Observation,
-                    heatmap_sigma: float = 0.10, tau: float = 0.02) -> EstimatedArticulation:
+def estimate_record(part_id: str, pre: Observation, post: Observation) -> EstimatedArticulation:
     """Full object-level estimation for one observation pair."""
-    pre_mask = segment_mobile_part(pre, post, ContactHeatmap(pre.hotspot, heatmap_sigma), tau)
-    post_mask = segment_mobile_part(post, pre, ContactHeatmap(post.hotspot, heatmap_sigma), tau)
+    pre_mask = segment_mobile_part(pre, post, ContactHeatmap(pre.hotspot))
+    post_mask = segment_mobile_part(post, pre, ContactHeatmap(post.hotspot))
     fit = fit_screw(pre.cloud.subset(pre_mask), post.cloud.subset(post_mask),
                     anchors=(pre.hotspot, post.hotspot))
     return EstimatedArticulation(

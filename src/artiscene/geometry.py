@@ -12,7 +12,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import DegenerateGeometryError, RegistrationFailedError
+from .errors import DegenerateGeometryError
 
 UNIT_TOL = 1e-9
 
@@ -344,19 +344,16 @@ class ICPResult:
 
 
 def icp_register(src: PointCloud, dst: PointCloud, max_iters: int = 50, tol: float = 1e-5,
-                 init: RigidTransform | None = None, outlier_removal: bool = True) -> ICPResult:
-    """Point-to-point ICP with statistical outlier removal up front.
+                 init: RigidTransform | None = None) -> ICPResult:
+    """Point-to-point ICP (Besl & McKay 1992) on the clouds as given.
 
     Alternates nearest-neighbor correspondence with a rigid least-squares
     update until the mean residual changes by less than tol, the iteration cap
-    is hit, or the residual grows three consecutive times (divergence, which
-    raises RegistrationFailedError carrying the best transform seen).
+    is hit, or the residual grows three consecutive times (divergence). Every
+    ending returns the best transform seen and its residual.
     """
     if len(src) == 0 or len(dst) == 0:
         raise ValueError("both clouds must be non-empty")
-    if outlier_removal:
-        src = remove_statistical_outliers(src)
-        dst = remove_statistical_outliers(dst)
     tree = cKDTree(dst.points)
     t = init if init is not None else RigidTransform.identity()
 
@@ -383,13 +380,9 @@ def icp_register(src: PointCloud, dst: PointCloud, max_iters: int = 50, tol: flo
             history.append(res)
         if res > prev_res + 1e-15:
             grow_streak += 1
-            if grow_streak >= 3:
-                raise RegistrationFailedError(
-                    f"ICP diverged after {iters} iterations (residual {res:.3g})",
-                    best_transform=best_t, residual=best_res)
         else:
             grow_streak = 0
-        if abs(prev_res - res) < tol:
+        if grow_streak >= 3 or abs(prev_res - res) < tol:
             break
         prev_res = res
     return ICPResult(best_t, best_res, iters, tuple(history))

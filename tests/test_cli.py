@@ -2,8 +2,11 @@ import json
 
 import pytest
 
-from artiscene.cli import main
-from artiscene.fixtures import blocked_aisle, blocked_aisle_goal, minimal_drawer
+from artiscene import cli, estimation
+from artiscene.cli import main, run_estimate
+from artiscene.fixtures import (blocked_aisle, blocked_aisle_goal, galley_block,
+                                minimal_drawer)
+from artiscene.geometry import load_xyz
 from artiscene.scene import load_scene, save_scene
 
 NOISELESS = '{"sim": {"noise_sigma": 0.0, "dropout_prob": 0.0}}'
@@ -191,6 +194,16 @@ def test_estimate_runtime_error_exits_3(tmp_path, drawer_scene):
     pytest.param("estimate", ["--out", "TMP/file"], id="estimate-file-out"),
     pytest.param("plan", ["--out", "TMP/file"], id="plan-file-out"),
     pytest.param("run-all", ["--out", "TMP/file"], id="run-all-file-out"),
+    pytest.param("explore", ["--config", '{"robot": {"start": 5}}'],
+                 id="explore-robot-start-not-3-numbers"),
+    pytest.param("explore", ["--config", '{"sim": 5}'], id="explore-sim-not-an-object"),
+    pytest.param("explore", ["--config", '{"sim": {"noise_sigma": "x"}}'],
+                 id="explore-float-field-given-a-string"),
+    pytest.param("explore", ["--config", '{"exploration": {"max_steps": "7"}}'],
+                 id="explore-int-field-given-a-string"),
+    pytest.param("plan", ["--config", '{"planner": []}'], id="plan-planner-not-an-object"),
+    pytest.param("explore", ["--config", '{"exploration": {"max_attempts": true}}'],
+                 id="explore-int-field-given-a-bool"),
 ])
 def test_unreadable_inputs_exit_1(tmp_path, drawer_scene, capsys, command, extra):
     # the command cannot read its own inputs or use --out: exit 1, no traceback
@@ -207,6 +220,43 @@ def test_unreadable_inputs_exit_1(tmp_path, drawer_scene, capsys, command, extra
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+
+
+def _recording(module, calls):
+    real = module.remove_statistical_outliers
+
+    def recorder(cloud, *args, **kwargs):
+        calls.append((module.__name__, len(cloud)))
+        return real(cloud, *args, **kwargs)
+
+    return recorder
+
+
+def test_estimate_filters_the_static_map_once(tmp_path, monkeypatch):
+    # one filter pass over the shared static map, one per registered object cloud
+    scene, extras = galley_block()
+    scene_path = tmp_path / "galley.json"
+    save_scene(scene, scene_path, extra=extras)
+    explore_out = tmp_path / "exp"
+    assert main(["explore", "--scene", str(scene_path), "--out", str(explore_out),
+                 "--seed", "0"]) == 0
+    calls = []
+    for module in (cli, estimation):
+        monkeypatch.setattr(module, "remove_statistical_outliers", _recording(module, calls))
+    (tmp_path / "est").mkdir()
+    summary = run_estimate(explore_out, tmp_path / "est")
+
+    n_map = len(load_xyz(explore_out / "base_map.xyz"))
+    assert [c for c in calls if c[1] == n_map] == [("artiscene.cli", n_map)]
+    object_calls = sorted(n for module, n in calls if module == "artiscene.estimation")
+    pre_sizes = []
+    for rec_path in sorted((explore_out / "records").glob("*.json")):
+        doc = json.loads(rec_path.read_text())
+        if doc["succeeded"]:
+            pre_sizes.append(len(load_xyz(explore_out / "records" / doc["pre"]["cloud"])))
+    assert not summary["failures"]
+    assert summary["estimated"] == len(pre_sizes) > 0
+    assert object_calls == sorted(pre_sizes)
 
 
 def test_estimate_missing_records_exits_runtime(tmp_path):

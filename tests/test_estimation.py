@@ -234,7 +234,7 @@ def test_register_parameters_transform_covariantly():
     pivot_in = np.array([0.2, 0.04, 0.3])
     est = EstimatedArticulation("p", "revolute", axis_in, pivot_in, 0.5, None, 1.0)
     reg, result = register_to_scene(est, PointCloud(obj_pts), PointCloud(base_pts))
-    t = result.transform if result is not None else offset
+    t = result.transform
     back_axis = t.rotation.T @ reg.axis
     back_pivot = t.inverse().apply(reg.pivot)
     assert np.linalg.norm(back_axis - axis_in) < 1e-6

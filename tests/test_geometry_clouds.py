@@ -81,7 +81,7 @@ def patch_cloud(rng, n=800):
 def test_icp_identity():
     rng = np.random.default_rng(7)
     cloud = PointCloud(patch_cloud(rng))
-    result = icp_register(cloud, cloud, outlier_removal=False)
+    result = icp_register(cloud, cloud)
     assert result.residual < 1e-12
     assert np.allclose(result.transform.rotation, np.eye(3), atol=1e-9)
 
@@ -91,7 +91,7 @@ def test_icp_small_offset_round_trip():
     src = patch_cloud(rng)
     rot = rodrigues_rotation((0, 0, 1.0), math.radians(5.0))
     dst = src @ rot.T + np.array([0.03, 0.0, 0.0])
-    result = icp_register(PointCloud(src), PointCloud(dst), outlier_removal=False)
+    result = icp_register(PointCloud(src), PointCloud(dst))
     assert rotation_angle_deg(result.transform.rotation.T @ rot) < 0.2
     assert np.linalg.norm(result.transform.translation - [0.03, 0, 0]) < 1e-3
 
@@ -102,7 +102,7 @@ def test_icp_partial_overlap():
     keep = rng.random(1200) > 0.30
     src = full[keep]
     dst = full + np.array([0.02, 0.0, 0.0])
-    result = icp_register(PointCloud(src), PointCloud(dst), outlier_removal=False)
+    result = icp_register(PointCloud(src), PointCloud(dst))
     err = np.linalg.norm(result.transform.translation - [0.02, 0, 0])
     assert err < 5e-3
 
@@ -111,7 +111,7 @@ def test_icp_accepted_residuals_non_increasing():
     rng = np.random.default_rng(10)
     src = patch_cloud(rng)
     dst = src @ rodrigues_rotation((0, 0, 1.0), 0.1).T + 0.05
-    result = icp_register(PointCloud(src), PointCloud(dst), outlier_removal=False)
+    result = icp_register(PointCloud(src), PointCloud(dst))
     hist = np.asarray(result.residual_history)
     assert np.all(np.diff(hist) <= 1e-15)
 
