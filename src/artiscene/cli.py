@@ -353,8 +353,7 @@ def cmd_run_all(args):
         rows = []
         openings = {}
         if plan.feasible:
-            result = execute_plan(scene, state, plan, est_scene, sim, robot,
-                                  planner_cfg.robot_radius)
+            result = execute_plan(scene, state, plan, est_scene, sim, robot)
             for o in result.outcomes:
                 openings[o.part_id] = o.opening_degree
                 rows.append([o.part_id, f"{o.achieved:.9g}",

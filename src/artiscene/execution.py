@@ -44,7 +44,7 @@ def opening_degree(scene: KinematicScene, part_id: str, theta: float) -> float:
 
 def execute_plan(scene: KinematicScene, state: SceneState, plan: InteractionPlan,
                  est_scene: KinematicScene, sim_config: SimConfig,
-                 robot: RobotState, robot_radius: float = 0.30) -> ExecutionResult:
+                 robot: RobotState) -> ExecutionResult:
     """Drive each planned step with micro-pulls along its trajectory."""
     outcomes = []
     for step in plan.steps:
@@ -66,7 +66,7 @@ def execute_plan(scene: KinematicScene, state: SceneState, plan: InteractionPlan
             if target is None:
                 break
             direction = unit(target - grasp)
-            if arm_blocked(scene, state, step.part_id, grasp, robot, robot_radius):
+            if arm_blocked(scene, state, step.part_id, grasp, robot):
                 stalls += 1
                 continue
             try:

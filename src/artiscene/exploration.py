@@ -26,33 +26,28 @@ UNKNOWN = "unknown"
 
 # minimum nearest-neighbor displacement for a point to count as moved
 DISPLACED_TAU = 0.02
+FAILURE_THRESHOLD = 0.02       # chamfer displacement, meters
+REPOSITION_DISTANCE = 0.30     # base-to-hotspot distance after a failure
+RETREAT_DISTANCE = 0.50        # backoff before the post observation
+APPROACH_DISTANCE = 0.55       # initial stand-off in front of a handle
+OBSERVATION_RADIUS = 0.30      # crop radius around the interaction site
+LOCAL_RADIUS = 0.15            # compliance-normal neighborhood
+MIN_LOCAL_POINTS = 20          # fewest neighborhood points for a compliance normal
+GRACE_STEPS = 12               # pulls before the displacement check applies
+STALL_BREAK = 6                # consecutive no-advance pulls ending an attempt
+CLASSIFY_THRESHOLD = math.radians(5.0)  # normal rotation above which a joint is revolute
 
 
 @dataclass(frozen=True)
 class ExplorationConfig:
     max_steps: int = 25                 # micro-interactions per attempt
-    failure_threshold: float = 0.02     # chamfer displacement, meters
-    reposition_distance: float = 0.30   # base-to-hotspot distance after a failure
-    retreat_distance: float = 0.50      # backoff before the post observation
     max_attempts: int = 3
-    rotation_classify_threshold: float = math.radians(5.0)
-    approach_distance: float = 0.55     # initial stand-off in front of a handle
-    observation_radius: float = 0.30    # crop radius around the interaction site
-    local_radius: float = 0.15          # compliance-normal neighborhood
-    min_local_points: int = 20
-    grace_steps: int = 12               # pulls before the displacement check applies
-    stall_break: int = 6                # consecutive no-advance pulls ending an attempt
-    robot_radius: float = 0.30
-    grid_resolution: float = 0.05
 
     def __post_init__(self):
+        if self.max_steps < 1:
+            raise ValueError("max_steps must be >= 1")
         if self.max_attempts < 1:
             raise ValueError("max_attempts must be >= 1")
-        for name in ("max_steps", "failure_threshold", "reposition_distance",
-                     "retreat_distance", "rotation_classify_threshold",
-                     "approach_distance", "observation_radius"):
-            if getattr(self, name) <= 0:
-                raise ValueError(f"{name} must be positive")
 
 
 @dataclass(frozen=True)
@@ -87,24 +82,25 @@ def compliance_action(obs: Observation, grasp) -> np.ndarray:
     its normal oriented toward the viewpoint (outward). For both drawer fronts
     and door faces this is the direction the part can move.
     """
-    return _compliance_action(obs, grasp, 0.15, 20)
+    return _compliance_action(obs, grasp)
 
 
-def _compliance_action(obs: Observation, grasp, radius: float, min_points: int) -> np.ndarray:
+def _compliance_action(obs: Observation, grasp) -> np.ndarray:
     g = np.asarray(grasp, dtype=float).reshape(3)
     d2 = np.sum((obs.cloud.points - g) ** 2, axis=1)
-    neigh = obs.cloud.points[d2 <= radius * radius]
-    if neigh.shape[0] < min_points:
+    neigh = obs.cloud.points[d2 <= LOCAL_RADIUS * LOCAL_RADIUS]
+    if neigh.shape[0] < MIN_LOCAL_POINTS:
         raise NoActionError(
-            f"only {neigh.shape[0]} points within {radius} m of the grasp")
+            f"only {neigh.shape[0]} points within {LOCAL_RADIUS} m of the grasp")
     try:
         return consensus_plane_normal(neigh, viewpoint=obs.viewpoint,
-                                      min_points=max(min_points // 2, 3))
+                                      min_points=max(MIN_LOCAL_POINTS // 2, 3))
     except DegenerateGeometryError as e:
         raise NoActionError(str(e)) from e
 
 
-def detect_failure(pre: Observation, current: Observation, threshold: float) -> bool:
+def detect_failure(pre: Observation, current: Observation,
+                   threshold: float = FAILURE_THRESHOLD) -> bool:
     """Failure iff the clouds moved less than the threshold (strict)."""
     return cloud_displacement(pre.cloud, current.cloud) < threshold
 
@@ -118,7 +114,7 @@ def _displaced_subset(a: Observation, b: Observation, tau: float) -> np.ndarray:
 
 
 def classify_joint(pre: Observation, current: Observation,
-                   threshold: float = math.radians(5.0)) -> str:
+                   threshold: float = CLASSIFY_THRESHOLD) -> str:
     """Joint type from the rotation between displaced-subset plane normals.
 
     Counterclockwise rotation seen from above (about world +z) is 'left'.
@@ -255,7 +251,7 @@ def explore_scene(scene: KinematicScene, sim_config: SimConfig,
     return ExplorationResult(records, log.events, state)
 
 
-def _observe(scene, state, viewpoint, hotspot, center, sim_config, config, rng):
+def _observe(scene, state, viewpoint, hotspot, center, sim_config, rng):
     """Observation cropped around a fixed interaction-site center.
 
     Keeping one crop center per handle means the static content of successive
@@ -265,7 +261,7 @@ def _observe(scene, state, viewpoint, hotspot, center, sim_config, config, rng):
     try:
         full = render_observation(scene, state, viewpoint, sim_config, rng,
                                   hotspot=hotspot)
-        return full.cropped(config.observation_radius, center=center)
+        return full.cropped(OBSERVATION_RADIUS, center=center)
     except (ValueError, InvalidViewpointError):
         return None
 
@@ -275,12 +271,11 @@ def _pose_to_list(pose) -> list:
 
 
 def _explore_handle(scene, state, hd: Handle, sim_config, config, robot, rng, log):
-    grid = nav_grid(scene, state, config.grid_resolution, config.robot_radius)
+    grid = nav_grid(scene, state)
     part_id = resolve_grasped_part(scene, state, hd.position)
-    hotspot0 = (handle_at(scene.part(part_id), state.theta(part_id))
-                if part_id else np.asarray(hd.position, dtype=float))
+    hotspot0 = _current_hotspot(scene, state, part_id, hd)
 
-    pose = _approach_pose(scene, grid, hotspot0, config.approach_distance)
+    pose = _approach_pose(scene, grid, hotspot0, APPROACH_DISTANCE)
     if pose is None:
         log.add("navigate-failed", handle=hd.label)
         return ExplorationRecord(hd.label, None, None, 0, UNKNOWN, False,
@@ -292,7 +287,7 @@ def _explore_handle(scene, state, hd: Handle, sim_config, config, robot, rng, lo
     viewpoint = np.array([pose[0], pose[1], sim_config.eye_height])
 
     site = hotspot0.copy()
-    pre = _observe(scene, state, viewpoint, hotspot0, site, sim_config, config, rng)
+    pre = _observe(scene, state, viewpoint, hotspot0, site, sim_config, rng)
     log.add("observe", handle=hd.label, phase="pre",
             points=len(pre.cloud) if pre else 0)
 
@@ -303,7 +298,7 @@ def _explore_handle(scene, state, hd: Handle, sim_config, config, robot, rng, lo
         attempts += 1
         attempt_pre = _observe(scene, state, viewpoint,
                                _current_hotspot(scene, state, part_id, hd),
-                               site, sim_config, config, rng)
+                               site, sim_config, rng)
         if attempt_pre is None:
             outcome = "failed"
             log.add("observe-failed", handle=hd.label, attempt=attempts)
@@ -318,11 +313,10 @@ def _explore_handle(scene, state, hd: Handle, sim_config, config, robot, rng, lo
             log.add("attempts-exhausted", handle=hd.label, attempts=attempts)
             break
         # reposition and retry
-        grid = nav_grid(scene, state, config.grid_resolution, config.robot_radius)
+        grid = nav_grid(scene, state)
         hotspot = _current_hotspot(scene, state, part_id, hd)
         try:
-            pose = reposition_base(classified, hotspot, robot,
-                                   config.reposition_distance, grid)
+            pose = reposition_base(classified, hotspot, robot, REPOSITION_DISTANCE, grid)
         except RepositionFailedError:
             log.add("reposition-failed", handle=hd.label)
             failed_out = True
@@ -338,25 +332,25 @@ def _explore_handle(scene, state, hd: Handle, sim_config, config, robot, rng, lo
     away = np.array([bx - hotspot[0], by - hotspot[1]])
     n = np.linalg.norm(away)
     away = away / n if n > 1e-9 else np.array([0.0, -1.0])
-    grid = nav_grid(scene, state, config.grid_resolution, config.robot_radius)
-    target = grid.nearest_free(np.array([bx, by]) + away * config.retreat_distance, 1.0)
+    grid = nav_grid(scene, state)
+    target = grid.nearest_free(np.array([bx, by]) + away * RETREAT_DISTANCE, 1.0)
     if target is None:
         target = np.array([bx, by])
     viewpoint = np.array([target[0], target[1], sim_config.eye_height])
     log.add("retreat", handle=hd.label, base=_pose_to_list((target[0], target[1], heading)))
-    post = _observe(scene, state, viewpoint, hotspot, site, sim_config, config, rng)
+    post = _observe(scene, state, viewpoint, hotspot, site, sim_config, rng)
     log.add("observe", handle=hd.label, phase="post",
             points=len(post.cloud) if post else 0)
 
     if pre is not None and post is not None:
         displacement = cloud_displacement(pre.cloud, post.cloud)
-        final_kind = classify_joint(pre, post, config.rotation_classify_threshold)
+        final_kind = classify_joint(pre, post)
         if final_kind == UNKNOWN:
             final_kind = classified
     else:
         displacement = 0.0
         final_kind = classified
-    succeeded = (not failed_out) and displacement >= config.failure_threshold
+    succeeded = (not failed_out) and displacement >= FAILURE_THRESHOLD
     record = ExplorationRecord(
         part_id=hd.label, pre=pre, post=post, attempts_used=attempts,
         classified_kind=final_kind, succeeded=succeeded,
@@ -375,41 +369,42 @@ def _current_hotspot(scene, state, part_id, hd: Handle):
 
 def _run_attempt(scene, state, hd, part_id, attempt_pre, first_pre, site, robot,
                  viewpoint, sim_config, config, rng, log, classified):
-    """One attempt: up to max_steps micro-interactions.
+    """One attempt: up to max_steps micro-interactions, then a final check.
 
     Returns (state, outcome, classified) with outcome 'completed' or 'failed'.
     """
     no_advance = 0
-    for i in range(1, config.max_steps + 1):
+    for i in range(1, config.max_steps + 2):
+        # pass max_steps + 1 is the final check: observe, never pull
+        final = i > config.max_steps
+        step = min(i, config.max_steps)
         hotspot = _current_hotspot(scene, state, part_id, hd)
-        obs = _observe(scene, state, viewpoint, hotspot, site, sim_config,
-                       config, rng)
+        obs = _observe(scene, state, viewpoint, hotspot, site, sim_config, rng)
         if obs is None:
-            log.add("observe-failed", handle=hd.label, step=i)
+            log.add("observe-failed", handle=hd.label, step=step)
             return state, "failed", classified
 
-        stalled = no_advance >= config.stall_break
-        check_failure = i > config.grace_steps or stalled
-        if check_failure and detect_failure(attempt_pre, obs, config.failure_threshold):
-            classified = _maybe_classify(first_pre, obs, config, classified)
-            log.add("failure", handle=hd.label, step=i, kind=classified)
+        stalled = no_advance >= STALL_BREAK
+        check_failure = final or i > GRACE_STEPS or stalled
+        if check_failure and detect_failure(attempt_pre, obs):
+            classified = _maybe_classify(first_pre, obs, classified)
+            log.add("failure", handle=hd.label, step=step, kind=classified)
             return state, "failed", classified
-        if stalled:
-            # arm made progress earlier but cannot advance further: done here
-            log.add("stall", handle=hd.label, step=i)
-            classified = _maybe_classify(first_pre, obs, config, classified)
+        if stalled or final:
+            if not final:
+                # arm made progress earlier but cannot advance further: done here
+                log.add("stall", handle=hd.label, step=step)
+            classified = _maybe_classify(first_pre, obs, classified)
             return state, "completed", classified
 
         advanced = 0.0
         try:
-            direction = _compliance_action(obs, hotspot, config.local_radius,
-                                           config.min_local_points)
+            direction = _compliance_action(obs, hotspot)
             blocked = None
             if part_id:
-                blocked = arm_blocked(scene, state, part_id, hotspot, robot,
-                                      config.robot_radius)
+                blocked = arm_blocked(scene, state, part_id, hotspot, robot)
             if blocked:
-                log.add("pull-blocked", handle=hd.label, step=i, reason=blocked)
+                log.add("pull-blocked", handle=hd.label, step=step, reason=blocked)
             elif part_id is None:
                 raise GraspFailureError("no part at the annotated handle")
             else:
@@ -417,27 +412,14 @@ def _run_attempt(scene, state, hd, part_id, attempt_pre, first_pre, site, robot,
                                       sim_config)
                 state = result.state
                 advanced = result.advanced
-                log.add("pull", handle=hd.label, step=i,
+                log.add("pull", handle=hd.label, step=step,
                         advanced=round(float(advanced), 9), slipped=result.slipped)
         except (NoActionError, GraspFailureError) as e:
-            log.add("pull-failed", handle=hd.label, step=i, reason=type(e).__name__)
+            log.add("pull-failed", handle=hd.label, step=step, reason=type(e).__name__)
 
         no_advance = 0 if abs(advanced) > 1e-12 else no_advance + 1
 
-    # ran the full budget without a detected failure
-    hotspot = _current_hotspot(scene, state, part_id, hd)
-    obs = _observe(scene, state, viewpoint, hotspot, site, sim_config, config, rng)
-    if obs is None:
-        log.add("observe-failed", handle=hd.label, step=config.max_steps)
-        return state, "failed", classified
-    if detect_failure(attempt_pre, obs, config.failure_threshold):
-        classified = _maybe_classify(first_pre, obs, config, classified)
-        log.add("failure", handle=hd.label, step=config.max_steps, kind=classified)
-        return state, "failed", classified
-    classified = _maybe_classify(first_pre, obs, config, classified)
-    return state, "completed", classified
 
-
-def _maybe_classify(first_pre, obs, config, fallback):
-    kind = classify_joint(first_pre, obs, config.rotation_classify_threshold)
+def _maybe_classify(first_pre, obs, fallback):
+    kind = classify_joint(first_pre, obs)
     return kind if kind != UNKNOWN else fallback

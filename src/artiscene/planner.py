@@ -17,6 +17,13 @@ from .scene import (REVOLUTE, JointModel, KinematicScene, MobilePart, RobotState
                     SceneState, handle_at, part_shape_at, rodrigues_rotation)
 from .sim import OccupancyGrid, nav_grid
 
+K = 10                  # trajectory segments: K + 1 waypoints per step
+N_CONFIGS = 6           # sweep samples from closed to the joint maximum
+N_SAMPLES = 200         # valid base samples drawn per step
+SAMPLE_RANGE = 1.2      # base sampling disc radius around the trajectory, meters
+MARGIN = 0.02           # box clearance in the sweep collision check, meters
+STANDING_MARGIN = 0.05  # extra sweep clearance for base placement, meters
+
 
 @dataclass(frozen=True)
 class EndEffectorTrajectory:
@@ -80,7 +87,7 @@ def part_trajectory(part: MobilePart, theta_start: float, theta_goal: float,
     return replace(traj, part_id=part.id)
 
 
-def sample_part_sweep(part: MobilePart, n_configs: int = 6) -> list:
+def sample_part_sweep(part: MobilePart, n_configs: int = N_CONFIGS) -> list:
     """Part boxes at n_configs states interpolated from zero to the maximum."""
     if n_configs < 2:
         raise ValueError("n_configs must be >= 2")
@@ -89,7 +96,7 @@ def sample_part_sweep(part: MobilePart, n_configs: int = 6) -> list:
             for j in range(n_configs)]
 
 
-def check_part_collision(candidate_sweep, environment, margin: float = 0.02):
+def check_part_collision(candidate_sweep, environment, margin: float = MARGIN):
     """First (sweep, environment) box pair that overlaps, or (False, None)."""
     for i, a in enumerate(candidate_sweep):
         for j, b in enumerate(environment):
@@ -126,8 +133,8 @@ def check_path(grid: OccupancyGrid, from_pose, to_pose) -> bool:
 
 
 def select_base(trajectory: EndEffectorTrajectory, scene: KinematicScene,
-                grid: OccupancyGrid, arm: RobotState, n_samples: int = 200,
-                sample_range: float = 1.2,
+                grid: OccupancyGrid, arm: RobotState, n_samples: int = N_SAMPLES,
+                sample_range: float = SAMPLE_RANGE,
                 rng: np.random.Generator | None = None):
     """Sampled base pose reaching the most trajectory waypoints.
 
@@ -166,16 +173,12 @@ def select_base(trajectory: EndEffectorTrajectory, scene: KinematicScene,
 
 @dataclass(frozen=True)
 class PlannerConfig:
-    K: int = 10
-    n_configs: int = 6
-    n_samples: int = 200
-    sample_range: float = 1.2
-    margin: float = 0.02
-    standing_margin: float = 0.05  # extra sweep clearance for base placement
-    resolution: float = 0.05
-    robot_radius: float = 0.30
-    max_candidates: int = 120
+    max_candidates: int = 120  # orders sampled when a goal has more than 6 parts
     seed: int = 0
+
+    def __post_init__(self):
+        if self.max_candidates < 1:
+            raise ValueError("max_candidates must be >= 1")
 
 
 @dataclass
@@ -198,7 +201,7 @@ class InteractionPlan:
 
 
 def _environment_boxes(scene: KinematicScene, committed: dict, active_id: str,
-                       margin: float = 0.02) -> list:
+                       margin: float = MARGIN) -> list:
     """Collision environment for one part's sweep: the base obstacles except
     the cabinet the part is mounted on (its closed shape touches it), plus
     every other part at its committed state."""
@@ -210,8 +213,7 @@ def _environment_boxes(scene: KinematicScene, committed: dict, active_id: str,
     return boxes
 
 
-def _step_world(scene: KinematicScene, committed: dict, part: MobilePart,
-                config: PlannerConfig):
+def _step_world(scene: KinematicScene, committed: dict, part: MobilePart):
     """Collision-check one step's sweep, then build its grids.
 
     Returns (colliding pair, None, None) when the sweep hits the committed
@@ -219,17 +221,15 @@ def _step_world(scene: KinematicScene, committed: dict, part: MobilePart,
     grid, standing grid), the standing grid keeping the base clear of the
     sweep.
     """
-    sweep = sample_part_sweep(part, config.n_configs)
-    env = _environment_boxes(scene, committed, part.id, config.margin)
-    hit, pair = check_part_collision(sweep, env, config.margin)
+    sweep = sample_part_sweep(part)
+    env = _environment_boxes(scene, committed, part.id)
+    hit, pair = check_part_collision(sweep, env)
     if hit:
         return pair, None, None
     committed_state = SceneState(committed)
-    travel_grid = nav_grid(scene, committed_state, config.resolution,
-                           config.robot_radius)
-    standing = [b.inflated(config.standing_margin) for b in sweep]
-    standing_grid = nav_grid(scene, committed_state, config.resolution,
-                             config.robot_radius, extra_boxes=standing)
+    travel_grid = nav_grid(scene, committed_state)
+    standing = [b.inflated(STANDING_MARGIN) for b in sweep]
+    standing_grid = nav_grid(scene, committed_state, extra_boxes=standing)
     return None, travel_grid, standing_grid
 
 
@@ -252,16 +252,15 @@ def evaluate_candidate_order(scene: KinematicScene, state: SceneState,
         theta_goal = goal[part_id]
         if theta_goal <= theta_start + 1e-12:
             continue
-        pair, travel_grid, standing_grid = _step_world(scene, committed, part, config)
+        pair, travel_grid, standing_grid = _step_world(scene, committed, part)
         if pair is not None:
             return None, {"order": list(order), "step": part_id,
                           "reason": "part-collision",
                           "sweep_config": pair[0], "environment_box": pair[1]}
-        trajectory = part_trajectory(part, theta_start, theta_goal, config.K)
+        trajectory = part_trajectory(part, theta_start, theta_goal, K)
         rng = np.random.default_rng([config.seed, candidate_idx, step_idx])
         try:
-            base_pose, reach = select_base(trajectory, scene, standing_grid, robot,
-                                           config.n_samples, config.sample_range, rng)
+            base_pose, reach = select_base(trajectory, scene, standing_grid, robot, rng=rng)
         except NoBaseFoundError:
             return None, {"order": list(order), "step": part_id,
                           "reason": "unreachable"}
@@ -313,13 +312,14 @@ def plan_scene(scene: KinematicScene, state: SceneState, robot: RobotState,
 
 def validate_plan(scene: KinematicScene, state: SceneState, robot: RobotState,
                   plan: InteractionPlan, config: PlannerConfig | None = None) -> bool:
-    """Re-run collision and path checks from scratch against a finished plan."""
-    config = config or PlannerConfig()
+    """Re-run collision and path checks from scratch against a finished plan.
+
+    The checks use no planner setting; config is accepted and ignored."""
     committed = dict(state.joint_states)
     prev_pose = robot.base_pose
     for step in plan.steps:
         pair, travel_grid, standing_grid = _step_world(
-            scene, committed, scene.part(step.part_id), config)
+            scene, committed, scene.part(step.part_id))
         if pair is not None or not standing_grid.is_free(step.base_pose[:2]):
             return False
         arm = robot.at(step.base_pose)

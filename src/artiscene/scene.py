@@ -360,16 +360,14 @@ def load_scene_extras(path) -> dict:
     return {k: v for k, v in doc.items() if k not in ("schema_version", "base", "parts")}
 
 
-def _validate_handles_reachable(scene: KinematicScene, resolution: float = 0.05,
-                                robot_radius: float = 0.30, reach: float = 0.95) -> None:
+def _validate_handles_reachable(scene: KinematicScene) -> None:
     """Every handle must have free floor within arm reach of its xy position."""
     from .sim import nav_grid  # local import to avoid a cycle
 
-    grid = nav_grid(scene, scene.initial_state(), resolution=resolution,
-                    robot_radius=robot_radius)
+    grid = nav_grid(scene, scene.initial_state())
     if grid.occupied.all():
         raise SceneValidationError("no free floor space in the scene")
     for part in scene.parts:
-        if grid.nearest_free(part.handle[:2], reach) is None:
+        if grid.nearest_free(part.handle[:2], RobotState.r_max) is None:
             raise SceneValidationError(
                 f"part {part.id!r}: handle unreachable from free floor space")

@@ -19,6 +19,8 @@ from .scene import (REVOLUTE, KinematicScene, MobilePart, RobotState, SceneState
                     handle_at, part_shape_at)
 
 GRASP_TOLERANCE = 0.05  # max grasp-to-handle distance, meters
+ROBOT_RADIUS = 0.30     # robot body (footprint) radius, meters
+GRID_RESOLUTION = 0.05  # navigation grid cell size, meters
 
 
 @dataclass(frozen=True)
@@ -35,6 +37,8 @@ class SimConfig:
     def __post_init__(self):
         if self.surface_point_density <= 0.0:
             raise ValueError("surface_point_density must be positive")
+        if self.noise_sigma < 0.0:
+            raise ValueError("noise_sigma must be >= 0")
         if not 0.0 <= self.dropout_prob < 1.0:
             raise ValueError("dropout_prob must lie in [0, 1)")
         if not 0.0 < self.slip_angle < math.pi / 2.0:
@@ -228,7 +232,7 @@ def attempt_pull(scene: KinematicScene, state: SceneState, part_id: str, grasp,
 
 
 def arm_blocked(scene: KinematicScene, state: SceneState, part_id: str, grasp,
-                robot: RobotState, robot_radius: float = 0.30) -> str | None:
+                robot: RobotState, robot_radius: float = ROBOT_RADIUS) -> str | None:
     """Why the arm cannot execute a pull right now, or None if it can.
 
     Models the real system's self-collision and joint-limit failures: the
@@ -314,8 +318,9 @@ def _segment_dist2(px, py, a, b):
     return (px - cx) ** 2 + (py - cy) ** 2
 
 
-def nav_grid(scene: KinematicScene, state: SceneState, resolution: float = 0.05,
-             robot_radius: float = 0.30, extra_boxes=()) -> OccupancyGrid:
+def nav_grid(scene: KinematicScene, state: SceneState,
+             resolution: float = GRID_RESOLUTION, robot_radius: float = ROBOT_RADIUS,
+             extra_boxes=()) -> OccupancyGrid:
     """Occupancy grid: base obstacles plus parts at their current state,
     inflated by the robot radius."""
     if resolution <= 0.0:

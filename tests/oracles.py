@@ -62,8 +62,8 @@ def order_feasible_oracle(scene, state, robot, order, goal, cfg):
     same deterministic sampler the planner uses.
     """
     from artiscene.errors import NoBaseFoundError
-    from artiscene.planner import (_environment_boxes, part_trajectory,
-                                   sample_part_sweep, select_base)
+    from artiscene.planner import (K, MARGIN, STANDING_MARGIN, _environment_boxes,
+                                   part_trajectory, sample_part_sweep, select_base)
     from artiscene.scene import SceneState
     from artiscene.sim import nav_grid
 
@@ -72,25 +72,23 @@ def order_feasible_oracle(scene, state, robot, order, goal, cfg):
     prev = robot.base_pose
     for step_idx, pid in enumerate(order):
         part = scene.part(pid)
-        sweep = sample_part_sweep(part, cfg.n_configs)
-        env = _environment_boxes(scene, committed, pid, cfg.margin)
+        sweep = sample_part_sweep(part)
+        env = _environment_boxes(scene, committed, pid, MARGIN)
         for box in sweep:
             for other in env:
-                if boxes_overlap_oracle(box.inflated(cfg.margin),
-                                        other.inflated(cfg.margin), rng,
+                if boxes_overlap_oracle(box.inflated(MARGIN),
+                                        other.inflated(MARGIN), rng,
                                         volume_samples=4000):
                     return False
         committed_state = SceneState(committed)
-        travel = nav_grid(scene, committed_state, cfg.resolution, cfg.robot_radius)
-        standing = nav_grid(scene, committed_state, cfg.resolution,
-                            cfg.robot_radius,
-                            extra_boxes=[b.inflated(cfg.standing_margin)
+        travel = nav_grid(scene, committed_state)
+        standing = nav_grid(scene, committed_state,
+                            extra_boxes=[b.inflated(STANDING_MARGIN)
                                          for b in sweep])
-        traj = part_trajectory(part, committed[pid], goal[pid], cfg.K)
+        traj = part_trajectory(part, committed[pid], goal[pid], K)
         try:
-            pose, _ = select_base(traj, scene, standing, robot, cfg.n_samples,
-                                  cfg.sample_range,
-                                  np.random.default_rng([cfg.seed, step_idx + 777]))
+            pose, _ = select_base(traj, scene, standing, robot,
+                                  rng=np.random.default_rng([cfg.seed, step_idx + 777]))
         except NoBaseFoundError:
             return False
         reach = flood_fill_reachable(travel.occupied, travel.cell_of(prev[:2]))

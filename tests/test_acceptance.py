@@ -281,7 +281,7 @@ def test_criterion_7_path_blocking_fixture():
             committed = committed.with_theta(pid, goal[pid])
         from artiscene.sim import nav_grid
 
-        grid = nav_grid(scene, committed, cfg.resolution, cfg.robot_radius)
+        grid = nav_grid(scene, committed)
         reach = flood_fill_reachable(grid.occupied, grid.cell_of(rej["from"]))
         gx, gy = grid.cell_of(rej["to"])
         if grid.in_grid(gx, gy) and reach[gy, gx]:

@@ -204,6 +204,13 @@ def test_estimate_runtime_error_exits_3(tmp_path, drawer_scene):
     pytest.param("plan", ["--config", '{"planner": []}'], id="plan-planner-not-an-object"),
     pytest.param("explore", ["--config", '{"exploration": {"max_attempts": true}}'],
                  id="explore-int-field-given-a-bool"),
+    pytest.param("plan", ["--max-candidates", "0"], id="plan-zero-max-candidates"),
+    pytest.param("plan", ["--max-candidates", "-5"], id="plan-negative-max-candidates"),
+    pytest.param("explore", ["--noise-sigma", "-1"], id="explore-negative-noise-sigma"),
+    pytest.param("plan", ["--config", '{"planner": {"K": 5}}'],
+                 id="plan-planner-constant-not-a-field"),
+    pytest.param("explore", ["--config", '{"exploration": {"robot_radius": 0.3}}'],
+                 id="explore-exploration-constant-not-a-field"),
 ])
 def test_unreadable_inputs_exit_1(tmp_path, drawer_scene, capsys, command, extra):
     # the command cannot read its own inputs or use --out: exit 1, no traceback

@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from artiscene.errors import NoActionError, RepositionFailedError
-from artiscene.exploration import (PRISMATIC_KIND, REVOLUTE_LEFT, REVOLUTE_RIGHT,
-                                   UNKNOWN, ExplorationConfig, Handle,
+from artiscene.exploration import (FAILURE_THRESHOLD, PRISMATIC_KIND, REVOLUTE_LEFT,
+                                   REVOLUTE_RIGHT, UNKNOWN, ExplorationConfig, Handle,
                                    classify_joint, compliance_action,
                                    detect_failure, explore_scene, reposition_base)
 from artiscene.fixtures import kitchen, minimal_drawer
@@ -162,13 +162,12 @@ def test_explore_succeeded_record_invariant():
     from artiscene.geometry import cloud_displacement
 
     scene, _ = minimal_drawer()
-    cfg = ExplorationConfig()
-    result = explore_scene(scene, SimConfig(rng_seed=5), cfg,
+    result = explore_scene(scene, SimConfig(rng_seed=5), ExplorationConfig(),
                            rng=np.random.default_rng(5))
     for rec in result.records:
         if rec.succeeded:
             assert cloud_displacement(rec.pre.cloud, rec.post.cloud) \
-                >= cfg.failure_threshold
+                >= FAILURE_THRESHOLD
 
 
 def test_explore_empty_space_handle_fails_out():
@@ -200,3 +199,22 @@ def test_explore_step_and_attempt_budgets_respected():
     pulls = sum(1 for ev in result.events
                 if ev["event"] in ("pull", "pull-failed", "pull-blocked"))
     assert pulls <= 2 * 7  # max_attempts * max_steps bounds all micro-interactions
+
+
+def test_final_check_logs_the_last_step():
+    # one 1 cm pull stays under the 2 cm failure threshold, so the check after
+    # the step budget fails the attempt and logs it at step max_steps
+    scene, _ = minimal_drawer()
+    result = explore_scene(scene, noiseless_sim(),
+                           ExplorationConfig(max_steps=1, max_attempts=1),
+                           rng=np.random.default_rng(3))
+    steps = [(ev["event"], ev["step"]) for ev in result.events if "step" in ev]
+    assert steps == [("pull", 1), ("failure", 1)]
+    assert not result.records[0].succeeded
+
+
+def test_exploration_config_validation():
+    with pytest.raises(ValueError):
+        ExplorationConfig(max_steps=0)
+    with pytest.raises(ValueError):
+        ExplorationConfig(max_attempts=0)

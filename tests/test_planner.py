@@ -284,7 +284,7 @@ def test_blocked_aisle_dishwasher_planned_last():
                                           ("dishwasher", "east_drawer"), goal, cfg, 0)
     assert rej is not None and rej["reason"] == "path-blocked"
     committed = state.with_theta("dishwasher", goal["dishwasher"])
-    grid = nav_grid(scene, committed, cfg.resolution, cfg.robot_radius)
+    grid = nav_grid(scene, committed)
     reach = flood_fill_reachable(grid.occupied, grid.cell_of(rej["from"]))
     gx, gy = grid.cell_of(rej["to"])
     assert not reach[gy, gx]

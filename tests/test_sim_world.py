@@ -275,6 +275,8 @@ def test_sim_config_validation():
         SimConfig(dropout_prob=1.0)
     with pytest.raises(ValueError):
         SimConfig(slip_angle=math.pi)
+    with pytest.raises(ValueError):
+        SimConfig(noise_sigma=-1.0)
 
 
 def test_noiseless_render_points_lie_on_surfaces():
