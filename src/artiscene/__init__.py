@@ -12,7 +12,7 @@ from .exploration import (ExplorationConfig, ExplorationRecord, classify_joint,
                           compliance_action, detect_failure, explore_scene,
                           reposition_base)
 from .estimation import (ContactHeatmap, EstimatedArticulation, articulation_errors,
-                         fit_screw, register_to_scene, segment_mobile_part)
+                         fit_screw, segment_mobile_part)
 from .planner import (EndEffectorTrajectory, InteractionPlan, PlannerConfig,
                       check_part_collision, check_path, plan_scene,
                       prismatic_trajectory, revolute_trajectory, sample_part_sweep,
@@ -31,7 +31,7 @@ __all__ = [
     "ExplorationConfig", "ExplorationRecord", "classify_joint",
     "compliance_action", "detect_failure", "explore_scene", "reposition_base",
     "ContactHeatmap", "EstimatedArticulation", "articulation_errors", "fit_screw",
-    "register_to_scene", "segment_mobile_part", "EndEffectorTrajectory",
+    "segment_mobile_part", "EndEffectorTrajectory",
     "InteractionPlan", "PlannerConfig", "check_part_collision", "check_path",
     "plan_scene", "prismatic_trajectory", "revolute_trajectory",
     "sample_part_sweep", "select_base", "execute_plan",

@@ -23,15 +23,14 @@ import numpy as np
 
 from .errors import (ArtisceneError, SceneFormatError, SceneValidationError,
                      UnknownPartError)
-from .estimation import (articulation_errors, estimate_record, estimated_part,
-                         register_to_scene)
+from .estimation import articulation_errors, estimate_record, estimated_part
 from .execution import execute_plan, opening_degree
 from .exploration import ExplorationConfig, explore_scene
-from .geometry import PointCloud, load_xyz, remove_statistical_outliers, save_xyz
+from .geometry import load_xyz, save_xyz
 from .planner import PlannerConfig, plan_scene, write_plan
 from .scene import (REVOLUTE, KinematicScene, RobotState, goal_satisfied,
                     load_scene, load_scene_extras, save_scene)
-from .sim import Observation, SimConfig, sample_static_map
+from .sim import Observation, SimConfig
 
 EXIT_USAGE = 1
 EXIT_VALIDATION = 2
@@ -131,11 +130,6 @@ def _parse_goal(scene: KinematicScene, raw: dict) -> dict:
 
 # --- explore -----------------------------------------------------------------
 
-def _base_map_cloud(scene: KinematicScene, sim: SimConfig) -> PointCloud:
-    """Clean full-coverage cloud of the static map (the mapping-stage model)."""
-    return PointCloud(sample_static_map(scene, sim))
-
-
 def _write_observation(obs: Observation, stem: Path) -> dict:
     save_xyz(obs.cloud, f"{stem}.xyz")
     return {"cloud": f"{stem.name}.xyz",
@@ -171,7 +165,6 @@ def run_explore(scene: KinematicScene, extras: dict, sim: SimConfig,
             json.dump(doc, f, indent=2)
 
     save_scene(KinematicScene(scene.base, ()), out / "base_map.json", extra=extras)
-    save_xyz(_base_map_cloud(scene, sim), out / "base_map.xyz")
 
     openings = {p.id: opening_degree(scene, p.id, result.final_state.theta(p.id))
                 for p in scene.parts}
@@ -192,8 +185,7 @@ def run_explore(scene: KinematicScene, extras: dict, sim: SimConfig,
 
 
 def cmd_explore(args):
-    scene = load_scene(args.scene)
-    extras = load_scene_extras(args.scene)
+    scene, extras = load_scene_extras(args.scene)
     sim, expl, _, robot = _build_configs(extras, args)
     return lambda out: run_explore(scene, extras, sim, expl, robot, out)
 
@@ -212,18 +204,15 @@ def _read_record(records_dir: Path, doc: dict):
 
 def run_estimate(records_root: Path, out: Path,
                  truth: KinematicScene | None = None) -> dict:
-    """Estimation stage over an explore output; metrics need the true scene."""
+    """Estimation stage over an explore output; metrics need the true scene.
+
+    Records are world-frame clouds taken from the exact base pose, so each
+    estimate goes into the scene as fitted, with no registration.
+    """
     records_dir = records_root / "records"
     if not records_dir.is_dir():
         raise SceneValidationError(f"no records directory under {records_root}")
-    base_scene = load_scene(records_root / "base_map.json", validate_reachability=False)
-    static_map = None
-    base_xyz = records_root / "base_map.xyz"
-    if base_xyz.exists() and base_xyz.stat().st_size > 0:
-        base_cloud = load_xyz(base_xyz)
-        if len(base_cloud) > 100:
-            # every part registers against the same map: filter it once
-            static_map = remove_statistical_outliers(base_cloud)
+    base_scene, extras = load_scene_extras(records_root / "base_map.json")
 
     estimates = []
     failures = []
@@ -236,8 +225,6 @@ def run_estimate(records_root: Path, out: Path,
         pre, post = _read_record(records_dir, doc)
         try:
             est = estimate_record(doc["part_id"], pre, post)
-            if static_map is not None:
-                est, _ = register_to_scene(est, pre.cloud, static_map)
             estimates.append(est)
             parts.append(estimated_part(est, pre, post))
         except ArtisceneError as e:
@@ -245,7 +232,6 @@ def run_estimate(records_root: Path, out: Path,
                              "reason": str(e)})
 
     est_scene = KinematicScene(base_scene.base, parts)
-    extras = load_scene_extras(records_root / "base_map.json")
     save_scene(est_scene, out / "estimated_scene.json", extra=extras)
 
     rows = []
@@ -299,8 +285,8 @@ def run_plan(scene: KinematicScene, goal: dict, planner_cfg: PlannerConfig,
 
 
 def cmd_plan(args):
-    scene = load_scene(args.scene)
-    _, _, planner_cfg, robot = _build_configs(load_scene_extras(args.scene), args)
+    scene, extras = load_scene_extras(args.scene)
+    _, _, planner_cfg, robot = _build_configs(extras, args)
     goal = _parse_goal(scene, _read_json(args.goal))
     return lambda out: run_plan(scene, goal, planner_cfg, robot, out)
 
@@ -308,8 +294,7 @@ def cmd_plan(args):
 # --- run-all -----------------------------------------------------------------
 
 def cmd_run_all(args):
-    scene = load_scene(args.scene)
-    extras = load_scene_extras(args.scene)
+    scene, extras = load_scene_extras(args.scene)
     sim, expl, planner_cfg, robot = _build_configs(extras, args)
     raw_goal = _read_json(args.goal)
     goal = _parse_goal(scene, raw_goal)
@@ -388,7 +373,9 @@ def _add_common(p, scene=True):
     p.add_argument("--force", action="store_true", help="allow non-empty --out")
     p.add_argument("--config", help="JSON overrides (path or inline)")
     p.add_argument("--noise-sigma", dest="noise_sigma", type=float, default=None)
-    p.add_argument("--max-candidates", dest="max_candidates", type=int, default=None)
+    p.add_argument("--max-candidates", dest="max_candidates", type=int, default=None,
+                   help="orders sampled when the goal has more than 6 parts "
+                        "(smaller goals try every permutation)")
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -9,10 +9,6 @@ class DegenerateGeometryError(ArtisceneError):
     """Input geometry does not constrain the requested estimate (e.g. collinear points)."""
 
 
-class RegistrationFailedError(ArtisceneError):
-    """Registration residual exceeds its tolerance."""
-
-
 class LimitViolationError(ArtisceneError):
     """A joint state outside its limits was requested."""
 

@@ -3,24 +3,24 @@
 A closed-form geometric screw estimator stands in for a learned network over
 the same inputs: segmented mobile subsets are aligned by ICP (with a PCA-frame
 initialization so large rotations converge), the rigid motion is decomposed
-into a rotation about an axis or a translation along one, and the recovered
-parameters are registered into the scene frame.
+into a rotation about an axis or a translation along one. Observations are
+already in the world frame (the simulated base pose is exact), so the
+recovered parameters need no registration into the scene.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.spatial import cKDTree
 
-from .errors import (EstimationFailedError, RegistrationFailedError,
-                     SegmentationFailedError)
+from .errors import EstimationFailedError, SegmentationFailedError
 from .geometry import (DegenerateGeometryError, OrientedBox, PointCloud,
                        RigidTransform, as_vec3, consensus_plane_normal,
                        erode_isolated, fit_rigid_transform, icp_register,
-                       remove_statistical_outliers, rotation_axis_angle, unit)
+                       rotation_axis_angle, unit)
 from .scene import PRISMATIC, REVOLUTE, JointModel, MobilePart, default_limits
 from .sim import Observation
 
@@ -31,9 +31,6 @@ MIN_MOBILE_POINTS = 30
 HEATMAP_SIGMA = 0.10           # contact heatmap width for segmentation, meters
 MOTION_TAU = 0.02              # nearest-neighbor distance marking motion, meters
 FIT_RESIDUAL_TOL = 0.02        # screw-fit inlier distance for confidence, meters
-REGISTER_RESIDUAL_TOL = 0.05   # largest accepted scene-registration residual, meters
-REGISTER_MAX_ITERS = 50
-REGISTER_TOL = 1e-5
 
 
 @dataclass(frozen=True)
@@ -298,30 +295,6 @@ def _fixed_point(transform: RigidTransform, axis: np.ndarray, psi: float,
     t2 = basis.T @ transform.translation
     q2 = np.linalg.solve(np.eye(2) - r2, t2)
     return basis @ q2 + axis * float(axis @ centroid)
-
-
-def register_to_scene(est: EstimatedArticulation, object_cloud: PointCloud,
-                      static_map: PointCloud):
-    """Align the object's observation cloud to the static map and carry the
-    joint parameters along. Returns (registered estimate, ICPResult).
-
-    The object cloud is outlier-filtered here; static_map must already be
-    filtered by the caller, which does it once for every part of a run.
-    Raises RegistrationFailedError when the ICP residual exceeds
-    REGISTER_RESIDUAL_TOL.
-    """
-    result = icp_register(remove_statistical_outliers(object_cloud), static_map,
-                          max_iters=REGISTER_MAX_ITERS, tol=REGISTER_TOL)
-    if result.residual > REGISTER_RESIDUAL_TOL:
-        raise RegistrationFailedError(f"registration residual {result.residual:.4g} "
-                                      f"exceeds {REGISTER_RESIDUAL_TOL}")
-    t = result.transform
-    axis = unit(t.rotation @ est.axis)
-    pivot = t.apply(est.pivot) if est.pivot is not None else None
-    motion = est.motion_transform
-    if motion is not None:
-        motion = t.compose(motion).compose(t.inverse())
-    return replace(est, axis=axis, pivot=pivot, motion_transform=motion), result
 
 
 @dataclass(frozen=True)

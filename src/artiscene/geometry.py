@@ -323,18 +323,6 @@ def fit_rigid_transform(src: PointCloud, dst: PointCloud) -> RigidTransform:
     return RigidTransform(rot, cb - rot @ ca)
 
 
-def remove_statistical_outliers(cloud: PointCloud, k: int = 10, std_ratio: float = 2.0) -> PointCloud:
-    """Drop points whose mean k-NN distance exceeds the global mean + std_ratio * stddev."""
-    pts = cloud.points
-    if pts.shape[0] <= k + 1:
-        return cloud
-    tree = cKDTree(pts)
-    dists, _ = tree.query(pts, k=k + 1)
-    mean_d = dists[:, 1:].mean(axis=1)
-    cutoff = mean_d.mean() + std_ratio * mean_d.std()
-    return cloud.subset(mean_d <= cutoff)
-
-
 @dataclass(frozen=True)
 class ICPResult:
     transform: RigidTransform

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -327,18 +327,21 @@ def scene_from_json(doc: dict) -> KinematicScene:
     return KinematicScene(base, parts)
 
 
+def _read_scene_doc(path) -> dict:
+    with open(path) as f:
+        try:
+            return json.load(f)
+        except json.JSONDecodeError as e:
+            raise SceneFormatError("<document>", f"invalid JSON: {e}") from e
+
+
 def load_scene(path, validate_reachability: bool = True) -> KinematicScene:
     """Load and validate a scene file; returns the scene.
 
     Schema violations raise SceneFormatError naming the field; invariant
     violations raise SceneValidationError.
     """
-    with open(path) as f:
-        try:
-            doc = json.load(f)
-        except json.JSONDecodeError as e:
-            raise SceneFormatError("<document>", f"invalid JSON: {e}") from e
-    scene = scene_from_json(doc)
+    scene = scene_from_json(_read_scene_doc(path))
     if validate_reachability:
         _validate_handles_reachable(scene)
     return scene
@@ -353,11 +356,13 @@ def save_scene(scene: KinematicScene, path, extra: dict | None = None) -> None:
         f.write("\n")
 
 
-def load_scene_extras(path) -> dict:
-    """Non-schema keys riding in a scene file (e.g. 'sim', 'robot')."""
-    with open(path) as f:
-        doc = json.load(f)
-    return {k: v for k, v in doc.items() if k not in ("schema_version", "base", "parts")}
+def load_scene_extras(path) -> tuple[KinematicScene, dict]:
+    """Load and validate a scene file in one read, like load_scene; returns
+    the scene and its non-schema keys (e.g. 'sim', 'robot')."""
+    doc = _read_scene_doc(path)
+    scene = scene_from_json(doc)
+    _validate_handles_reachable(scene)
+    return scene, {k: v for k, v in doc.items() if k not in ("schema_version", "base", "parts")}
 
 
 def _validate_handles_reachable(scene: KinematicScene) -> None:

@@ -88,10 +88,10 @@ def _node_hash(i: np.ndarray, j: np.ndarray, salt: float) -> np.ndarray:
     return v - np.floor(v)
 
 
-def _sample_box_faces(box: OrientedBox, viewpoint: np.ndarray | None,
+def _sample_box_faces(box: OrientedBox, viewpoint: np.ndarray,
                       density: float) -> np.ndarray:
     """Jittered-grid samples on the faces whose outward normal faces the
-    viewpoint, or on every face when the viewpoint is None.
+    viewpoint.
 
     Sample positions are a deterministic function of the box geometry, so
     repeated renders of a static surface yield the same support points and
@@ -105,7 +105,7 @@ def _sample_box_faces(box: OrientedBox, viewpoint: np.ndarray | None,
     for face_idx, ((iu, iv, inrm), sign) in enumerate(zip(_FACE_FRAMES, _FACE_SIGNS)):
         normal = sign * box.orientation[:, inrm]
         face_center = box.center + normal * h[inrm]
-        if viewpoint is not None and float(normal @ (viewpoint - face_center)) <= 0.0:
+        if float(normal @ (viewpoint - face_center)) <= 0.0:
             continue
         nu = max(1, int(round(2.0 * h[iu] / pitch)))
         nv = max(1, int(round(2.0 * h[iv] / pitch)))
@@ -145,18 +145,6 @@ def sample_scene_surfaces(scene: KinematicScene, state: SceneState, viewpoint,
         labels.extend([part.id] * pts.shape[0])
     points = np.vstack(chunks) if chunks else np.empty((0, 3))
     return points, labels
-
-
-def sample_static_map(scene: KinematicScene, config: SimConfig) -> np.ndarray:
-    """Noise-free samples on every face of every base obstacle, (N, 3).
-
-    This is the static map's model cloud. Each face is sampled once, back
-    faces included, and the points come in np.lexsort order.
-    """
-    chunks = [_sample_box_faces(box, None, config.surface_point_density)
-              for box in scene.base.obstacles]
-    points = np.vstack(chunks) if chunks else np.empty((0, 3))
-    return points[np.lexsort(points.T)]
 
 
 def render_observation(scene: KinematicScene, state: SceneState, viewpoint,

@@ -1,12 +1,12 @@
+import builtins
 import json
+from collections import Counter
+from pathlib import Path
 
 import pytest
 
-from artiscene import cli, estimation
-from artiscene.cli import main, run_estimate
-from artiscene.fixtures import (blocked_aisle, blocked_aisle_goal, galley_block,
-                                minimal_drawer)
-from artiscene.geometry import load_xyz
+from artiscene.cli import main
+from artiscene.fixtures import blocked_aisle, blocked_aisle_goal, minimal_drawer
 from artiscene.scene import load_scene, save_scene
 
 NOISELESS = '{"sim": {"noise_sigma": 0.0, "dropout_prob": 0.0}}'
@@ -229,41 +229,42 @@ def test_unreadable_inputs_exit_1(tmp_path, drawer_scene, capsys, command, extra
     assert err.startswith("error: ") and "Traceback" not in err
 
 
-def _recording(module, calls):
-    real = module.remove_statistical_outliers
+@pytest.fixture()
+def json_reads(monkeypatch):
+    """Counts the opens for reading of each .json file, by resolved path."""
+    reads = Counter()
+    real_open = builtins.open
 
-    def recorder(cloud, *args, **kwargs):
-        calls.append((module.__name__, len(cloud)))
-        return real(cloud, *args, **kwargs)
+    def counting_open(file, mode="r", *args, **kwargs):
+        if "r" in mode and str(file).endswith(".json"):
+            reads[Path(file).resolve()] += 1
+        return real_open(file, mode, *args, **kwargs)
 
-    return recorder
+    monkeypatch.setattr(builtins, "open", counting_open)
+    return reads
 
 
-def test_estimate_filters_the_static_map_once(tmp_path, monkeypatch):
-    # one filter pass over the shared static map, one per registered object cloud
-    scene, extras = galley_block()
-    scene_path = tmp_path / "galley.json"
-    save_scene(scene, scene_path, extra=extras)
-    explore_out = tmp_path / "exp"
-    assert main(["explore", "--scene", str(scene_path), "--out", str(explore_out),
-                 "--seed", "0"]) == 0
-    calls = []
-    for module in (cli, estimation):
-        monkeypatch.setattr(module, "remove_statistical_outliers", _recording(module, calls))
-    (tmp_path / "est").mkdir()
-    summary = run_estimate(explore_out, tmp_path / "est")
+def test_each_command_reads_each_scene_file_once(tmp_path, drawer_scene, json_reads):
+    goal = write_goal(tmp_path, {"drawer_1": 0.15})
+    run = tmp_path / "run"
+    assert main(["run-all", "--scene", str(drawer_scene), "--goal", str(goal),
+                 "--out", str(run), "--seed", "0"]) == 0
+    for scene_file in (drawer_scene, run / "explore/base_map.json",
+                       run / "estimate/estimated_scene.json"):
+        assert json_reads[scene_file.resolve()] == 1, scene_file
+    assert set(json_reads.values()) == {1}
 
-    n_map = len(load_xyz(explore_out / "base_map.xyz"))
-    assert [c for c in calls if c[1] == n_map] == [("artiscene.cli", n_map)]
-    object_calls = sorted(n for module, n in calls if module == "artiscene.estimation")
-    pre_sizes = []
-    for rec_path in sorted((explore_out / "records").glob("*.json")):
-        doc = json.loads(rec_path.read_text())
-        if doc["succeeded"]:
-            pre_sizes.append(len(load_xyz(explore_out / "records" / doc["pre"]["cloud"])))
-    assert not summary["failures"]
-    assert summary["estimated"] == len(pre_sizes) > 0
-    assert object_calls == sorted(pre_sizes)
+    staged = [
+        ["explore", "--scene", str(drawer_scene), "--out", str(tmp_path / "e")],
+        ["estimate", "--records", str(tmp_path / "e"), "--truth", str(drawer_scene),
+         "--out", str(tmp_path / "m")],
+        ["plan", "--scene", str(tmp_path / "m/estimated_scene.json"),
+         "--goal", str(goal), "--out", str(tmp_path / "p")],
+    ]
+    for argv in staged:
+        json_reads.clear()
+        assert main(argv) == 0
+        assert json_reads and set(json_reads.values()) == {1}, (argv[0], json_reads)
 
 
 def test_estimate_missing_records_exits_runtime(tmp_path):

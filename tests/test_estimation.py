@@ -4,13 +4,12 @@ import numpy as np
 import pytest
 
 from artiscene import estimation
-from artiscene.errors import (EstimationFailedError, RegistrationFailedError,
-                              SegmentationFailedError)
+from artiscene.errors import EstimationFailedError, SegmentationFailedError
 from artiscene.estimation import (ContactHeatmap, EstimatedArticulation,
                                   articulation_errors, estimate_record,
                                   estimated_part, fit_screw, obb_from_points,
-                                  register_to_scene, segment_mobile_part)
-from artiscene.geometry import PointCloud, RigidTransform, rodrigues_rotation
+                                  segment_mobile_part)
+from artiscene.geometry import PointCloud, rodrigues_rotation
 from artiscene.scene import JointModel
 from artiscene.sim import Observation
 
@@ -185,70 +184,6 @@ def test_segmentation_candidates_monotone_in_tau():
         if prev is not None:
             assert np.all(cands <= prev)  # larger tau never adds candidates
         prev = cands
-
-
-# --- registration ------------------------------------------------------------
-
-def test_register_identity_when_aligned():
-    rng = np.random.default_rng(10)
-    base = PointCloud(np.column_stack([rng.uniform(-1, 1, 3000),
-                                       rng.uniform(0.0, 0.1, 3000),
-                                       rng.uniform(0, 1, 3000)]))
-    obj = PointCloud(base.points[:600] + rng.normal(0, 1e-4, (600, 3)))
-    est = EstimatedArticulation("p", "revolute", np.array([0.0, 0, 1.0]),
-                                np.array([0.5, 0.0, 0.0]), 0.5, None, 1.0)
-    reg, result = register_to_scene(est, obj, base)
-    assert result.residual < 5e-3
-    assert np.allclose(reg.axis, est.axis, atol=1e-3)
-    assert np.allclose(reg.pivot, est.pivot, atol=5e-3)
-
-
-def test_register_corrects_known_offset():
-    rng = np.random.default_rng(11)
-    base_pts = np.column_stack([rng.uniform(-1, 1, 4000),
-                                rng.uniform(0.0, 0.08, 4000),
-                                rng.uniform(0, 1, 4000)])
-    offset_rot = rodrigues_rotation((0, 0, 1.0), math.radians(3.0))
-    offset = RigidTransform(offset_rot, np.array([0.04, 0.0, 0.0]))
-    obj_pts = offset.inverse().apply(base_pts[:800])
-    true_axis = np.array([0.0, 0.0, 1.0])
-    true_pivot = np.array([0.3, 0.04, 0.0])
-    est = EstimatedArticulation(
-        "p", "revolute", offset.inverse().rotation @ true_axis,
-        offset.inverse().apply(true_pivot), 0.5, None, 1.0)
-    reg, _ = register_to_scene(est, PointCloud(obj_pts), PointCloud(base_pts))
-    assert math.degrees(math.acos(min(1.0, abs(float(reg.axis @ true_axis))))) < 0.5
-    assert line_distance(reg.pivot, reg.axis, true_pivot, true_axis) < 5e-3
-
-
-def test_register_parameters_transform_covariantly():
-    # applying the known offset to the registered output recovers the input
-    rng = np.random.default_rng(15)
-    base_pts = np.column_stack([rng.uniform(-1, 1, 4000),
-                                rng.uniform(0.0, 0.08, 4000),
-                                rng.uniform(0, 1, 4000)])
-    offset = RigidTransform(rodrigues_rotation((0, 0, 1.0), math.radians(3.0)),
-                            np.array([0.04, 0.0, 0.0]))
-    obj_pts = offset.inverse().apply(base_pts[:800])
-    axis_in = rodrigues_rotation((1.0, 0, 0), 0.2) @ np.array([0.0, 0.0, 1.0])
-    pivot_in = np.array([0.2, 0.04, 0.3])
-    est = EstimatedArticulation("p", "revolute", axis_in, pivot_in, 0.5, None, 1.0)
-    reg, result = register_to_scene(est, PointCloud(obj_pts), PointCloud(base_pts))
-    t = result.transform
-    back_axis = t.rotation.T @ reg.axis
-    back_pivot = t.inverse().apply(reg.pivot)
-    assert np.linalg.norm(back_axis - axis_in) < 1e-6
-    assert np.linalg.norm(back_pivot - pivot_in) < 1e-6
-
-
-def test_register_rejects_disjoint_clouds():
-    rng = np.random.default_rng(12)
-    a = PointCloud(rng.uniform(0, 0.2, size=(400, 3)))
-    b = PointCloud(rng.uniform(5, 5.2, size=(400, 3)))
-    with pytest.raises(RegistrationFailedError):
-        register_to_scene(
-            EstimatedArticulation("p", "prismatic", np.array([1.0, 0, 0]),
-                                  None, 0.1, None, 1.0), a, b)
 
 
 # --- error metrics -----------------------------------------------------------

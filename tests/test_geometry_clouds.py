@@ -6,8 +6,7 @@ import pytest
 from artiscene.errors import DegenerateGeometryError
 from artiscene.geometry import (PointCloud, cloud_displacement,
                                 fit_rigid_transform, icp_register, load_xyz,
-                                remove_statistical_outliers, rodrigues_rotation,
-                                save_xyz)
+                                rodrigues_rotation, save_xyz)
 
 
 def rand_rotation(rng, max_angle=math.pi):
@@ -114,15 +113,6 @@ def test_icp_accepted_residuals_non_increasing():
     result = icp_register(PointCloud(src), PointCloud(dst))
     hist = np.asarray(result.residual_history)
     assert np.all(np.diff(hist) <= 1e-15)
-
-
-def test_outlier_removal_drops_far_points():
-    rng = np.random.default_rng(11)
-    pts = rng.normal(0.0, 0.05, size=(500, 3))
-    pts[0] = [5.0, 5.0, 5.0]
-    cleaned = remove_statistical_outliers(PointCloud(pts))
-    assert len(cleaned) < 500
-    assert not np.any(np.all(cleaned.points == pts[0], axis=1))
 
 
 # --- chamfer displacement ----------------------------------------------------

@@ -1,7 +1,7 @@
 """Golden digests of the pipeline outputs at fixed seeds.
 
 Each ``run-all`` case runs the whole pipeline in-process and compares the
-sha256 of five output files against pinned values; the staged case runs
+sha256 of four output files against pinned values; the staged case runs
 ``explore``, ``estimate --truth`` and ``plan`` one after another and pins one
 file of each stage. A refactor must leave every digest unchanged; a
 deliberate behaviour change updates the digests here and says why in
@@ -24,27 +24,23 @@ SCENES = Path(__file__).resolve().parents[1] / "scenes"
 GOLDEN = {
     ("kitchen", 0): {
         "plan/plan.json":
-            "1369355b842c517546d3c68bcbb4b860eef5a89b23f2f8fddbc329efd647d7e0",
+            "dc6468dbf75dff6d4e1626c09419ccef5d89898c773251f07fb8476ace410b22",
         "estimate/metrics.csv":
-            "5eefcf7ba428d181772c6bd60af63ba13b999063885c049f15f36942b667f4c2",
+            "de1873817e62ba3c2d78ae09d2cc78d393283804e5bb0f1b61351ac0026a6909",
         "execution.csv":
             "76d82b6caca673d3948fc507ddeae1b73b8acb0bcc0b8d56ba301a1b2c5dad64",
         "explore/exploration_log.jsonl":
             "8d04e50d21170289efdcaf567aedab5193c3a1ba72c00a8aca18af5702b9b3dd",
-        "explore/base_map.xyz":
-            "493d781a2688ad878d2879a6b20185878e06f106af248172d3933bae1be88a03",
     },
     ("galley_block", 0): {
         "plan/plan.json":
-            "8a9696e48134ee43420bb64b74366e559ed6af113b9986a57c0ccc1e7a203bf1",
+            "1413ee2412833ace81ddec3e870cfa8919b06767180d8a90c72637b4bf14011a",
         "estimate/metrics.csv":
-            "3fa03134eaa33c1ac01ebcce0bdb2675f005ed51553dbf605562afeffc745629",
+            "1fb18100310ed897c7c974f8eff530dde773b91afa14641d1c9379d5b55f7155",
         "execution.csv":
             "15757937ed974387835ff9115238169fb7de05245a3f3b98ac162542caeeb372",
         "explore/exploration_log.jsonl":
             "b575ee5e4ff74aa1bce0fa92eb877bf697591f70989fa8b6548d15c788ed2344",
-        "explore/base_map.xyz":
-            "96dfed434c65f386568335d3c35adc267ae5fef59bc987632c2256e59dc47bfd",
     },
 }
 
@@ -76,11 +72,11 @@ STAGED = {
         "explore/exploration_log.jsonl":
             "de39f2dddc5b86f63bf9b10e8d5dc8f7a73b90449e9bccefae0d317a28bdefdc",
         "estimate/estimated_scene.json":
-            "cd1ba1b2c5525daf77528b9d4b066923a6d1bf296c754e0a3ae9869d7bb181e0",
+            "80d1c876846d6d37f3fcab9fa2df9a174fe8f7086e7f8c8b1d23251f2d46be7c",
         "estimate/metrics.csv":
-            "5151f42c4b28728af4a9acf486208f89dec005deedc3163076443fb6736c31c3",
+            "a7beb2fed245f746f28453515aedc2e26121f79f06266c676de576eadd52ec1d",
         "plan/plan.json":
-            "c899a26ee3b24cedd95628fc589b99bf15127edbe712a0d0cab5647598fa9088",
+            "ca9efac4064da303b793b8aeb179173044d09f4c6aeae17f2c19f18eaa0b5ced",
     },
 }
 

@@ -2,7 +2,6 @@ import math
 
 import numpy as np
 import pytest
-from scipy.spatial import cKDTree
 
 from artiscene.errors import GraspFailureError, InvalidViewpointError
 from artiscene.fixtures import kitchen, minimal_drawer
@@ -10,7 +9,7 @@ from artiscene.geometry import OrientedBox, rodrigues_rotation
 from artiscene.scene import KinematicScene, SceneState, StaticBaseMap, handle_at
 from artiscene.sim import (Observation, SimConfig, _near_polygon, attempt_pull,
                            motion_direction, nav_grid, render_observation,
-                           sample_scene_surfaces, sample_static_map)
+                           sample_scene_surfaces)
 
 
 def slab_scene():
@@ -73,27 +72,6 @@ def test_provenance_labels():
                                         (1.5, 1.0, 1.0), noiseless())
     assert pts.shape[0] == len(labels)
     assert set(labels) == {"drawer_1"}  # empty base map: only the drawer
-
-
-def test_static_map_samples_every_face_once():
-    scene, _ = kitchen()
-    cfg = SimConfig()
-    pts = sample_static_map(scene, cfg)
-    pitch = 1.0 / math.sqrt(cfg.surface_point_density)
-    expected = 0
-    for box in scene.base.obstacles:
-        n = [max(1, int(round(2.0 * h / pitch))) for h in box.half_extents]
-        expected += 2 * (n[0] * n[1] + n[0] * n[2] + n[1] * n[2])
-    assert pts.shape[0] == expected
-    assert np.array_equal(pts, pts[np.lexsort(pts.T)])
-    assert not cKDTree(pts).query_pairs(1e-6)
-    # back faces too: every box has points on all six of its face planes
-    for box in scene.base.obstacles:
-        local = (pts - box.center) @ box.orientation
-        on_box = local[np.all(np.abs(local) <= box.half_extents + 1e-9, axis=1)]
-        for k in range(3):
-            for sign in (1.0, -1.0):
-                assert np.any(np.abs(on_box[:, k] - sign * box.half_extents[k]) < 1e-9)
 
 
 # --- attempt_pull ------------------------------------------------------------
