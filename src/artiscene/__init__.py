@@ -2,8 +2,7 @@
 
 from .errors import ArtisceneError
 from .geometry import (OrientedBox, PointCloud, RigidTransform, cloud_displacement,
-                       fit_rigid_transform, icp_register, obb_intersects,
-                       rodrigues_rotation)
+                       fit_rigid_transform, obb_intersects, rodrigues_rotation)
 from .scene import (JointModel, KinematicScene, MobilePart, RobotState, SceneState,
                     StaticBaseMap, goal_satisfied, load_scene, part_pose_at,
                     save_scene)
@@ -23,8 +22,8 @@ __version__ = "0.1.0"
 
 __all__ = [
     "ArtisceneError", "OrientedBox", "PointCloud", "RigidTransform",
-    "cloud_displacement", "fit_rigid_transform", "icp_register",
-    "obb_intersects", "rodrigues_rotation", "JointModel",
+    "cloud_displacement", "fit_rigid_transform", "obb_intersects",
+    "rodrigues_rotation", "JointModel",
     "KinematicScene", "MobilePart", "RobotState", "SceneState", "StaticBaseMap",
     "goal_satisfied", "load_scene", "part_pose_at", "save_scene", "Observation",
     "SimConfig", "attempt_pull", "nav_grid", "render_observation",

@@ -1,11 +1,12 @@
 """Turn pre/post observation pairs into joint models and part segmentations.
 
 A closed-form geometric screw estimator stands in for a learned network over
-the same inputs: segmented mobile subsets are aligned by ICP (with a PCA-frame
-initialization so large rotations converge), the rigid motion is decomposed
-into a rotation about an axis or a translation along one. Observations are
-already in the world frame (the simulated base pose is exact), so the
-recovered parameters need no registration into the scene.
+the same inputs: coarse alignment candidates (PCA and dominant-plane frames,
+plus contact-anchored variants) seed a trimmed refinement on mutual nearest-
+neighbor pairs of the segmented mobile subsets, and the refined rigid motion
+is decomposed into a rotation about an axis or a translation along one.
+Observations are already in the world frame (the simulated base pose is
+exact), so the recovered parameters need no registration into the scene.
 """
 
 from __future__ import annotations
@@ -19,8 +20,8 @@ from scipy.spatial import cKDTree
 from .errors import EstimationFailedError, SegmentationFailedError
 from .geometry import (DegenerateGeometryError, OrientedBox, PointCloud,
                        RigidTransform, as_vec3, consensus_plane_normal,
-                       erode_isolated, fit_rigid_transform, icp_register,
-                       rotation_axis_angle, unit)
+                       erode_isolated, fit_rigid_transform, rotation_axis_angle,
+                       unit)
 from .scene import PRISMATIC, REVOLUTE, JointModel, MobilePart, default_limits
 from .sim import Observation
 
@@ -30,7 +31,6 @@ MIN_TRANSLATION = 1e-4
 MIN_MOBILE_POINTS = 30
 HEATMAP_SIGMA = 0.10           # contact heatmap width for segmentation, meters
 MOTION_TAU = 0.02              # nearest-neighbor distance marking motion, meters
-FIT_RESIDUAL_TOL = 0.02        # screw-fit inlier distance for confidence, meters
 
 
 @dataclass(frozen=True)
@@ -58,7 +58,6 @@ class EstimatedArticulation:
     pivot: np.ndarray | None
     observed_delta: float          # recovered motion between the observations
     mobile_mask: np.ndarray | None
-    confidence: float
     motion_transform: RigidTransform | None = None  # pre -> post rigid motion
     post_mask: np.ndarray | None = None  # moved part within the post cloud
 
@@ -69,7 +68,6 @@ class ScrewFit:
     axis: np.ndarray
     pivot: np.ndarray | None
     observed_delta: float
-    confidence: float
     transform: RigidTransform
 
 
@@ -229,12 +227,13 @@ def _refine_mutual(src: np.ndarray, dst: np.ndarray, tree: cKDTree,
 def fit_screw(pre_mobile: PointCloud, post_mobile: PointCloud, anchors=None) -> ScrewFit:
     """Recover the joint that carries the pre subset onto the post subset.
 
-    ICP (seeded with a PCA-frame alignment, optionally anchored on a known
-    contact-point correspondence) establishes correspondence; a mutual-NN
-    trimmed refinement fits the final rigid transform, which is decomposed
-    into either a rotation of angle psi >= 5 degrees about a recovered
-    axis/pivot, or a translation along a unit axis. Rotations within 5 degrees
-    of 180 are rejected because the axis sign is ambiguous there.
+    The two best-ranked coarse alignment candidates (optionally anchored on a
+    known contact-point correspondence) each seed a mutual-NN trimmed
+    refinement, and the lower inlier residual wins. The refined rigid
+    transform is decomposed into either a rotation of angle psi >= 5 degrees
+    about a recovered axis/pivot, or a translation along a unit axis.
+    Rotations within 5 degrees of 180 are rejected because the axis sign is
+    ambiguous there.
     """
     if len(pre_mobile) < MIN_MOBILE_POINTS or len(post_mobile) < MIN_MOBILE_POINTS:
         raise ValueError(f"segmented subsets need >= {MIN_MOBILE_POINTS} points")
@@ -242,33 +241,22 @@ def fit_screw(pre_mobile: PointCloud, post_mobile: PointCloud, anchors=None) -> 
     dst = post_mobile.points
     tree = cKDTree(dst)
     best = None
-    for init in _alignment_candidates(src, dst, anchors)[:2]:
-        starts = [init, icp_register(PointCloud(src), PointCloud(dst), max_iters=40,
-                                     tol=1e-7, init=init).transform]
-        # full-set ICP can drag a good start off under thin overlap; refine
-        # from the raw candidate as well and keep whichever lands better
-        for start in starts:
-            refined = _refine_mutual(src, dst, tree, start)
-            if refined is None:
-                continue
-            transform, inlier_res = refined
-            if best is None or inlier_res < best[1]:
-                best = (transform, inlier_res)
+    for start in _alignment_candidates(src, dst, anchors)[:2]:
+        refined = _refine_mutual(src, dst, tree, start)
+        if refined is not None and (best is None or refined[1] < best[1]):
+            best = refined
         if best is not None and best[1] < 1e-6:
             break
     if best is None:
         raise EstimationFailedError("correspondence search failed on every start")
     transform = best[0]
 
-    d, _ = tree.query(transform.apply(src))
-    confidence = float((d < FIT_RESIDUAL_TOL).mean())
-
     axis, psi = rotation_axis_angle(transform.rotation)
     if psi >= REVOLUTE_MAX_ANGLE:
         raise EstimationFailedError("rotation too close to 180 degrees; axis sign ambiguous")
     if psi >= REVOLUTE_MIN_ANGLE:
         pivot = _fixed_point(transform, axis, psi, src.mean(axis=0))
-        return ScrewFit(REVOLUTE, axis, pivot, psi, confidence, transform)
+        return ScrewFit(REVOLUTE, axis, pivot, psi, transform)
     # below the revolute threshold the motion is read as a translation; measure
     # it at the subset centroid so a residual micro-rotation times the scene
     # coordinate lever arm cannot corrupt the direction
@@ -277,7 +265,7 @@ def fit_screw(pre_mobile: PointCloud, post_mobile: PointCloud, anchors=None) -> 
     tnorm = float(np.linalg.norm(delta_vec))
     if tnorm < MIN_TRANSLATION:
         raise EstimationFailedError("no detectable motion between the subsets")
-    return ScrewFit(PRISMATIC, delta_vec / tnorm, None, tnorm, confidence, transform)
+    return ScrewFit(PRISMATIC, delta_vec / tnorm, None, tnorm, transform)
 
 
 def _fixed_point(transform: RigidTransform, axis: np.ndarray, psi: float,
@@ -335,8 +323,7 @@ def estimate_record(part_id: str, pre: Observation, post: Observation) -> Estima
     return EstimatedArticulation(
         part_id=part_id, kind=fit.kind, axis=fit.axis, pivot=fit.pivot,
         observed_delta=fit.observed_delta, mobile_mask=pre_mask,
-        confidence=fit.confidence, motion_transform=fit.transform,
-        post_mask=post_mask)
+        motion_transform=fit.transform, post_mask=post_mask)
 
 
 def obb_from_points(points: np.ndarray, min_extent: float = 0.005) -> OrientedBox:

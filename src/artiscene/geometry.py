@@ -89,10 +89,6 @@ class RigidTransform:
         object.__setattr__(self, "rotation", r)
         object.__setattr__(self, "translation", t)
 
-    @staticmethod
-    def identity() -> "RigidTransform":
-        return RigidTransform(np.eye(3), np.zeros(3))
-
     def apply(self, points: np.ndarray) -> np.ndarray:
         """Apply to one point (3,) or a stack (N, 3)."""
         p = np.asarray(points, dtype=float)
@@ -321,59 +317,6 @@ def fit_rigid_transform(src: PointCloud, dst: PointCloud) -> RigidTransform:
     d = np.sign(np.linalg.det(vt.T @ u.T))
     rot = vt.T @ np.diag([1.0, 1.0, d]) @ u.T
     return RigidTransform(rot, cb - rot @ ca)
-
-
-@dataclass(frozen=True)
-class ICPResult:
-    transform: RigidTransform
-    residual: float
-    iterations: int
-    residual_history: tuple
-
-
-def icp_register(src: PointCloud, dst: PointCloud, max_iters: int = 50, tol: float = 1e-5,
-                 init: RigidTransform | None = None) -> ICPResult:
-    """Point-to-point ICP (Besl & McKay 1992) on the clouds as given.
-
-    Alternates nearest-neighbor correspondence with a rigid least-squares
-    update until the mean residual changes by less than tol, the iteration cap
-    is hit, or the residual grows three consecutive times (divergence). Every
-    ending returns the best transform seen and its residual.
-    """
-    if len(src) == 0 or len(dst) == 0:
-        raise ValueError("both clouds must be non-empty")
-    tree = cKDTree(dst.points)
-    t = init if init is not None else RigidTransform.identity()
-
-    moved = t.apply(src.points)
-    d, idx = tree.query(moved)
-    best_res = float(d.mean())
-    best_t = t
-    prev_res = best_res
-    history = [best_res]
-    grow_streak = 0
-    iters = 0
-    for iters in range(1, max_iters + 1):
-        try:
-            delta = fit_rigid_transform(PointCloud(moved), PointCloud(dst.points[idx]))
-        except DegenerateGeometryError:
-            break
-        t = delta.compose(t)
-        moved = t.apply(src.points)
-        d, idx = tree.query(moved)
-        res = float(d.mean())
-        if res < best_res:
-            best_res = res
-            best_t = t
-            history.append(res)
-        if res > prev_res + 1e-15:
-            grow_streak += 1
-        else:
-            grow_streak = 0
-        if grow_streak >= 3 or abs(prev_res - res) < tol:
-            break
-        prev_res = res
-    return ICPResult(best_t, best_res, iters, tuple(history))
 
 
 def erode_isolated(points: np.ndarray, mask: np.ndarray, k: int = 6) -> np.ndarray:

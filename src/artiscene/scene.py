@@ -335,16 +335,13 @@ def _read_scene_doc(path) -> dict:
             raise SceneFormatError("<document>", f"invalid JSON: {e}") from e
 
 
-def load_scene(path, validate_reachability: bool = True) -> KinematicScene:
+def load_scene(path) -> KinematicScene:
     """Load and validate a scene file; returns the scene.
 
     Schema violations raise SceneFormatError naming the field; invariant
     violations raise SceneValidationError.
     """
-    scene = scene_from_json(_read_scene_doc(path))
-    if validate_reachability:
-        _validate_handles_reachable(scene)
-    return scene
+    return load_scene_extras(path)[0]
 
 
 def save_scene(scene: KinematicScene, path, extra: dict | None = None) -> None:
@@ -357,8 +354,8 @@ def save_scene(scene: KinematicScene, path, extra: dict | None = None) -> None:
 
 
 def load_scene_extras(path) -> tuple[KinematicScene, dict]:
-    """Load and validate a scene file in one read, like load_scene; returns
-    the scene and its non-schema keys (e.g. 'sim', 'robot')."""
+    """Load and validate a scene file in one read; returns the scene and its
+    non-schema keys (e.g. 'sim', 'robot')."""
     doc = _read_scene_doc(path)
     scene = scene_from_json(doc)
     _validate_handles_reachable(scene)

@@ -9,9 +9,11 @@ from artiscene.estimation import (ContactHeatmap, EstimatedArticulation,
                                   articulation_errors, estimate_record,
                                   estimated_part, fit_screw, obb_from_points,
                                   segment_mobile_part)
+from artiscene.exploration import OBSERVATION_RADIUS
+from artiscene.fixtures import kitchen
 from artiscene.geometry import PointCloud, rodrigues_rotation
-from artiscene.scene import JointModel
-from artiscene.sim import Observation
+from artiscene.scene import JointModel, handle_at
+from artiscene.sim import Observation, SimConfig, render_observation
 
 
 def rand_unit(rng):
@@ -190,7 +192,7 @@ def test_segmentation_candidates_monotone_in_tau():
 
 def revolute_est(axis, pivot):
     return EstimatedArticulation("p", "revolute", np.asarray(axis, float),
-                                 np.asarray(pivot, float), 0.5, None, 1.0)
+                                 np.asarray(pivot, float), 0.5, None)
 
 
 def test_errors_zero_for_exact_estimate():
@@ -237,7 +239,34 @@ def test_estimate_record_on_synthetic_drawer():
     assert abs(float(est.axis @ [0.0, -1.0, 0.0])) > 0.999
     assert est.observed_delta == pytest.approx(0.10, abs=1e-6)
     assert est.mobile_mask.sum() >= 30
-    assert 0.0 < est.confidence <= 1.0
+
+
+def test_estimate_record_on_rendered_kitchen_doors():
+    # the pipeline's path: noisy renders cropped around the closed-pose handle,
+    # with the grasped handle anchoring the alignment candidates
+    scene, _ = kitchen()
+    config = SimConfig()
+    closed = scene.initial_state()
+    opened = 0.35
+    for seed in range(3):
+        for part in scene.parts:
+            if part.joint.kind != "revolute":
+                continue
+            rng = np.random.default_rng(seed)
+            viewpoint = part.handle + np.array([0.0, -0.8, 0.0])
+            viewpoint[2] = config.eye_height
+            pre = render_observation(scene, closed, viewpoint, config, rng,
+                                     hotspot=part.handle)
+            post = render_observation(scene, closed.with_theta(part.id, opened),
+                                      viewpoint, config, rng,
+                                      hotspot=handle_at(part, opened))
+            est = estimate_record(part.id,
+                                  pre.cropped(OBSERVATION_RADIUS, center=part.handle),
+                                  post.cropped(OBSERVATION_RADIUS, center=part.handle))
+            err = articulation_errors(est, part.joint)
+            assert est.kind == "revolute", (seed, part.id)
+            assert err.angle_err_deg <= 1.5, (seed, part.id, err)
+            assert err.trans_err_m <= 0.008, (seed, part.id, err)
 
 
 def test_estimated_part_reuses_the_record_masks(monkeypatch):

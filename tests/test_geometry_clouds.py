@@ -5,8 +5,8 @@ import pytest
 
 from artiscene.errors import DegenerateGeometryError
 from artiscene.geometry import (PointCloud, cloud_displacement,
-                                fit_rigid_transform, icp_register, load_xyz,
-                                rodrigues_rotation, save_xyz)
+                                fit_rigid_transform, load_xyz, rodrigues_rotation,
+                                save_xyz)
 
 
 def rand_rotation(rng, max_angle=math.pi):
@@ -66,53 +66,6 @@ def test_fit_collinear_degenerate():
     line = np.column_stack([np.linspace(0, 1, 10), np.zeros(10), np.zeros(10)])
     with pytest.raises(DegenerateGeometryError):
         fit_rigid_transform(PointCloud(line), PointCloud(line + 0.1))
-
-
-# --- icp ---------------------------------------------------------------------
-
-def patch_cloud(rng, n=800):
-    pts = np.column_stack([rng.uniform(-0.4, 0.4, n), rng.uniform(-0.3, 0.3, n),
-                           rng.uniform(-0.02, 0.02, n)])
-    bump = rng.uniform(-0.1, 0.1, size=(n, 3)) * (rng.random((n, 1)) < 0.3)
-    return pts + bump
-
-
-def test_icp_identity():
-    rng = np.random.default_rng(7)
-    cloud = PointCloud(patch_cloud(rng))
-    result = icp_register(cloud, cloud)
-    assert result.residual < 1e-12
-    assert np.allclose(result.transform.rotation, np.eye(3), atol=1e-9)
-
-
-def test_icp_small_offset_round_trip():
-    rng = np.random.default_rng(8)
-    src = patch_cloud(rng)
-    rot = rodrigues_rotation((0, 0, 1.0), math.radians(5.0))
-    dst = src @ rot.T + np.array([0.03, 0.0, 0.0])
-    result = icp_register(PointCloud(src), PointCloud(dst))
-    assert rotation_angle_deg(result.transform.rotation.T @ rot) < 0.2
-    assert np.linalg.norm(result.transform.translation - [0.03, 0, 0]) < 1e-3
-
-
-def test_icp_partial_overlap():
-    rng = np.random.default_rng(9)
-    full = patch_cloud(rng, n=1200)
-    keep = rng.random(1200) > 0.30
-    src = full[keep]
-    dst = full + np.array([0.02, 0.0, 0.0])
-    result = icp_register(PointCloud(src), PointCloud(dst))
-    err = np.linalg.norm(result.transform.translation - [0.02, 0, 0])
-    assert err < 5e-3
-
-
-def test_icp_accepted_residuals_non_increasing():
-    rng = np.random.default_rng(10)
-    src = patch_cloud(rng)
-    dst = src @ rodrigues_rotation((0, 0, 1.0), 0.1).T + 0.05
-    result = icp_register(PointCloud(src), PointCloud(dst))
-    hist = np.asarray(result.residual_history)
-    assert np.all(np.diff(hist) <= 1e-15)
 
 
 # --- chamfer displacement ----------------------------------------------------
