@@ -197,7 +197,7 @@ def _refine_mutual(src: np.ndarray, dst: np.ndarray, tree: cKDTree,
                    start: RigidTransform):
     """Trimmed refinement on mutual pairs from a coarse alignment.
 
-    Points whose twin was cropped out of the other observation window cannot
+    Points whose twin fell outside the other observation window cannot
     vote on the transform. Returns (transform, inlier residual) or None.
     """
     transform = start

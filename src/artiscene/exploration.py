@@ -252,16 +252,18 @@ def explore_scene(scene: KinematicScene, sim_config: SimConfig,
 
 
 def _observe(scene, state, viewpoint, hotspot, center, sim_config, rng):
-    """Observation cropped around a fixed interaction-site center.
+    """Observation of the OBSERVATION_RADIUS sphere around a fixed
+    interaction-site center, or None when that region is empty (e.g. a handle
+    annotated in free space) or otherwise unobservable.
 
-    Keeping one crop center per handle means the static content of successive
-    observations coincides, so apparent displacement comes from real motion
-    only. Returns None when the region is empty (e.g. a handle annotated in
-    free space) or otherwise unobservable."""
+    One crop center per handle makes the static content of successive
+    observations coincide, so apparent displacement comes from real motion
+    only. The renderer draws the noise for the whole visible scene, so the
+    generator stream, and with it every later observation, does not depend
+    on the crop."""
     try:
-        full = render_observation(scene, state, viewpoint, sim_config, rng,
-                                  hotspot=hotspot)
-        return full.cropped(OBSERVATION_RADIUS, center=center)
+        return render_observation(scene, state, viewpoint, sim_config, rng,
+                                  hotspot=hotspot, crop=(center, OBSERVATION_RADIUS))
     except (ValueError, InvalidViewpointError):
         return None
 

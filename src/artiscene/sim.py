@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import GraspFailureError, InvalidViewpointError
-from .geometry import OrientedBox, PointCloud, as_vec3, require_unit, unit
+from .geometry import PointCloud, as_vec3, require_unit, unit
 from .scene import (REVOLUTE, KinematicScene, MobilePart, RobotState, SceneState,
                     handle_at, part_shape_at)
 
@@ -66,114 +66,137 @@ class Observation:
         if np.any(self.hotspot < lo) or np.any(self.hotspot > hi):
             raise ValueError("hotspot lies outside the observed volume")
 
-    def cropped(self, radius: float, center=None) -> "Observation":
-        """Points within radius of the hotspot (or an explicit center)."""
-        c = self.hotspot if center is None else as_vec3(center)
-        d2 = np.sum((self.cloud.points - c) ** 2, axis=1)
-        mask = d2 <= radius * radius
-        return Observation(self.cloud.subset(mask), self.hotspot, self.viewpoint)
 
-
-_FACE_FRAMES = (
+_FACE_FRAMES = np.array([
     (0, 1, 2), (0, 1, 2),  # +-z faces: u=x, v=y, n=z
     (0, 2, 1), (0, 2, 1),  # +-y
     (1, 2, 0), (1, 2, 0),  # +-x
-)
-_FACE_SIGNS = (1.0, -1.0, 1.0, -1.0, 1.0, -1.0)
+])
+_FACE_SIGNS = np.array([1.0, -1.0, 1.0, -1.0, 1.0, -1.0])
 
 
-def _node_hash(i: np.ndarray, j: np.ndarray, salt: float) -> np.ndarray:
+def _node_hash(i: np.ndarray, j: np.ndarray, salt) -> np.ndarray:
     """Deterministic per-node pseudo-random fraction in [0, 1)."""
     v = np.sin(i * 12.9898 + j * 78.233 + salt * 37.719) * 43758.5453
     return v - np.floor(v)
 
 
-def _sample_box_faces(box: OrientedBox, viewpoint: np.ndarray,
-                      density: float) -> np.ndarray:
-    """Jittered-grid samples on the faces whose outward normal faces the
-    viewpoint.
-
-    Sample positions are a deterministic function of the box geometry, so
-    repeated renders of a static surface yield the same support points and
-    apparent motion comes only from real motion, sensor noise and dropout.
-    The per-node jitter breaks the lattice periodicity that would otherwise
-    alias registration along the face tangent.
-    """
-    out = []
-    h = box.half_extents
-    pitch = 1.0 / math.sqrt(density)
-    for face_idx, ((iu, iv, inrm), sign) in enumerate(zip(_FACE_FRAMES, _FACE_SIGNS)):
-        normal = sign * box.orientation[:, inrm]
-        face_center = box.center + normal * h[inrm]
-        if float(normal @ (viewpoint - face_center)) <= 0.0:
-            continue
-        nu = max(1, int(round(2.0 * h[iu] / pitch)))
-        nv = max(1, int(round(2.0 * h[iv] / pitch)))
-        ii, jj = np.meshgrid(np.arange(nu, dtype=float), np.arange(nv, dtype=float))
-        ii = ii.ravel()
-        jj = jj.ravel()
-        ju = (_node_hash(ii, jj, float(face_idx)) - 0.5) * 0.7
-        jv = (_node_hash(ii, jj, float(face_idx) + 13.7) - 0.5) * 0.7
-        us = ((ii + 0.5 + ju) / nu) * 2.0 - 1.0
-        vs = ((jj + 0.5 + jv) / nv) * 2.0 - 1.0
-        pts = (face_center
-               + np.outer(us * h[iu], box.orientation[:, iu])
-               + np.outer(vs * h[iv], box.orientation[:, iv]))
-        out.append(pts)
-    if not out:
-        return np.empty((0, 3))
-    return np.vstack(out)
+def _visible_faces(boxes, viewpoint: np.ndarray, pitch: float):
+    """The box faces whose outward normal faces the viewpoint, in box then
+    face order, as per-face arrays: face index (0-5), center, (u, v, normal)
+    axes, (u, v) half extents and (u, v) node counts."""
+    axes = np.array([b.orientation.T[_FACE_FRAMES] for b in boxes]).reshape(-1, 3, 3)
+    half = np.array([b.half_extents[_FACE_FRAMES] for b in boxes]).reshape(-1, 3)
+    normal = np.tile(_FACE_SIGNS, len(boxes))[:, None] * axes[:, 2]
+    axes[:, 2] = normal
+    center = np.repeat(np.reshape([b.center for b in boxes], (-1, 3)), 6, axis=0)
+    center = center + normal * half[:, 2:]
+    seen = np.sum(normal * (viewpoint - center), axis=1) > 0.0
+    counts = np.maximum(1, np.round(2.0 * half[seen, :2] / pitch)).astype(np.intp)
+    face = np.tile(np.arange(6), len(boxes))
+    return face[seen], center[seen], axes[seen], half[seen, :2], counts
 
 
-def sample_scene_surfaces(scene: KinematicScene, state: SceneState, viewpoint,
-                          config: SimConfig):
-    """Sample visible surfaces; returns (points (N,3), labels list of str).
+def _crop_windows(center, reach: float, face_center, axes, half, counts):
+    """Per face, the [lo, hi) node index ranges along u and v that can land
+    within reach of center; lo == hi on faces whose plane is out of reach."""
+    rel = center - face_center
+    off_plane = np.abs(np.sum(axes[:, 2] * rel, axis=1))
+    rho = np.sqrt(np.maximum(reach * reach - off_plane * off_plane, 0.0))[:, None]
+    in_plane = np.sum(axes[:, :2] * rel[:, None], axis=2)
+    # node k of n sits at edge fraction (k + 0.5 + jitter) / n, |jitter| <= 0.35
+    lo = np.floor((in_plane - rho + half) / (2.0 * half) * counts) - 1
+    hi = np.floor((in_plane + rho + half) / (2.0 * half) * counts) + 2
+    lo, hi = (np.clip(x, 0, counts).astype(np.intp) for x in (lo, hi))
+    far = off_plane > reach
+    hi[far] = lo[far]
+    return lo, hi
 
-    Labels carry provenance: 'base' for static obstacles, else the part id.
-    """
-    vp = as_vec3(viewpoint)
-    chunks = []
-    labels = []
-    for box in scene.base.obstacles:
-        pts = _sample_box_faces(box, vp, config.surface_point_density)
-        chunks.append(pts)
-        labels.extend(["base"] * pts.shape[0])
-    for part in scene.parts:
-        box = part_shape_at(part, state.theta(part.id))
-        pts = _sample_box_faces(box, vp, config.surface_point_density)
-        chunks.append(pts)
-        labels.extend([part.id] * pts.shape[0])
-    points = np.vstack(chunks) if chunks else np.empty((0, 3))
-    return points, labels
+
+def _window_nodes(face_idx, face_center, axes, half, counts, lo, hi):
+    """Jittered-grid samples of each face's [lo, hi) node window, in face then
+    row (v) then column (u) order, with each node's index among all faces."""
+    window = hi - lo
+    n_window = window[:, 0] * window[:, 1]
+    f = np.repeat(np.arange(len(counts)), n_window)
+    k = np.arange(f.size) - np.repeat(np.cumsum(n_window) - n_window, n_window)
+    i = lo[f, 0] + k % window[f, 0]
+    j = lo[f, 1] + k // window[f, 0]
+    sizes = counts[:, 0] * counts[:, 1]
+    node = (np.cumsum(sizes) - sizes)[f] + j * counts[f, 0] + i
+    ii, jj = i.astype(float), j.astype(float)
+    salt = face_idx[f].astype(float)
+    ju = (_node_hash(ii, jj, salt) - 0.5) * 0.7
+    jv = (_node_hash(ii, jj, salt + 13.7) - 0.5) * 0.7
+    us = ((ii + 0.5 + ju) / counts[f, 0]) * 2.0 - 1.0
+    vs = ((jj + 0.5 + jv) / counts[f, 1]) * 2.0 - 1.0
+    points = (face_center[f] + (us * half[f, 0])[:, None] * axes[f, 0]
+              + (vs * half[f, 1])[:, None] * axes[f, 1])
+    return points, node
 
 
 def render_observation(scene: KinematicScene, state: SceneState, viewpoint,
                        config: SimConfig, rng: np.random.Generator | None = None,
-                       hotspot=None) -> Observation:
-    """Render a noisy observation of the scene from a free-space viewpoint.
+                       hotspot=None, crop=None) -> Observation:
+    """Render a noisy observation of the scene from a free-space viewpoint,
+    keeping the points inside the sphere crop=(center, radius), or all of
+    them when crop is None; the hotspot defaults to their mean.
 
-    Face-orientation culling stands in for occlusion: back-facing faces are
-    dropped entirely. Deterministic given the generator (or config.rng_seed
-    when none is passed).
+    Surfaces are sampled on a jittered grid of face nodes that depends only
+    on the box geometry, so repeated renders of a static surface yield the
+    same support points; the jitter breaks the lattice periodicity that would
+    otherwise alias registration along the face tangent. Back-facing faces
+    are dropped, standing in for occlusion. Dropout and noise are drawn for
+    every visible node, so the generator ends where a full render leaves it
+    and the kept points are exactly the full render's points inside the
+    sphere; only the nodes that can land inside are built. Deterministic
+    given the generator (or config.rng_seed when none is passed).
     """
     vp = as_vec3(viewpoint)
     for box in scene.base.obstacles:
         if box.contains(vp):
             raise InvalidViewpointError("viewpoint lies inside a base obstacle")
+    boxes = list(scene.base.obstacles)
     for part in scene.parts:
-        if part_shape_at(part, state.theta(part.id)).contains(vp):
+        box = part_shape_at(part, state.theta(part.id))
+        if box.contains(vp):
             raise InvalidViewpointError(f"viewpoint lies inside part {part.id!r}")
+        boxes.append(box)
     if rng is None:
         rng = np.random.default_rng(config.rng_seed)
-    points, _ = sample_scene_surfaces(scene, state, vp, config)
-    if points.shape[0] == 0:
+    pitch = 1.0 / math.sqrt(config.surface_point_density)
+    faces = _visible_faces(boxes, vp, pitch)
+    counts = faces[-1]
+    n_nodes = int(np.sum(counts[:, 0] * counts[:, 1]))
+    if n_nodes == 0:
         raise ValueError("nothing visible from this viewpoint")
+    keep = row = noise = None
     if config.dropout_prob > 0.0:
-        keep = rng.random(points.shape[0]) >= config.dropout_prob
+        keep = rng.random(n_nodes) >= config.dropout_prob
         if keep.any():
-            points = points[keep]
+            row = np.cumsum(keep) - 1  # node -> noise row
+        else:  # every point dropped out: keep them all
+            keep = None
     if config.noise_sigma > 0.0:
-        points = points + rng.normal(0.0, config.noise_sigma, size=points.shape)
+        n_kept = n_nodes if keep is None else int(row[-1]) + 1
+        noise = rng.normal(0.0, config.noise_sigma, size=(n_kept, 3))
+    if crop is None:
+        lo, hi = np.zeros_like(counts), counts
+    else:
+        center, radius = as_vec3(crop[0]), float(crop[1])
+        # a noisy point within radius has its node within radius + |noise| + rounding
+        margin = 0.0 if noise is None else math.sqrt(3.0) * float(np.abs(noise).max())
+        lo, hi = _crop_windows(center, radius + margin + 1e-6, *faces[1:])
+    points, node = _window_nodes(*faces, lo, hi)
+    if keep is not None:
+        kept = keep[node]
+        points, node = points[kept], row[node[kept]]
+    if noise is not None:
+        points = points + noise[node]
+    if crop is not None:
+        points = points[np.sum((points - center) ** 2, axis=1) <= radius * radius]
+    if points.shape[0] == 0:
+        raise ValueError("nothing inside the crop sphere")
     hs = as_vec3(hotspot) if hotspot is not None else points.mean(axis=0)
     return Observation(PointCloud(points), hs, vp)
 

@@ -242,8 +242,9 @@ def test_estimate_record_on_synthetic_drawer():
 
 
 def test_estimate_record_on_rendered_kitchen_doors():
-    # the pipeline's path: noisy renders cropped around the closed-pose handle,
-    # with the grasped handle anchoring the alignment candidates
+    # the pipeline's path: noisy renders of the crop sphere around the
+    # closed-pose handle, with the grasped handle anchoring the alignment
+    # candidates
     scene, _ = kitchen()
     config = SimConfig()
     closed = scene.initial_state()
@@ -255,14 +256,13 @@ def test_estimate_record_on_rendered_kitchen_doors():
             rng = np.random.default_rng(seed)
             viewpoint = part.handle + np.array([0.0, -0.8, 0.0])
             viewpoint[2] = config.eye_height
+            crop = (part.handle, OBSERVATION_RADIUS)
             pre = render_observation(scene, closed, viewpoint, config, rng,
-                                     hotspot=part.handle)
+                                     hotspot=part.handle, crop=crop)
             post = render_observation(scene, closed.with_theta(part.id, opened),
                                       viewpoint, config, rng,
-                                      hotspot=handle_at(part, opened))
-            est = estimate_record(part.id,
-                                  pre.cropped(OBSERVATION_RADIUS, center=part.handle),
-                                  post.cropped(OBSERVATION_RADIUS, center=part.handle))
+                                      hotspot=handle_at(part, opened), crop=crop)
+            est = estimate_record(part.id, pre, post)
             err = articulation_errors(est, part.joint)
             assert est.kind == "revolute", (seed, part.id)
             assert err.angle_err_deg <= 1.5, (seed, part.id, err)

@@ -4,12 +4,14 @@ import numpy as np
 import pytest
 
 from artiscene.errors import GraspFailureError, InvalidViewpointError
+from artiscene.exploration import OBSERVATION_RADIUS
 from artiscene.fixtures import kitchen, minimal_drawer
 from artiscene.geometry import OrientedBox, rodrigues_rotation
-from artiscene.scene import KinematicScene, SceneState, StaticBaseMap, handle_at
-from artiscene.sim import (Observation, SimConfig, _near_polygon, attempt_pull,
-                           motion_direction, nav_grid, render_observation,
-                           sample_scene_surfaces)
+from artiscene.scene import (KinematicScene, SceneState, StaticBaseMap, handle_at,
+                             part_shape_at)
+from artiscene.sim import (Observation, SimConfig, _near_polygon, _node_hash,
+                           attempt_pull, motion_direction, nav_grid,
+                           render_observation)
 
 
 def slab_scene():
@@ -66,12 +68,87 @@ def test_back_faces_culled():
     assert not np.any(obs.cloud.points[:, 0] < 0.0)  # rear face invisible
 
 
-def test_provenance_labels():
-    scene, _ = minimal_drawer()
-    pts, labels = sample_scene_surfaces(scene, scene.initial_state(),
-                                        (1.5, 1.0, 1.0), noiseless())
-    assert pts.shape[0] == len(labels)
-    assert set(labels) == {"drawer_1"}  # empty base map: only the drawer
+def reference_render(scene, state, viewpoint, config, rng):
+    """Face-by-face loop renderer kept as the reference for the vectorized
+    one: the same jittered nodes, face order, dropout and noise draws."""
+    points = []
+    boxes = list(scene.base.obstacles)
+    boxes += [part_shape_at(p, state.theta(p.id)) for p in scene.parts]
+    pitch = 1.0 / math.sqrt(config.surface_point_density)
+    frames = ((0, 1, 2), (0, 1, 2), (0, 2, 1), (0, 2, 1), (1, 2, 0), (1, 2, 0))
+    for box in boxes:
+        h, rot = box.half_extents, box.orientation
+        for face, (iu, iv, inrm) in enumerate(frames):
+            normal = (1.0, -1.0)[face % 2] * rot[:, inrm]
+            face_center = box.center + normal * h[inrm]
+            if float(normal @ (viewpoint - face_center)) <= 0.0:
+                continue
+            nu = max(1, int(round(2.0 * h[iu] / pitch)))
+            nv = max(1, int(round(2.0 * h[iv] / pitch)))
+            ii, jj = np.meshgrid(np.arange(nu, dtype=float), np.arange(nv, dtype=float))
+            ii, jj = ii.ravel(), jj.ravel()
+            ju = (_node_hash(ii, jj, float(face)) - 0.5) * 0.7
+            jv = (_node_hash(ii, jj, float(face) + 13.7) - 0.5) * 0.7
+            us = ((ii + 0.5 + ju) / nu) * 2.0 - 1.0
+            vs = ((jj + 0.5 + jv) / nv) * 2.0 - 1.0
+            points.append(face_center + np.outer(us * h[iu], rot[:, iu])
+                          + np.outer(vs * h[iv], rot[:, iv]))
+    points = np.vstack(points)
+    if config.dropout_prob > 0.0:
+        keep = rng.random(points.shape[0]) >= config.dropout_prob
+        if keep.any():
+            points = points[keep]
+    if config.noise_sigma > 0.0:
+        points = points + rng.normal(0.0, config.noise_sigma, size=points.shape)
+    return points
+
+
+CROP_CONFIGS = {
+    "default": SimConfig(),
+    "noiseless": SimConfig(noise_sigma=0.0, dropout_prob=0.0),
+    "dropout-only": SimConfig(noise_sigma=0.0),
+    "noise-only": SimConfig(dropout_prob=0.0),
+    "heavy-noise": SimConfig(noise_sigma=0.02),  # noise beyond one node pitch
+}
+
+
+@pytest.mark.parametrize("name", sorted(CROP_CONFIGS))
+def test_crop_render_equals_full_render_then_crop(name):
+    # rendering only the crop sphere keeps exactly the full render's points
+    # inside it, and leaves the generator where the full render leaves it;
+    # the full render equals the face-by-face reference loop
+    config = CROP_CONFIGS[name]
+    scene, _ = kitchen()
+    closed = scene.initial_state()
+    opened = closed.with_theta("door_1", 0.6).with_theta("drawer_1", 0.1)
+    r2 = OBSERVATION_RADIUS ** 2
+    for seed, state in enumerate((closed, opened)):
+        for part in scene.parts:
+            center = handle_at(part, state.theta(part.id))
+            viewpoint = center + np.array([0.0, -0.55, 0.0])
+            viewpoint[2] = config.eye_height
+            full_rng = np.random.default_rng(seed)
+            crop_rng = np.random.default_rng(seed)
+            ref_rng = np.random.default_rng(seed)
+            full = render_observation(scene, state, viewpoint, config, full_rng,
+                                      hotspot=center)
+            ref = reference_render(scene, state, viewpoint, config, ref_rng)
+            assert np.array_equal(full.cloud.points, ref), part.id
+            crop = render_observation(scene, state, viewpoint, config, crop_rng,
+                                      hotspot=center, crop=(center, OBSERVATION_RADIUS))
+            inside = np.sum((full.cloud.points - center) ** 2, axis=1) <= r2
+            assert np.array_equal(crop.cloud.points, full.cloud.points[inside]), part.id
+            assert np.array_equal(crop.hotspot, full.hotspot)
+            assert crop_rng.random() == full_rng.random() == ref_rng.random()
+        far = np.array([3.0, -2.0, 1.0])  # 5 m from every surface
+        full = render_observation(scene, state, viewpoint, config, full_rng)
+        inside = np.sum((full.cloud.points - far) ** 2, axis=1) <= r2
+        with pytest.raises(ValueError):
+            Observation(full.cloud.subset(inside), far, viewpoint)
+        with pytest.raises(ValueError):
+            render_observation(scene, state, viewpoint, config, crop_rng,
+                               crop=(far, OBSERVATION_RADIUS))
+        assert crop_rng.random() == full_rng.random()
 
 
 # --- attempt_pull ------------------------------------------------------------
