@@ -138,37 +138,38 @@ def select_base(trajectory: EndEffectorTrajectory, scene: KinematicScene,
                 rng: np.random.Generator | None = None):
     """Sampled base pose reaching the most trajectory waypoints.
 
-    Draws collision-free poses uniformly in the disc around the trajectory
-    centroid, scores each by waypoints inside the reach annulus and height
-    band, and returns the argmax (ties: nearest the centroid, then lowest
-    sample index). Raises NoBaseFoundError when no valid sample appears.
+    Draws poses uniformly in the disc around the trajectory centroid, keeps
+    the first n_samples collision-free ones of at most 20 * n_samples draws,
+    scores each by waypoints inside the reach annulus and height band, and
+    returns the argmax (ties: nearest the centroid, then lowest sample
+    index). Raises NoBaseFoundError when no valid sample appears.
+
+    The generator is consumed in chunks of n_samples draws, possibly past
+    the last draw used; no caller reads it afterwards. The reach test is
+    RobotState.reach_mask, whose math.hypot fallback keeps the verdict at
+    the annulus edges equal to the scalar can_reach.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     rng = rng or np.random.default_rng(0)
-    centroid = trajectory.centroid()
-    cxy = centroid[:2]
-    best = None  # (-score, distance, index, pose)
-    valid = 0
-    draws = 0
-    while valid < n_samples and draws < 20 * n_samples:
-        draws += 1
-        r = sample_range * math.sqrt(rng.random())
-        phi = rng.random() * 2.0 * math.pi
-        xy = cxy + r * np.array([math.cos(phi), math.sin(phi)])
-        if not scene.base.in_bounds(xy) or not grid.is_free(xy):
-            continue
-        heading = math.atan2(cxy[1] - xy[1], cxy[0] - xy[0])
-        pose = (float(xy[0]), float(xy[1]), heading)
-        candidate = arm.at(pose)
-        score = sum(1 for w in trajectory.waypoints if candidate.can_reach(w))
-        key = (-score, float(np.linalg.norm(xy - cxy)), valid)
-        if best is None or key < best[0]:
-            best = (key, pose, score)
-        valid += 1
-    if best is None:
+    cxy = trajectory.centroid()[:2]
+    chunks, valid = [], 0
+    while valid < n_samples and len(chunks) < 20:
+        u = rng.random(2 * n_samples).reshape(n_samples, 2)  # draw: radius, angle
+        r = sample_range * np.sqrt(u[:, 0])
+        phi = u[:, 1] * 2.0 * math.pi
+        xy = cxy + r[:, None] * np.column_stack([np.cos(phi), np.sin(phi)])
+        xy = xy[scene.base.in_bounds(xy) & grid.is_free(xy)]
+        chunks.append(xy)
+        valid += len(xy)
+    if valid == 0:
         raise NoBaseFoundError("no collision-free base sample in range")
-    return best[1], best[2]
+    xy = np.concatenate(chunks)[:n_samples]
+    score = arm.reach_mask(trajectory.waypoints, bases=xy).sum(axis=1)
+    top = np.flatnonzero(score == score.max())
+    i = min(top, key=lambda k: float(np.linalg.norm(xy[k] - cxy)))
+    x, y = float(xy[i, 0]), float(xy[i, 1])
+    return (x, y, math.atan2(cxy[1] - y, cxy[0] - x)), int(score[i])
 
 
 @dataclass(frozen=True)
@@ -235,14 +236,22 @@ def _step_world(scene: KinematicScene, committed: dict, part: MobilePart):
 
 def evaluate_candidate_order(scene: KinematicScene, state: SceneState,
                              robot: RobotState, order, goal: dict,
-                             config: PlannerConfig, candidate_idx: int = 0):
+                             config: PlannerConfig, candidate_idx: int = 0,
+                             worlds: dict | None = None):
     """Simulate committing the order step by step.
 
     Per step: the part's sweep is collision-checked against the committed
     environment, a base is selected clear of the sweep, and the travel from
     the previous base is path-checked on the pre-step grid. Returns
     (steps, None) on success or (None, diagnostic dict) on the first rejection.
+
+    worlds maps (sorted committed states, part id) to the step's
+    _step_world result; the orders of one plan share it, so each step world
+    is built once per plan. None shares nothing. Base selection is not
+    shared: its generator is keyed on candidate_idx, and sharing it would
+    re-roll bases and change every pinned digest.
     """
+    worlds = {} if worlds is None else worlds
     committed = dict(state.joint_states)
     prev_pose = robot.base_pose
     steps = []
@@ -252,7 +261,10 @@ def evaluate_candidate_order(scene: KinematicScene, state: SceneState,
         theta_goal = goal[part_id]
         if theta_goal <= theta_start + 1e-12:
             continue
-        pair, travel_grid, standing_grid = _step_world(scene, committed, part)
+        key = (tuple(sorted(committed.items())), part_id)
+        if key not in worlds:
+            worlds[key] = _step_world(scene, committed, part)
+        pair, travel_grid, standing_grid = worlds[key]
         if pair is not None:
             return None, {"order": list(order), "step": part_id,
                           "reason": "part-collision",
@@ -301,9 +313,10 @@ def plan_scene(scene: KinematicScene, state: SceneState, robot: RobotState,
         scene.part(part_id)  # raises UnknownPartError
     rng = np.random.default_rng([config.seed, 0xC0FFEE])
     diagnostics = []
+    worlds = {}
     for idx, order in enumerate(_candidate_orders(goal.keys(), config, rng)):
         steps, rejection = evaluate_candidate_order(scene, state, robot, order,
-                                                    goal, config, idx)
+                                                    goal, config, idx, worlds)
         if rejection is None:
             return InteractionPlan(True, steps, diagnostics)
         diagnostics.append(rejection)
@@ -322,9 +335,8 @@ def validate_plan(scene: KinematicScene, state: SceneState, robot: RobotState,
             scene, committed, scene.part(step.part_id))
         if pair is not None or not standing_grid.is_free(step.base_pose[:2]):
             return False
-        arm = robot.at(step.base_pose)
-        recount = sum(1 for w in step.trajectory.waypoints if arm.can_reach(w))
-        if recount != step.reach_count:
+        reach = robot.at(step.base_pose).reach_mask(step.trajectory.waypoints)
+        if int(reach.sum()) != step.reach_count:
             return False
         if not check_path(travel_grid, prev_pose, step.base_pose):
             return False

@@ -101,9 +101,10 @@ class StaticBaseMap:
             if np.any(fp < lo - 1e-9) or np.any(fp > hi + 1e-9):
                 raise SceneValidationError(f"obstacle {i} extends outside the floor bounds")
 
-    def in_bounds(self, xy) -> bool:
-        p = np.asarray(xy, dtype=float).reshape(2)
-        return bool(np.all(p >= self.floor_min - 1e-12) and np.all(p <= self.floor_max + 1e-12))
+    def in_bounds(self, xy):
+        """Whether a point lies on the floor; a bool array for an (n, 2) array."""
+        p = np.asarray(xy, dtype=float)
+        return np.all((p >= self.floor_min - 1e-12) & (p <= self.floor_max + 1e-12), axis=-1)
 
 
 @dataclass(frozen=True)
@@ -121,10 +122,24 @@ class RobotState:
             raise ValueError("require 0 < r_min < r_max")
 
     def can_reach(self, point) -> bool:
-        p = as_vec3(point)
-        x, y, _ = self.base_pose
-        d = math.hypot(p[0] - x, p[1] - y)
-        return self.r_min <= d <= self.r_max and self.z_min <= p[2] <= self.z_max
+        return bool(self.reach_mask(as_vec3(point))[0, 0])
+
+    def reach_mask(self, points, bases=None) -> np.ndarray:
+        """(bases, points) bool array: each point inside the reach annulus
+        and height band of the arm at each base xy (default: its own).
+
+        np.hypot can differ from math.hypot in the last bit, so distances
+        within 1e-9 of r_min or r_max are recomputed with math.hypot."""
+        p = np.asarray(points, dtype=float).reshape(-1, 3)
+        xy = np.reshape(self.base_pose[:2] if bases is None else bases, (-1, 2))
+        dx = p[None, :, 0] - xy[:, None, 0]
+        dy = p[None, :, 1] - xy[:, None, 1]
+        d = np.hypot(dx, dy)
+        near = (np.abs(d - self.r_min) <= 1e-9) | (np.abs(d - self.r_max) <= 1e-9)
+        for i, j in zip(*np.nonzero(near)):
+            d[i, j] = math.hypot(dx[i, j], dy[i, j])
+        in_band = (self.z_min <= p[:, 2]) & (p[:, 2] <= self.z_max)
+        return (self.r_min <= d) & (d <= self.r_max) & in_band
 
     def at(self, pose) -> "RobotState":
         return replace(self, base_pose=(float(pose[0]), float(pose[1]), float(pose[2])))

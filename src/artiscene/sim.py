@@ -275,18 +275,19 @@ class OccupancyGrid:
         return xs, ys
 
     def cell_of(self, xy) -> tuple:
-        p = np.asarray(xy, dtype=float).reshape(2)
-        ix = int(np.floor((p[0] - self.origin[0]) / self.resolution))
-        iy = int(np.floor((p[1] - self.origin[1]) / self.resolution))
-        return ix, iy
+        """(ix, iy) of a point's cell; index arrays for an (n, 2) array."""
+        i = np.floor((np.asarray(xy, dtype=float) - self.origin) / self.resolution).astype(int)
+        return (i[:, 0], i[:, 1]) if i.ndim > 1 else (int(i[0]), int(i[1]))
 
-    def in_grid(self, ix: int, iy: int) -> bool:
+    def in_grid(self, ix, iy):
         ny, nx = self.occupied.shape
-        return 0 <= ix < nx and 0 <= iy < ny
+        return (0 <= ix) & (ix < nx) & (0 <= iy) & (iy < ny)
 
-    def is_free(self, xy) -> bool:
+    def is_free(self, xy):
+        """Whether a point's cell is in the grid and free; a bool array for an (n, 2) array."""
         ix, iy = self.cell_of(xy)
-        return self.in_grid(ix, iy) and not bool(self.occupied[iy, ix])
+        ny, nx = self.occupied.shape
+        return self.in_grid(ix, iy) & ~self.occupied[np.clip(iy, 0, ny - 1), np.clip(ix, 0, nx - 1)]
 
     def nearest_free(self, xy, max_dist: float):
         """xy itself when its cell is free, else the closest free cell center

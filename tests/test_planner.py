@@ -9,9 +9,10 @@ from artiscene.fixtures import (blocked_aisle, blocked_aisle_goal, galley_block,
                                 galley_block_goal, kitchen, kitchen_goal,
                                 minimal_drawer)
 from artiscene.geometry import OrientedBox
-from artiscene.planner import (EndEffectorTrajectory, PlannerConfig,
+from artiscene import planner
+from artiscene.planner import (EndEffectorTrajectory, InteractionPlan, PlannerConfig,
                                check_part_collision, check_path,
-                               evaluate_candidate_order, plan_scene,
+                               evaluate_candidate_order, plan_scene, plan_to_json,
                                prismatic_trajectory, revolute_trajectory,
                                sample_part_sweep, select_base, validate_plan,
                                write_plan)
@@ -221,6 +222,73 @@ def test_select_base_deterministic_and_prefix_monotone():
     assert s1 >= s_prefix
 
 
+def reference_select_base(trajectory, scene, grid, arm, n_samples, sample_range, rng):
+    """Sample-by-sample loop kept as the reference for the array scoring in
+    select_base, with the scalar math.hypot reach rule."""
+    cxy = trajectory.centroid()[:2]
+    best = None  # (-score, distance, index), pose, score
+    valid = 0
+    draws = 0
+    while valid < n_samples and draws < 20 * n_samples:
+        draws += 1
+        r = sample_range * math.sqrt(rng.random())
+        phi = rng.random() * 2.0 * math.pi
+        xy = cxy + r * np.array([math.cos(phi), math.sin(phi)])
+        if not scene.base.in_bounds(xy) or not grid.is_free(xy):
+            continue
+        heading = math.atan2(cxy[1] - xy[1], cxy[0] - xy[0])
+        pose = (float(xy[0]), float(xy[1]), heading)
+        score = 0
+        for w in trajectory.waypoints:
+            d = math.hypot(w[0] - pose[0], w[1] - pose[1])
+            score += arm.r_min <= d <= arm.r_max and arm.z_min <= w[2] <= arm.z_max
+        key = (-score, float(np.linalg.norm(xy - cxy)), valid)
+        if best is None or key < best[0]:
+            best = (key, pose, score)
+        valid += 1
+    if best is None:
+        raise NoBaseFoundError("no collision-free base sample in range")
+    return best[1], best[2]
+
+
+def test_select_base_matches_loop_reference():
+    rng = np.random.default_rng(2024)
+    raised = 0
+    for case in range(300):
+        lo, hi = np.zeros(2), rng.uniform(2.0, 4.0, 2)
+        obstacles = []
+        for _ in range(rng.integers(0, 5)):
+            half = rng.uniform(0.05, 0.4, 2)
+            c = rng.uniform(lo + half, hi - half)
+            obstacles.append(OrientedBox.axis_aligned((c[0], c[1], 0.5),
+                                                      (half[0], half[1], 0.5)))
+        scene = KinematicScene(StaticBaseMap(tuple(obstacles), lo, hi), ())
+        grid = nav_grid(scene, SceneState({}), 0.05, 0.3)
+        n_wp = int(rng.integers(2, 12))
+        start = rng.uniform(lo, hi)
+        wps = np.column_stack([start + np.cumsum(rng.normal(0.0, 0.05, (n_wp, 2)), axis=0),
+                               rng.uniform(0.0, 1.4, n_wp)])
+        traj = EndEffectorTrajectory("p", wps, 0.1, n_wp - 1)
+        r_min = rng.uniform(0.05, 0.5)
+        arm = RobotState(r_min=r_min, r_max=r_min + rng.uniform(0.1, 1.0))
+        n_samples = int(rng.choice([1, 5, 50, 200]))
+        sample_range = rng.uniform(0.2, 2.0)
+        try:
+            expected = reference_select_base(traj, scene, grid, arm, n_samples,
+                                             sample_range, np.random.default_rng(case))
+        except NoBaseFoundError:
+            expected = None
+            raised += 1
+        if expected is None:
+            with pytest.raises(NoBaseFoundError):
+                select_base(traj, scene, grid, arm, n_samples, sample_range,
+                            rng=np.random.default_rng(case))
+        else:
+            assert select_base(traj, scene, grid, arm, n_samples, sample_range,
+                               rng=np.random.default_rng(case)) == expected, case
+    assert 0 < raised < 300
+
+
 # --- plan_scene --------------------------------------------------------------
 
 def test_single_part_goal_trivial_plan():
@@ -259,6 +327,40 @@ def test_galley_ordering_constraint_matches_oracle():
     # independent replay agrees on every ordering
     for order, ok in verdicts.items():
         assert oracle_order_feasible(scene, state, robot, order, goal, cfg) == ok, order
+
+
+def test_plan_scene_builds_each_step_world_once(monkeypatch):
+    scene, robot, goal = fixture_setup(galley_block, galley_block_goal)
+    state = scene.initial_state()
+    cfg = PlannerConfig(seed=0)
+    builds = []  # (committed states, standing sweep boxes) per nav_grid call
+    real_nav_grid = planner.nav_grid
+
+    def counting_nav_grid(scene, state, extra_boxes=()):
+        builds.append((tuple(sorted(state.joint_states.items())),
+                       tuple(b.center.tobytes() for b in extra_boxes)))
+        return real_nav_grid(scene, state, extra_boxes=extra_boxes)
+
+    monkeypatch.setattr(planner, "nav_grid", counting_nav_grid)
+    plan = plan_scene(scene, state, robot, goal, cfg)
+    shared = len(builds)
+    # a standing grid's sweep boxes name the part, so each standing build is
+    # one (committed, part) world, and each world builds one travel grid
+    standing = [b for b in builds if b[1]]
+    assert len(standing) == len(set(standing))
+    assert shared == 2 * len(standing)
+    # evaluating every order on its own, without sharing, agrees
+    diagnostics, steps = [], []
+    for idx, order in enumerate(itertools.permutations(sorted(goal))):
+        steps, rej = evaluate_candidate_order(scene, state, robot, order, goal, cfg, idx)
+        if rej is None:
+            break
+        diagnostics.append(rej)
+    assert len(diagnostics) == 3
+    assert plan.diagnostics == diagnostics
+    assert plan_to_json(plan, scene) == plan_to_json(
+        InteractionPlan(True, steps, diagnostics), scene)
+    assert shared < len(builds) - shared
 
 
 def test_galley_plan_feasible_and_validates():

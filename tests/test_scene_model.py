@@ -211,6 +211,23 @@ def test_robot_reach_annulus():
     assert not robot.can_reach((0.5, 0.0, 1.5))    # above the height band
 
 
+def test_reach_mask_boundary_matches_math_hypot():
+    # offsets where np.hypot and math.hypot differ in the last bit; an annulus
+    # edge placed exactly on the math.hypot distance must still count as reached
+    rng = np.random.default_rng(4)
+    offsets = [(x, y) for x, y in rng.uniform(0.2, 0.7, (20000, 2))
+               if np.hypot(x, y) != math.hypot(x, y)][:40]
+    assert offsets
+    for x, y in offsets:
+        d = math.hypot(x, y)
+        for r_min, r_max in ((d, d + 0.5), (d / 2, d)):
+            robot = RobotState(base_pose=(0.0, 0.0, 0.0), r_min=r_min, r_max=r_max)
+            assert robot.can_reach((x, y, 0.5))
+            mask = robot.reach_mask([(x, y, 0.5), (x, y, 1.5)],
+                                    bases=[(0.0, 0.0), (x, y)])
+            assert mask.tolist() == [[True, False], [False, False]]
+
+
 def test_unreachable_handle_rejected_at_load(tmp_path):
     # drawer handle walled in on all sides: no free floor within arm reach
     scene, extras = minimal_drawer()
