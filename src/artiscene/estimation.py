@@ -82,8 +82,8 @@ def segment_mobile_part(pre: Observation, post: Observation,
     pts = pre.cloud.points
     if pts.shape[0] == 0 or len(post.cloud) == 0:
         raise ValueError("clouds must be non-empty")
-    d, _ = cKDTree(post.cloud.points).query(pts)
-    candidates = erode_isolated(pts, d > tau)
+    d, _ = post.cloud.kdtree.query(pts)
+    candidates = erode_isolated(pre.cloud, d > tau)
     seeds = candidates & (heatmap.weights(pts) > 0.1)
     mask = _region_grow(pts, candidates, seeds, 2.0 * tau)
     if int(mask.sum()) < MIN_MOBILE_POINTS:

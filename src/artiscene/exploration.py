@@ -8,7 +8,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import (GraspFailureError, InvalidViewpointError, NoActionError,
                      RepositionFailedError)
@@ -109,8 +108,8 @@ def _displaced_subset(a: Observation, b: Observation, tau: float) -> np.ndarray:
     """Points of a that moved relative to b, eroded to drop isolated flicker
     (dropout re-sampling and crop-boundary noise)."""
     pts = a.cloud.points
-    d, _ = cKDTree(b.cloud.points).query(pts)
-    return pts[erode_isolated(pts, d > tau)]
+    d, _ = b.cloud.kdtree.query(pts)
+    return pts[erode_isolated(a.cloud, d > tau)]
 
 
 def classify_joint(pre: Observation, current: Observation,
@@ -423,5 +422,7 @@ def _run_attempt(scene, state, hd, part_id, attempt_pre, first_pre, site, robot,
 
 
 def _maybe_classify(first_pre, obs, fallback):
+    if first_pre is None:  # the handle's pre observation failed
+        return fallback
     kind = classify_joint(first_pre, obs)
     return kind if kind != UNKNOWN else fallback

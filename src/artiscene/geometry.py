@@ -8,6 +8,7 @@ constructed and are safe to share across threads.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 from scipy.spatial import cKDTree
@@ -156,6 +157,12 @@ class OrientedBox:
         pts = self.corners()[:, :2]
         return _convex_hull_2d(pts)
 
+    @cached_property
+    def memo(self) -> dict:
+        """Values derived from this box (e.g. rasterized footprints), kept
+        for the box's lifetime."""
+        return {}
+
 
 def _convex_hull_2d(points: np.ndarray) -> np.ndarray:
     """Andrew monotone chain over a small point set."""
@@ -228,6 +235,11 @@ class PointCloud:
     def subset(self, mask) -> "PointCloud":
         return PointCloud(self.points[np.asarray(mask)])
 
+    @cached_property
+    def kdtree(self) -> cKDTree:
+        """KD-tree over the points, built on first use."""
+        return cKDTree(self.points)
+
 
 def save_xyz(cloud: PointCloud, path) -> None:
     """Write one whitespace-separated point per line."""
@@ -272,25 +284,23 @@ def consensus_plane_normal(points: np.ndarray, viewpoint=None, min_points: int =
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
     n = pts.shape[0]
-    step = max(1, n // 12)
-    tree = cKDTree(pts)
-    best_mask = None
-    best_count = 0
-    for anchor in range(0, n, step):
-        _, idx = tree.query(pts[anchor], k=min(9, n))
-        try:
-            cand = plane_normal(pts[idx])
-        except DegenerateGeometryError:
-            continue
-        res = np.abs((pts - pts[idx].mean(axis=0)) @ cand)
-        inliers = res <= inlier_tol
-        count = int(inliers.sum())
-        if count > best_count:
-            best_count = count
-            best_mask = inliers
-    if best_mask is None or best_count < max(min_points, 3):
+    if n < 3:
+        return plane_normal(pts, viewpoint=viewpoint)  # raises
+    anchors = np.arange(0, n, max(1, n // 12))
+    _, idx = cKDTree(pts).query(pts[anchors], k=min(9, n))
+    local = pts[idx]
+    mean = local.mean(axis=1)
+    centered = local - mean[:, None]
+    eigvals, eigvecs = np.linalg.eigh(centered.transpose(0, 2, 1) @ centered)
+    # the per-anchor plane_normal fit, stacked: its degeneracy test and normal
+    planar = ~(eigvals[:, 1] <= 1e-12 * np.maximum(eigvals[:, 2], 1e-300))
+    cand = eigvecs[:, :, 0] / np.linalg.norm(eigvecs[:, :, 0], axis=1, keepdims=True)
+    inliers = np.abs((pts - mean[:, None]) @ cand[:, :, None])[:, :, 0] <= inlier_tol
+    counts = np.where(planar, inliers.sum(axis=1), 0)
+    best = int(np.argmax(counts))  # the first anchor with the most inliers
+    if counts[best] < max(min_points, 3):
         return plane_normal(pts, viewpoint=viewpoint)
-    return plane_normal(pts[best_mask], viewpoint=viewpoint)
+    return plane_normal(pts[inliers[best]], viewpoint=viewpoint)
 
 
 def fit_rigid_transform(src: PointCloud, dst: PointCloud) -> RigidTransform:
@@ -319,7 +329,7 @@ def fit_rigid_transform(src: PointCloud, dst: PointCloud) -> RigidTransform:
     return RigidTransform(rot, cb - rot @ ca)
 
 
-def erode_isolated(points: np.ndarray, mask: np.ndarray, k: int = 6) -> np.ndarray:
+def erode_isolated(cloud: PointCloud, mask: np.ndarray, k: int = 6) -> np.ndarray:
     """Drop marked points whose own-cloud neighborhoods are mostly unmarked.
 
     Lone marked points (sensor dropout, crop-boundary flicker) carry large
@@ -327,11 +337,11 @@ def erode_isolated(points: np.ndarray, mask: np.ndarray, k: int = 6) -> np.ndarr
     members.
     """
     mask = np.asarray(mask, dtype=bool)
-    n = points.shape[0]
+    n = len(cloud)
     if not mask.any() or n < 8:
         return mask
     kk = min(k, n - 1)
-    _, idx = cKDTree(points).query(points[mask], k=kk + 1)
+    _, idx = cloud.kdtree.query(cloud.points[mask], k=kk + 1)
     support = mask[idx[:, 1:]].sum(axis=1)
     out = np.zeros_like(mask)
     out[np.flatnonzero(mask)[support >= (kk + 1) // 2]] = True
@@ -342,8 +352,6 @@ def cloud_displacement(a: PointCloud, b: PointCloud) -> float:
     """Symmetric chamfer distance between two clouds."""
     if len(a) == 0 or len(b) == 0:
         raise ValueError("both clouds must be non-empty")
-    ta = cKDTree(a.points)
-    tb = cKDTree(b.points)
-    d_ab, _ = tb.query(a.points)
-    d_ba, _ = ta.query(b.points)
+    d_ab, _ = b.kdtree.query(a.points)
+    d_ba, _ = a.kdtree.query(b.points)
     return 0.5 * (float(d_ab.mean()) + float(d_ba.mean()))

@@ -10,6 +10,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -78,6 +79,11 @@ class MobilePart:
         if self.shape.distance_to_point(self.handle) > 0.01 + 1e-9:
             raise SceneValidationError(
                 f"part {self.id!r}: handle farther than 1 cm from the shape surface")
+
+    @cached_property
+    def _poses(self) -> dict:
+        """(pose, box) per joint state already posed; see _posed."""
+        return {}
 
 
 @dataclass(frozen=True)
@@ -211,12 +217,28 @@ def part_pose_at(part: MobilePart, theta: float) -> RigidTransform:
     return RigidTransform(np.eye(3), theta * j.axis)
 
 
+def _posed(part: MobilePart, theta: float) -> tuple:
+    """(pose, box) of the part at theta, computed once per part and exact
+    theta (the sign of a zero included) and shared by every caller, so its
+    arrays are read-only."""
+    key = (theta, math.copysign(1.0, theta))
+    hit = part._poses.get(key)
+    if hit is None:
+        pose = part_pose_at(part, theta)
+        box = part.shape.transformed(pose)
+        for a in (pose.rotation, pose.translation, box.center, box.half_extents,
+                  box.orientation):
+            a.flags.writeable = False
+        hit = part._poses[key] = (pose, box)
+    return hit
+
+
 def part_shape_at(part: MobilePart, theta: float) -> OrientedBox:
-    return part.shape.transformed(part_pose_at(part, theta))
+    return _posed(part, theta)[1]
 
 
 def handle_at(part: MobilePart, theta: float) -> np.ndarray:
-    return part_pose_at(part, theta).apply(part.handle)
+    return _posed(part, theta)[0].apply(part.handle)
 
 
 def goal_satisfied(scene: KinematicScene, state: SceneState, goal: dict) -> bool:

@@ -347,6 +347,14 @@ def nav_grid(scene: KinematicScene, state: SceneState,
     boxes = list(scene.base.obstacles)
     boxes.extend(part_shape_at(p, state.theta(p.id)) for p in scene.parts)
     boxes.extend(extra_boxes)
+    # each box's inflated footprint is rasterized once per grid geometry and
+    # kept, read-only, on the box; OR is exact, so the grid is the same
+    key = ("nav_grid", float(lo[0]), float(lo[1]), nx, ny, resolution, robot_radius)
     for box in boxes:
-        occ |= _near_polygon(xs[None, :], ys[:, None], box.footprint(), robot_radius)
+        mask = box.memo.get(key)
+        if mask is None:
+            mask = _near_polygon(xs[None, :], ys[:, None], box.footprint(), robot_radius)
+            mask.flags.writeable = False
+            box.memo[key] = mask
+        occ |= mask
     return OccupancyGrid(np.asarray(lo, dtype=float).copy(), resolution, occ)

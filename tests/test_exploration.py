@@ -1,17 +1,19 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
 
+from artiscene import exploration, geometry, scene as scene_module, sim
 from artiscene.errors import NoActionError, RepositionFailedError
 from artiscene.exploration import (FAILURE_THRESHOLD, PRISMATIC_KIND, REVOLUTE_LEFT,
                                    REVOLUTE_RIGHT, UNKNOWN, ExplorationConfig, Handle,
                                    classify_joint, compliance_action,
                                    detect_failure, explore_scene, reposition_base)
 from artiscene.fixtures import kitchen, minimal_drawer
-from artiscene.geometry import PointCloud, rodrigues_rotation
+from artiscene.geometry import OrientedBox, PointCloud, rodrigues_rotation
 from artiscene.scene import (KinematicScene, RobotState, SceneState,
-                             StaticBaseMap)
+                             StaticBaseMap, part_pose_at)
 from artiscene.sim import Observation, SimConfig, nav_grid
 
 
@@ -218,3 +220,114 @@ def test_exploration_config_validation():
         ExplorationConfig(max_steps=0)
     with pytest.raises(ValueError):
         ExplorationConfig(max_attempts=0)
+
+
+def test_explore_survives_a_failed_pre_observation(monkeypatch):
+    # the handle's pre observation fails, the attempt's own ones do not
+    calls = []
+    observe = exploration._observe
+
+    def first_fails(*args):
+        calls.append(None)
+        return None if len(calls) == 1 else observe(*args)
+
+    monkeypatch.setattr(exploration, "_observe", first_fails)
+    scene, _ = minimal_drawer()
+    result = explore_scene(scene, noiseless_sim(), rng=np.random.default_rng(0))
+    rec = result.records[0]
+    assert rec.pre is None and rec.post is not None
+    assert not any(ev["event"] == "observe-failed" for ev in result.events)
+    # without a pre observation nothing classifies: the attempt's kind stands
+    assert rec.classified_kind == UNKNOWN
+    assert not rec.succeeded and rec.failure_stage == "manipulation"
+
+
+def test_explore_reuses_poses_footprint_masks_and_kd_trees(monkeypatch):
+    """Kitchen seed 0: each (part, theta) is posed once, each distinct box is
+    rasterized once into the navigation grid, and no point set gets a second
+    KD-tree."""
+    poses = Counter()
+    thetas = {}
+    rasterized = Counter()
+    trees = Counter()
+
+    def counting_pose(part, theta):
+        key = (part.id, float(theta).hex())
+        poses[key] += 1
+        thetas[key] = theta
+        return part_pose_at(part, theta)
+
+    near_polygon = sim._near_polygon
+
+    def counting_near_polygon(px, py, poly, radius):
+        if np.ndim(px) == 2:  # a grid rasterization, not one point
+            rasterized[poly.tobytes(), np.shape(px), np.shape(py), radius] += 1
+        return near_polygon(px, py, poly, radius)
+
+    kd_tree = geometry.cKDTree
+
+    def counting_tree(data, *args, **kwargs):
+        trees[np.asarray(data).tobytes()] += 1
+        return kd_tree(data, *args, **kwargs)
+
+    scene, _ = kitchen()
+    monkeypatch.setattr(scene_module, "part_pose_at", counting_pose)
+    monkeypatch.setattr(sim, "_near_polygon", counting_near_polygon)
+    monkeypatch.setattr(geometry, "cKDTree", counting_tree)
+    result = explore_scene(scene, SimConfig(rng_seed=0), rng=np.random.default_rng(0))
+    assert all(r.succeeded for r in result.records)
+
+    assert len(poses) > len(scene.parts) and max(poses.values()) == 1
+    assert len(trees) > 100 and max(trees.values()) == 1
+    # distinct boxes per footprint: the obstacles and every part pose
+    boxes = Counter(b.footprint().tobytes() for b in scene.base.obstacles)
+    for part_id, theta_hex in poses:
+        part = scene.part(part_id)
+        box = part.shape.transformed(part_pose_at(part, thetas[part_id, theta_hex]))
+        boxes[box.footprint().tobytes()] += 1
+    assert rasterized
+    for (footprint, *_), count in rasterized.items():
+        assert count <= boxes[footprint]
+
+
+def _rasterize(scene, state, resolution, robot_radius, extra_boxes):
+    """nav_grid without reuse: every footprint rasterized afresh."""
+    lo, hi = scene.base.floor_min, scene.base.floor_max
+    nx = max(1, int(math.ceil((hi[0] - lo[0]) / resolution)))
+    ny = max(1, int(math.ceil((hi[1] - lo[1]) / resolution)))
+    xs = lo[0] + (np.arange(nx) + 0.5) * resolution
+    ys = lo[1] + (np.arange(ny) + 0.5) * resolution
+    occ = np.zeros((ny, nx), dtype=bool)
+    boxes = list(scene.base.obstacles)
+    boxes += [p.shape.transformed(part_pose_at(p, state.theta(p.id))) for p in scene.parts]
+    for box in boxes + list(extra_boxes):
+        occ |= sim._near_polygon(xs[None, :], ys[:, None], box.footprint(), robot_radius)
+    return occ
+
+
+def test_cached_nav_grid_equals_fresh_rasterization():
+    scene, _ = kitchen()
+    rng = np.random.default_rng(7)
+    states = [scene.initial_state()]
+    for _ in range(6):
+        theta = {p.id: rng.uniform(0.0, p.joint.max_state()) for p in scene.parts}
+        states.append(SceneState({k: v if rng.random() < 0.7 else 0.0 for k, v in theta.items()}))
+    for case in range(40):
+        state = states[int(rng.integers(len(states)))]
+        resolution, radius = [(0.05, 0.30), (0.1, 0.30), (0.05, 0.2)][case % 3]
+        extra = []
+        for _ in range(int(rng.integers(0, 3))):
+            c = np.append(rng.uniform(scene.base.floor_min, scene.base.floor_max), 0.5)
+            extra.append(OrientedBox(c, rng.uniform(0.05, 0.4, 3),
+                                     rodrigues_rotation((0.0, 0.0, 1.0), rng.uniform(0, math.pi))))
+        if extra and case % 2:
+            extra.append(extra[0])  # a box given twice
+        grid = nav_grid(scene, state, resolution, radius, extra_boxes=extra)
+        assert np.array_equal(grid.occupied,
+                              _rasterize(scene, state, resolution, radius, extra)), case
+    # the cached masks are shared by every later grid, so they are read-only
+    masks = list(scene.base.obstacles[0].memo.values())
+    assert len(masks) == 3  # one per grid geometry
+    for mask in masks:
+        with pytest.raises(ValueError, match="read-only"):
+            mask[0, 0] = not mask[0, 0]

@@ -9,8 +9,8 @@ from artiscene.errors import (LimitViolationError, SceneFormatError,
 from artiscene.geometry import OrientedBox
 from artiscene.scene import (JointModel, KinematicScene, MobilePart, RobotState,
                              SceneState, StaticBaseMap, goal_satisfied, handle_at,
-                             load_scene, part_pose_at, save_scene, scene_from_json,
-                             scene_to_json)
+                             load_scene, part_pose_at, part_shape_at, save_scene,
+                             scene_from_json, scene_to_json)
 from artiscene.fixtures import kitchen, minimal_drawer
 
 
@@ -100,6 +100,24 @@ def test_handle_tracks_revolute_motion():
     h = handle_at(part, math.pi / 2)
     # handle (1.28,-0.02) about pivot (1.0, 0): rel (0.28,-0.02) -> (0.02, 0.28)
     assert np.allclose(h, [1.02, 0.28, 0.5], atol=1e-12)
+
+
+def test_posed_box_is_shared_and_read_only():
+    part = door_part()
+    box = part_shape_at(part, 0.3)
+    assert part_shape_at(part, 0.3) is box
+    expected = part.shape.transformed(part_pose_at(part, 0.3))
+    assert np.array_equal(box.center, expected.center)
+    assert np.array_equal(box.orientation, expected.orientation)
+    with pytest.raises(ValueError, match="read-only"):
+        box.center[0] = 5.0
+    with pytest.raises(ValueError, match="read-only"):
+        box.orientation[:] = np.eye(3)
+    assert np.array_equal(part_shape_at(part, 0.3).center, expected.center)
+    # handle_at hands out a fresh array
+    h = handle_at(part, 0.3)
+    h[0] = 5.0
+    assert handle_at(part, 0.3)[0] != 5.0
 
 
 def test_scene_rejects_duplicate_ids_and_overlap():
