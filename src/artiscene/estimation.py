@@ -139,7 +139,8 @@ def _plane_frame(normal: np.ndarray) -> np.ndarray:
     return np.column_stack([normal, v, np.cross(normal, v)])
 
 
-def _alignment_candidates(src: np.ndarray, dst: np.ndarray, anchors=None) -> list:
+def _alignment_candidates(src: np.ndarray, dst: np.ndarray, tree: cKDTree,
+                          anchors=None) -> list:
     """Coarse alignment candidates ranked by nearest-neighbor residual.
 
     Combines PCA eigenframe matchings (with the proper sign combinations),
@@ -147,7 +148,7 @@ def _alignment_candidates(src: np.ndarray, dst: np.ndarray, anchors=None) -> lis
     thin near-vertical panels this pipeline sees), and anchored translation
     variants when the grasped contact point is known in both observations.
     Near-ties resolve toward the smaller rotation, the physical reading for
-    articulated furniture motion.
+    articulated furniture motion. tree is the KD-tree of dst.
     """
     cs, fs = _pca_frame(src)
     cd, fd = _pca_frame(dst)
@@ -168,7 +169,6 @@ def _alignment_candidates(src: np.ndarray, dst: np.ndarray, anchors=None) -> lis
         a_src, a_dst = (as_vec3(a) for a in anchors)
         candidates.extend(RigidTransform(rot, a_dst - rot @ a_src)
                           for rot in rotations)
-    tree = cKDTree(dst)
     scored = []
     for t in candidates:
         d, _, mutual = _mutual_pairs(t.apply(src), dst, tree)
@@ -239,9 +239,9 @@ def fit_screw(pre_mobile: PointCloud, post_mobile: PointCloud, anchors=None) -> 
         raise ValueError(f"segmented subsets need >= {MIN_MOBILE_POINTS} points")
     src = pre_mobile.points
     dst = post_mobile.points
-    tree = cKDTree(dst)
+    tree = post_mobile.kdtree
     best = None
-    for start in _alignment_candidates(src, dst, anchors)[:2]:
+    for start in _alignment_candidates(src, dst, tree, anchors)[:2]:
         refined = _refine_mutual(src, dst, tree, start)
         if refined is not None and (best is None or refined[1] < best[1]):
             best = refined

@@ -153,9 +153,15 @@ class OrientedBox:
         return float(np.linalg.norm(outside))
 
     def footprint(self) -> np.ndarray:
-        """Convex hull of the xy-projected corners, counterclockwise, (M, 2)."""
-        pts = self.corners()[:, :2]
-        return _convex_hull_2d(pts)
+        """Convex hull of the xy-projected corners, counterclockwise, (M, 2).
+
+        Computed once and kept read-only in memo."""
+        hull = self.memo.get("footprint")
+        if hull is None:
+            hull = _convex_hull_2d(self.corners()[:, :2])
+            hull.flags.writeable = False
+            self.memo["footprint"] = hull
+        return hull
 
     @cached_property
     def memo(self) -> dict:
@@ -217,6 +223,56 @@ def obb_intersects(a: OrientedBox, b: OrientedBox, margin: float = 0.02) -> bool
         a = a.inflated(margin)
         b = b.inflated(margin)
     return obb_separation(a, b) <= 0.0
+
+
+SAT_TIE = 1e-9  # array separations this close to 0 are re-decided by obb_intersects
+
+
+def _box_arrays(boxes: list, margin: float):
+    """Stacked centers, half extents (inflated as obb_intersects inflates
+    them) and orientations."""
+    half = np.array([b.half_extents for b in boxes])
+    return (np.array([b.center for b in boxes]), half + margin if margin > 0.0 else half,
+            np.array([b.orientation for b in boxes]))
+
+
+def obb_overlaps(first, second, margin: float = 0.02) -> np.ndarray:
+    """obb_intersects(a, b, margin) for every a in first and b in second,
+    as a (len(first), len(second)) bool array computed in one array pass.
+
+    The array arithmetic may round differently from obb_separation, so a
+    pair whose best separation lies within SAT_TIE of 0, or whose cross
+    axis norm lies within 2x of the 1e-12 skip cutoff, is re-decided by
+    obb_intersects itself: every entry equals the scalar verdict.
+    """
+    if margin < 0.0:
+        raise ValueError("margin must be >= 0")
+    first, second = list(first), list(second)
+    n, m = len(first), len(second)
+    if n == 0 or m == 0:
+        return np.zeros((n, m), dtype=bool)
+    ca, ha, ra = _box_arrays(first, margin)
+    cb, hb, rb = _box_arrays(second, margin)
+    ra, rb = ra[:, None], rb[None, :]                     # (n, 1, 3, 3), (1, m, 3, 3)
+    fa = np.broadcast_to(ra.swapaxes(-1, -2), (n, m, 3, 3))  # rows: box axes
+    fb = np.broadcast_to(rb.swapaxes(-1, -2), (n, m, 3, 3))
+    cross = np.cross(fa[:, :, :, None], fb[:, :, None, :]).reshape(n, m, 9, 3)
+    norm = np.linalg.norm(cross, axis=-1)
+    kept = norm > 1e-12
+    cross /= np.where(kept, norm, 1.0)[..., None]
+    axes = np.concatenate([fa, fb, cross], axis=2)        # (n, m, 15, 3)
+    rad_a = np.abs(axes @ ra) @ ha[:, None, :, None]
+    rad_b = np.abs(axes @ rb) @ hb[None, :, :, None]
+    d = (cb[None] - ca[:, None])[..., None]
+    sep = (np.abs(axes @ d) - (rad_a + rad_b))[..., 0]
+    sep[..., 6:][~kept] = -np.inf                         # skipped, as in the scalar loop
+    best = sep.max(axis=-1)
+    out = best <= 0.0
+    cutoff = ((norm > 0.5e-12) & (norm <= 2e-12)).any(axis=-1)
+    unsure = ~(np.abs(best) > SAT_TIE) | cutoff  # a NaN separation is unsure too
+    for i, j in np.argwhere(unsure):
+        out[i, j] = obb_intersects(first[i], second[j], margin)
+    return out
 
 
 @dataclass(frozen=True)

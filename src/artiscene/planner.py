@@ -12,7 +12,9 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import LimitViolationError, NoBaseFoundError
-from .geometry import as_vec3, obb_intersects
+# obb_intersects is not called here: perfbench/layers.py traces its
+# "planner.sat" layer through this binding, so the import stays
+from .geometry import as_vec3, obb_intersects, obb_overlaps  # noqa: F401
 from .scene import (REVOLUTE, JointModel, KinematicScene, MobilePart, RobotState,
                     SceneState, handle_at, part_shape_at, rodrigues_rotation)
 from .sim import OccupancyGrid, nav_grid
@@ -97,12 +99,12 @@ def sample_part_sweep(part: MobilePart, n_configs: int = N_CONFIGS) -> list:
 
 
 def check_part_collision(candidate_sweep, environment, margin: float = MARGIN):
-    """First (sweep, environment) box pair that overlaps, or (False, None)."""
-    for i, a in enumerate(candidate_sweep):
-        for j, b in enumerate(environment):
-            if obb_intersects(a, b, margin):
-                return True, (i, j)
-    return False, None
+    """First (sweep, environment) box pair that overlaps, in row-major
+    order, or (False, None)."""
+    hits = np.argwhere(obb_overlaps(candidate_sweep, environment, margin))
+    if len(hits) == 0:
+        return False, None
+    return True, (int(hits[0, 0]), int(hits[0, 1]))
 
 
 def check_path(grid: OccupancyGrid, from_pose, to_pose) -> bool:
@@ -207,7 +209,8 @@ def _environment_boxes(scene: KinematicScene, committed: dict, active_id: str,
     the cabinet the part is mounted on (its closed shape touches it), plus
     every other part at its committed state."""
     closed = scene.part(active_id).shape
-    boxes = [b for b in scene.base.obstacles if not obb_intersects(b, closed, margin)]
+    mounts = obb_overlaps(scene.base.obstacles, [closed], margin)[:, 0]
+    boxes = [b for b, mount in zip(scene.base.obstacles, mounts) if not mount]
     for part in scene.parts:
         if part.id != active_id:
             boxes.append(part_shape_at(part, committed[part.id]))

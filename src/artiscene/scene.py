@@ -16,7 +16,7 @@ import numpy as np
 
 from .errors import (LimitViolationError, SceneFormatError, SceneValidationError,
                      UnknownPartError)
-from .geometry import (OrientedBox, RigidTransform, as_vec3, obb_intersects,
+from .geometry import (OrientedBox, RigidTransform, as_vec3, obb_overlaps,
                        require_unit, rodrigues_rotation)
 
 SCHEMA_VERSION = 1
@@ -182,11 +182,11 @@ class KinematicScene:
         ids = [p.id for p in self.parts]
         if len(set(ids)) != len(ids):
             raise SceneValidationError("part ids must be unique")
-        for i in range(len(self.parts)):
-            for j in range(i + 1, len(self.parts)):
-                if obb_intersects(self.parts[i].shape, self.parts[j].shape, margin=0.0):
-                    raise SceneValidationError(
-                        f"parts {ids[i]!r} and {ids[j]!r} overlap at theta=0")
+        shapes = [p.shape for p in self.parts]
+        overlap = np.argwhere(np.triu(obb_overlaps(shapes, shapes, margin=0.0), k=1))
+        if len(overlap):
+            i, j = overlap[0]  # the first pair in (i, j) loop order
+            raise SceneValidationError(f"parts {ids[i]!r} and {ids[j]!r} overlap at theta=0")
 
     def part(self, part_id: str) -> MobilePart:
         for p in self.parts:

@@ -102,6 +102,25 @@ def test_fit_screw_noiseless_random_joints():
             assert abs(fit.observed_delta - delta) < 1e-9
 
 
+def test_fit_screw_builds_one_tree_of_the_post_subset(monkeypatch):
+    rng = np.random.default_rng(1)
+    pts = slab_points(rng) + np.array([0.3, 0.0, 0.0])
+    post = PointCloud(screw_apply(pts, np.array([0.0, 0.0, 1.0]),
+                                  np.array([0.5, 0.2, 0.0]), math.radians(40.0)))
+    built = []
+    kd_tree = estimation.cKDTree
+
+    def counting_tree(data, *args, **kwargs):
+        built.append(np.asarray(data).tobytes())
+        return kd_tree(data, *args, **kwargs)
+
+    monkeypatch.setattr(estimation, "cKDTree", counting_tree)
+    fit = fit_screw(PointCloud(pts), post)
+    assert fit.kind == "revolute"
+    # the candidate ranking and the refinement both query the cloud's own tree
+    assert "kdtree" in vars(post) and post.points.tobytes() not in built
+
+
 def test_fit_screw_sign_convention():
     # the returned axis makes the observed motion a positive rotation
     rng = np.random.default_rng(3)

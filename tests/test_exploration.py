@@ -325,9 +325,10 @@ def test_cached_nav_grid_equals_fresh_rasterization():
         grid = nav_grid(scene, state, resolution, radius, extra_boxes=extra)
         assert np.array_equal(grid.occupied,
                               _rasterize(scene, state, resolution, radius, extra)), case
-    # the cached masks are shared by every later grid, so they are read-only
-    masks = list(scene.base.obstacles[0].memo.values())
-    assert len(masks) == 3  # one per grid geometry
-    for mask in masks:
+    # the cached masks (and the footprint hull they were rasterized from) are
+    # shared by every later grid, so they are read-only
+    memo = scene.base.obstacles[0].memo
+    assert len([key for key in memo if key != "footprint"]) == 3  # one per grid geometry
+    for mask in memo.values():
         with pytest.raises(ValueError, match="read-only"):
             mask[0, 0] = not mask[0, 0]

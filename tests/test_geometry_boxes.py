@@ -1,8 +1,11 @@
+import math
+
 import numpy as np
 import pytest
 
-from artiscene.geometry import (OrientedBox, obb_intersects, obb_separation,
-                                rodrigues_rotation)
+from artiscene import geometry
+from artiscene.geometry import (SAT_TIE, OrientedBox, obb_intersects, obb_overlaps,
+                                obb_separation, rodrigues_rotation)
 from oracles import boxes_overlap_oracle
 
 
@@ -77,3 +80,98 @@ def test_footprint_of_yawed_box():
     fp = box.footprint()
     assert fp.shape == (4, 2)
     assert np.allclose(fp.mean(axis=0), [1, 2], atol=1e-12)
+    # computed once per box and shared, so read-only
+    assert box.footprint() is fp and not fp.flags.writeable
+
+
+YAWS = (0.0, math.pi / 2, -math.pi / 2, math.pi / 4, 3 * math.pi / 4, math.pi)
+
+
+def grid_box(rng, yaw=None):
+    """Round coordinates and a grid yaw: exact ties and parallel axes."""
+    yaw = YAWS[rng.integers(len(YAWS))] if yaw is None else yaw
+    return OrientedBox(rng.integers(-8, 9, 3) * 0.125, rng.integers(1, 6, 3) * 0.05,
+                       rodrigues_rotation((0.0, 0.0, 1.0), yaw))
+
+
+def touching_pair(rng, margin):
+    """Two equally oriented boxes whose faces touch once inflated by the margin."""
+    a = grid_box(rng)
+    hb = rng.integers(1, 6, 3) * 0.05
+    k = rng.integers(3)
+    offset = rng.integers(-1, 2, 3) * 0.05
+    offset[k] = rng.choice([-1, 1]) * (a.half_extents[k] + hb[k] + 2 * margin)
+    return a, OrientedBox(a.center + a.orientation @ offset, hb, a.orientation)
+
+
+def near_parallel_pair(rng):
+    """Axes 1e-12 rad apart: cross-axis norms at the 1e-12 skip cutoff."""
+    a = grid_box(rng, 0.0)
+    b = OrientedBox(a.center + rng.uniform(-0.5, 0.5, 3), rng.uniform(0.05, 0.3, 3),
+                    rodrigues_rotation((0.0, 0.0, 1.0), 1e-12))
+    return a, b
+
+
+def _unsure(a, b, margin):
+    """A pair the array pass may not decide: a tie or a cutoff cross axis."""
+    if margin > 0.0:
+        a, b = a.inflated(margin), b.inflated(margin)
+    norms = [np.linalg.norm(np.cross(a.orientation[:, i], b.orientation[:, j]))
+             for i in range(3) for j in range(3)]
+    return abs(obb_separation(a, b)) <= 2 * SAT_TIE or any(
+        0.5e-12 < n <= 2e-12 for n in norms)
+
+
+def test_obb_overlaps_matches_pairwise_obb_intersects(monkeypatch):
+    scalar = obb_intersects
+    fallbacks = []
+
+    def recording(a, b, margin=0.02):
+        fallbacks.append((a, b, margin))
+        return scalar(a, b, margin)
+
+    monkeypatch.setattr(geometry, "obb_intersects", recording)
+    rng = np.random.default_rng(12)
+    pairs = 0
+    for case in range(240):
+        margin = (0.0, 0.02, 0.05)[case % 3]
+        first = [random_box(rng) if case % 4 == 0 else grid_box(rng)
+                 for _ in range(rng.integers(0, 4))]
+        second = [grid_box(rng) for _ in range(rng.integers(0, 4))]
+        for _ in range(rng.integers(0, 5)):
+            a, b = touching_pair(rng, margin) if case % 5 else near_parallel_pair(rng)
+            first.insert(rng.integers(len(first) + 1), a)
+            second.insert(rng.integers(len(second) + 1), b)
+        if case % 16 == 1:
+            first = []
+        elif case % 16 == 2:
+            second = []
+        fallbacks.clear()
+        got = obb_overlaps(first, second, margin)
+        expected = np.array([[scalar(a, b, margin) for b in second] for a in first],
+                            dtype=bool).reshape(len(first), len(second))
+        assert got.dtype == bool and got.shape == expected.shape, case
+        assert np.array_equal(got, expected), case
+        # the scalar test re-decides only pairs the array pass may not decide,
+        # in the same argument order
+        assert all(_unsure(a, b, m) and m == margin for a, b, m in fallbacks), case
+        pairs += got.size
+    assert pairs > 2500
+    # touching faces tie at separation 0: the fallback decides them
+    a = OrientedBox.axis_aligned((0, 0, 0), (0.5, 0.5, 0.5))
+    b = OrientedBox.axis_aligned((1.0, 0, 0), (0.5, 0.5, 0.5))
+    fallbacks.clear()
+    assert obb_overlaps([a], [b], 0.0).tolist() == [[True]]
+    assert fallbacks == [(a, b, 0.0)]
+    # a cross axis whose norm sits at the 1e-12 skip cutoff: the fallback too
+    c = OrientedBox((3.0, 0, 0), (0.5, 0.5, 0.5), rodrigues_rotation((0, 0, 1), 1e-12))
+    fallbacks.clear()
+    assert obb_overlaps([a], [c], 0.0).tolist() == [[False]]
+    assert fallbacks == [(a, c, 0.0)]
+    # a NaN coordinate leaves every scalar axis unscored: the scalar verdict
+    nan_box = OrientedBox((np.nan, 0, 0), (0.5, 0.5, 0.5), np.eye(3))
+    assert obb_overlaps([nan_box], [a]).tolist() == [[obb_intersects(nan_box, a)]]
+    assert obb_overlaps([], [a, b]).shape == (0, 2)
+    assert obb_overlaps([a, b], ()).shape == (2, 0)
+    with pytest.raises(ValueError):
+        obb_overlaps([a], [b], margin=-0.1)

@@ -1,5 +1,6 @@
 import itertools
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -8,7 +9,8 @@ from artiscene.errors import LimitViolationError, NoBaseFoundError, UnknownPartE
 from artiscene.fixtures import (blocked_aisle, blocked_aisle_goal, galley_block,
                                 galley_block_goal, kitchen, kitchen_goal,
                                 minimal_drawer)
-from artiscene.geometry import OrientedBox
+from artiscene import geometry
+from artiscene.geometry import OrientedBox, obb_intersects
 from artiscene import planner
 from artiscene.planner import (EndEffectorTrajectory, InteractionPlan, PlannerConfig,
                                check_part_collision, check_path,
@@ -153,6 +155,21 @@ def test_collision_check_reports_pair():
     hit, pair = check_part_collision([a, far], [far], margin=0.02)
     assert hit
     assert pair == (1, 0)
+
+
+def test_collision_check_reports_the_loops_first_pair():
+    box = OrientedBox.axis_aligned
+    sweep = [box((0, 0, 0), (0.2, 0.2, 0.2)), box((3, 0, 0), (0.2, 0.2, 0.2)),
+             box((6, 0, 0), (0.2, 0.2, 0.2))]
+    env = [box((6, 0.3, 0), (0.2, 0.2, 0.2)), box((9, 0, 0), (0.2, 0.2, 0.2)),
+           box((3, 0.3, 0), (0.2, 0.2, 0.2)), box((3, -0.3, 0), (0.2, 0.2, 0.2))]
+    # (1, 2), (1, 3) and (2, 0) overlap; column-first order would give (2, 0)
+    loop = [(i, j) for i, a in enumerate(sweep) for j, b in enumerate(env)
+            if obb_intersects(a, b, 0.02)]
+    assert loop == [(1, 2), (1, 3), (2, 0)]
+    hit, pair = check_part_collision(sweep, env, margin=0.02)
+    assert hit and pair == (1, 2)
+    assert all(type(k) is int for k in pair)  # the pair goes into plan.json
 
 
 # --- path checks -------------------------------------------------------------
@@ -361,6 +378,47 @@ def test_plan_scene_builds_each_step_world_once(monkeypatch):
     assert plan_to_json(plan, scene) == plan_to_json(
         InteractionPlan(True, steps, diagnostics), scene)
     assert shared < len(builds) - shared
+
+
+def test_plan_scene_makes_one_sat_pass_per_step_world(monkeypatch):
+    """galley_block: each step world is collision-checked in one array pass
+    (plus one pass that drops the mount obstacles), and the scalar SAT runs
+    only as the tie fallback inside a pass."""
+    scene, robot, goal = fixture_setup(galley_block, galley_block_goal)
+    passes = Counter()
+    scalar = geometry.obb_intersects
+    inside = []  # the pass in progress, if any
+
+    def counting_overlaps(first, second, margin=0.02):
+        passes["mounts" if first is scene.base.obstacles else "sweep"] += 1
+        inside.append(True)
+        try:
+            return geometry.obb_overlaps(first, second, margin)
+        finally:
+            inside.pop()
+
+    def fallback(a, b, margin=0.02):
+        assert inside, "scalar SAT outside an array pass"
+        return scalar(a, b, margin)
+
+    def no_per_pair_sat(*args, **kwargs):
+        raise AssertionError("per-pair SAT call from the planner")
+
+    worlds = []
+    real_step_world = planner._step_world
+
+    def counting_step_world(scene, committed, part):
+        worlds.append((tuple(sorted(committed.items())), part.id))
+        return real_step_world(scene, committed, part)
+
+    monkeypatch.setattr(planner, "obb_overlaps", counting_overlaps, raising=False)
+    monkeypatch.setattr(planner, "obb_intersects", no_per_pair_sat)
+    monkeypatch.setattr(geometry, "obb_intersects", fallback)
+    monkeypatch.setattr(planner, "_step_world", counting_step_world)
+    plan = plan_scene(scene, scene.initial_state(), robot, goal, PlannerConfig(seed=0))
+    assert plan.feasible and len(plan.diagnostics) == 3
+    assert len(worlds) == len(set(worlds)) > 0
+    assert passes == {"sweep": len(worlds), "mounts": len(worlds)}
 
 
 def test_galley_plan_feasible_and_validates():

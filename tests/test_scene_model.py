@@ -130,6 +130,16 @@ def test_scene_rejects_duplicate_ids_and_overlap():
         KinematicScene(base, (p1, p2))
 
 
+def test_scene_overlap_error_names_the_first_pair_in_loop_order():
+    base = StaticBaseMap((), (-1, -1), (3, 3))
+    # overlapping pairs: (a, d) and (b, c); (b, c) comes first column-wise
+    parts = (drawer_part("a"), door_part("b"), door_part("c"), drawer_part("d"))
+    with pytest.raises(SceneValidationError, match="parts 'a' and 'd' overlap"):
+        KinematicScene(base, parts)
+    with pytest.raises(SceneValidationError, match="parts 'b' and 'c' overlap"):
+        KinematicScene(base, parts[1:] + parts[:1])
+
+
 def test_goal_satisfied_thresholds():
     scene, _ = minimal_drawer()
     state = scene.initial_state()
