@@ -158,7 +158,7 @@ def _alignment_candidates(src: np.ndarray, dst: np.ndarray, tree: cKDTree,
         rotations.append(fd @ d @ fs.T)
     try:
         n_s = consensus_plane_normal(src)
-        n_d = consensus_plane_normal(dst)
+        n_d = consensus_plane_normal(dst, tree=tree)
         f_s = _plane_frame(n_s)
         for sign in (1.0, -1.0):
             rotations.append(_plane_frame(sign * n_d) @ f_s.T)

@@ -329,21 +329,24 @@ def plane_normal(points: np.ndarray, viewpoint=None) -> np.ndarray:
 
 
 def consensus_plane_normal(points: np.ndarray, viewpoint=None, min_points: int = 6,
-                           inlier_tol: float = 0.008) -> np.ndarray:
+                           inlier_tol: float = 0.008, tree: cKDTree | None = None
+                           ) -> np.ndarray:
     """Plane normal of the dominant surface in a mixed neighborhood.
 
     A neighborhood at a part edge is often bimodal (a front face plus a
     perpendicular edge strip or a nearby static surface), which wrecks a
     single least-squares fit. Micro-planes fitted around spread anchor points
     vote by inlier count and the consensus surface is refit over its inliers.
-    Deterministic: anchors are every k-th point, no sampling.
+    Deterministic: anchors are every k-th point, no sampling. tree, when
+    given, is a KD-tree over the same points and is queried instead of a new
+    one.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
     n = pts.shape[0]
     if n < 3:
         return plane_normal(pts, viewpoint=viewpoint)  # raises
     anchors = np.arange(0, n, max(1, n // 12))
-    _, idx = cKDTree(pts).query(pts[anchors], k=min(9, n))
+    _, idx = (cKDTree(pts) if tree is None else tree).query(pts[anchors], k=min(9, n))
     local = pts[idx]
     mean = local.mean(axis=1)
     centered = local - mean[:, None]

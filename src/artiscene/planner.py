@@ -6,7 +6,6 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from collections import deque
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -108,30 +107,12 @@ def check_part_collision(candidate_sweep, environment, margin: float = MARGIN):
 
 
 def check_path(grid: OccupancyGrid, from_pose, to_pose) -> bool:
-    """Breadth-first connectivity between two poses on the inflated grid."""
+    """4-connected free path between two poses on the inflated grid."""
     if np.allclose(np.asarray(from_pose[:2], dtype=float),
                    np.asarray(to_pose[:2], dtype=float)):
         return grid.is_free(from_pose[:2])
-    start = grid.cell_of(from_pose[:2])
-    goal = grid.cell_of(to_pose[:2])
-    for ix, iy in (start, goal):
-        if not grid.in_grid(ix, iy) or grid.occupied[iy, ix]:
-            return False
-    ny, nx = grid.occupied.shape
-    seen = np.zeros((ny, nx), dtype=bool)
-    seen[start[1], start[0]] = True
-    queue = deque([start])
-    while queue:
-        cx, cy = queue.popleft()
-        if (cx, cy) == goal:
-            return True
-        for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
-            jx, jy = cx + dx, cy + dy
-            if 0 <= jx < nx and 0 <= jy < ny and not seen[jy, jx] \
-                    and not grid.occupied[jy, jx]:
-                seen[jy, jx] = True
-                queue.append((jx, jy))
-    return False
+    start = grid.component(grid.cell_of(from_pose[:2]))
+    return start is not None and start == grid.component(grid.cell_of(to_pose[:2]))
 
 
 def select_base(trajectory: EndEffectorTrajectory, scene: KinematicScene,
@@ -169,7 +150,11 @@ def select_base(trajectory: EndEffectorTrajectory, scene: KinematicScene,
     xy = np.concatenate(chunks)[:n_samples]
     score = arm.reach_mask(trajectory.waypoints, bases=xy).sum(axis=1)
     top = np.flatnonzero(score == score.max())
-    i = min(top, key=lambda k: float(np.linalg.norm(xy[k] - cxy)))
+    # the array norm can differ from the scalar one in the last bit, so the
+    # candidates within 1e-12 of the nearest are re-decided by the scalar rule
+    dist = np.linalg.norm(xy[top] - cxy, axis=1)
+    near = top[dist <= dist.min() + 1e-12]
+    i = min(near, key=lambda k: float(np.linalg.norm(xy[k] - cxy)))
     x, y = float(xy[i, 0]), float(xy[i, 1])
     return (x, y, math.atan2(cxy[1] - y, cxy[0] - x)), int(score[i])
 
@@ -203,38 +188,53 @@ class InteractionPlan:
         return [s.part_id for s in self.steps]
 
 
-def _environment_boxes(scene: KinematicScene, committed: dict, active_id: str,
-                       margin: float = MARGIN) -> list:
-    """Collision environment for one part's sweep: the base obstacles except
-    the cabinet the part is mounted on (its closed shape touches it), plus
-    every other part at its committed state."""
+def _unmounted_obstacles(scene: KinematicScene, active_id: str,
+                         margin: float = MARGIN) -> list:
+    """The base obstacles except the cabinet the part is mounted on (its
+    closed shape touches it); they depend on the part alone."""
     closed = scene.part(active_id).shape
     mounts = obb_overlaps(scene.base.obstacles, [closed], margin)[:, 0]
-    boxes = [b for b, mount in zip(scene.base.obstacles, mounts) if not mount]
-    for part in scene.parts:
-        if part.id != active_id:
-            boxes.append(part_shape_at(part, committed[part.id]))
-    return boxes
+    return [b for b, mount in zip(scene.base.obstacles, mounts) if not mount]
 
 
-def _step_world(scene: KinematicScene, committed: dict, part: MobilePart):
-    """Collision-check one step's sweep, then build its grids.
+def _environment_boxes(scene: KinematicScene, committed: dict, active_id: str,
+                       margin: float = MARGIN, obstacles=None) -> list:
+    """Collision environment for one part's sweep: its unmounted obstacles
+    (found here unless given), plus every other part at its committed state."""
+    if obstacles is None:
+        obstacles = _unmounted_obstacles(scene, active_id, margin)
+    return list(obstacles) + [part_shape_at(p, committed[p.id])
+                              for p in scene.parts if p.id != active_id]
 
-    Returns (colliding pair, None, None) when the sweep hits the committed
-    environment, so a rejected step builds no grid; otherwise (None, travel
-    grid, standing grid), the standing grid keeping the base clear of the
-    sweep.
+
+def _standing_box(box):
+    """box inflated by STANDING_MARGIN. A posed sweep box is shared, so the
+    inflated box is made once and kept, read-only, in its memo, and so is
+    every footprint mask nav_grid rasterizes for it."""
+    standing = box.memo.get("standing")
+    if standing is None:
+        standing = box.inflated(STANDING_MARGIN)
+        standing.half_extents.flags.writeable = False
+        box.memo["standing"] = standing
+    return standing
+
+
+def _step_world(scene: KinematicScene, committed: dict, part: MobilePart,
+                obstacles=None):
+    """Collision-check one step's sweep, then build its standing grid.
+
+    Returns (colliding pair, None) when the sweep hits the committed
+    environment, so a rejected step builds no grid; otherwise (None,
+    standing grid), the grid keeping the base clear of the sweep. obstacles
+    are the part's unmounted obstacles, found here unless given.
     """
     sweep = sample_part_sweep(part)
-    env = _environment_boxes(scene, committed, part.id)
+    env = _environment_boxes(scene, committed, part.id, obstacles=obstacles)
     hit, pair = check_part_collision(sweep, env)
     if hit:
-        return pair, None, None
-    committed_state = SceneState(committed)
-    travel_grid = nav_grid(scene, committed_state)
-    standing = [b.inflated(STANDING_MARGIN) for b in sweep]
-    standing_grid = nav_grid(scene, committed_state, extra_boxes=standing)
-    return None, travel_grid, standing_grid
+        return pair, None
+    standing = [_standing_box(b) for b in sweep]
+    return None, nav_grid(scene, SceneState(committed), extra_boxes=standing)
 
 
 def evaluate_candidate_order(scene: KinematicScene, state: SceneState,
@@ -248,9 +248,10 @@ def evaluate_candidate_order(scene: KinematicScene, state: SceneState,
     the previous base is path-checked on the pre-step grid. Returns
     (steps, None) on success or (None, diagnostic dict) on the first rejection.
 
-    worlds maps (sorted committed states, part id) to the step's
-    _step_world result; the orders of one plan share it, so each step world
-    is built once per plan. None shares nothing. Base selection is not
+    worlds holds what the orders of one plan share, so each is built once
+    per plan: a part id maps to its unmounted obstacles, the sorted committed
+    states to their travel grid, and (committed states, part id) to the
+    step's _step_world result. None shares nothing. Base selection is not
     shared: its generator is keyed on candidate_idx, and sharing it would
     re-roll bases and change every pinned digest.
     """
@@ -264,10 +265,13 @@ def evaluate_candidate_order(scene: KinematicScene, state: SceneState,
         theta_goal = goal[part_id]
         if theta_goal <= theta_start + 1e-12:
             continue
-        key = (tuple(sorted(committed.items())), part_id)
-        if key not in worlds:
-            worlds[key] = _step_world(scene, committed, part)
-        pair, travel_grid, standing_grid = worlds[key]
+        states = tuple(sorted(committed.items()))
+        if (states, part_id) not in worlds:
+            if part_id not in worlds:
+                worlds[part_id] = _unmounted_obstacles(scene, part_id)
+            worlds[states, part_id] = _step_world(scene, committed, part,
+                                                  worlds[part_id])
+        pair, standing_grid = worlds[states, part_id]
         if pair is not None:
             return None, {"order": list(order), "step": part_id,
                           "reason": "part-collision",
@@ -279,7 +283,9 @@ def evaluate_candidate_order(scene: KinematicScene, state: SceneState,
         except NoBaseFoundError:
             return None, {"order": list(order), "step": part_id,
                           "reason": "unreachable"}
-        if not check_path(travel_grid, prev_pose, base_pose):
+        if states not in worlds:
+            worlds[states] = nav_grid(scene, SceneState(committed))
+        if not check_path(worlds[states], prev_pose, base_pose):
             return None, {"order": list(order), "step": part_id,
                           "reason": "path-blocked",
                           "from": list(prev_pose[:2]), "to": list(base_pose[:2])}
@@ -334,13 +340,13 @@ def validate_plan(scene: KinematicScene, state: SceneState, robot: RobotState,
     committed = dict(state.joint_states)
     prev_pose = robot.base_pose
     for step in plan.steps:
-        pair, travel_grid, standing_grid = _step_world(
-            scene, committed, scene.part(step.part_id))
+        pair, standing_grid = _step_world(scene, committed, scene.part(step.part_id))
         if pair is not None or not standing_grid.is_free(step.base_pose[:2]):
             return False
         reach = robot.at(step.base_pose).reach_mask(step.trajectory.waypoints)
         if int(reach.sum()) != step.reach_count:
             return False
+        travel_grid = nav_grid(scene, SceneState(committed))
         if not check_path(travel_grid, prev_pose, step.base_pose):
             return False
         committed[step.part_id] = step.goal

@@ -9,7 +9,9 @@ numpy Generator; operations take a state and return new values.
 from __future__ import annotations
 
 import math
+from array import array
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -288,6 +290,36 @@ class OccupancyGrid:
         ix, iy = self.cell_of(xy)
         ny, nx = self.occupied.shape
         return self.in_grid(ix, iy) & ~self.occupied[np.clip(iy, 0, ny - 1), np.clip(ix, 0, nx - 1)]
+
+    def component(self, cell):
+        """Label of the 4-connected free region holding cell (ix, iy), or
+        None when the cell is off the grid or occupied: two free cells are
+        connected iff their labels are equal. Each region is flooded once, on
+        first use, and labelled with the flat index of the cell it was
+        flooded from on the grid padded by one occupied cell."""
+        ix, iy = cell
+        if not self.in_grid(ix, iy) or self.occupied[iy, ix]:
+            return None
+        seed = (iy + 1) * (self.occupied.shape[1] + 2) + ix + 1
+        if self._labels[seed] < 0:
+            self._flood(seed)
+        return self._labels[seed]
+
+    @cached_property
+    def _labels(self) -> array:
+        """Per cell of the padded grid, flat: 0 on occupied cells, -1 on free
+        cells whose region is not flooded yet, else the region's label."""
+        return array("i", np.pad(-(~self.occupied).astype(np.intc), 1).tobytes())
+
+    def _flood(self, seed: int) -> None:
+        labels, width = self._labels, self.occupied.shape[1] + 2
+        labels[seed] = seed
+        region = [seed]
+        for c in region:  # grows while it is read: breadth first
+            for n in (c + 1, c - 1, c + width, c - width):
+                if labels[n] < 0:
+                    labels[n] = seed
+                    region.append(n)
 
     def nearest_free(self, xy, max_dist: float):
         """xy itself when its cell is free, else the closest free cell center

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from artiscene import estimation
+from artiscene import estimation, geometry
 from artiscene.errors import EstimationFailedError, SegmentationFailedError
 from artiscene.estimation import (ContactHeatmap, EstimatedArticulation,
                                   articulation_errors, estimate_record,
@@ -107,18 +107,23 @@ def test_fit_screw_builds_one_tree_of_the_post_subset(monkeypatch):
     pts = slab_points(rng) + np.array([0.3, 0.0, 0.0])
     post = PointCloud(screw_apply(pts, np.array([0.0, 0.0, 1.0]),
                                   np.array([0.5, 0.2, 0.0]), math.radians(40.0)))
-    built = []
+    built, built_in_geometry = [], []
     kd_tree = estimation.cKDTree
 
-    def counting_tree(data, *args, **kwargs):
-        built.append(np.asarray(data).tobytes())
-        return kd_tree(data, *args, **kwargs)
+    def counting_tree(log):
+        def build(data, *args, **kwargs):
+            log.append(np.asarray(data).tobytes())
+            return kd_tree(data, *args, **kwargs)
+        return build
 
-    monkeypatch.setattr(estimation, "cKDTree", counting_tree)
+    monkeypatch.setattr(estimation, "cKDTree", counting_tree(built))
+    monkeypatch.setattr(geometry, "cKDTree", counting_tree(built_in_geometry))
     fit = fit_screw(PointCloud(pts), post)
     assert fit.kind == "revolute"
-    # the candidate ranking and the refinement both query the cloud's own tree
+    # the candidate ranking, its plane normal of the post subset and the
+    # refinement all query the cloud's own tree, built once
     assert "kdtree" in vars(post) and post.points.tobytes() not in built
+    assert built_in_geometry.count(post.points.tobytes()) == 1
 
 
 def test_fit_screw_sign_convention():

@@ -221,6 +221,9 @@ def test_consensus_plane_normal_matches_loop_reference():
             outcomes[make.__name__, "raised"] += 1
             continue
         assert np.array_equal(consensus_plane_normal(pts, **kwargs), expected), case
+        # a tree over the same points built elsewhere gives the same normal
+        assert np.array_equal(consensus_plane_normal(pts, tree=cKDTree(pts), **kwargs),
+                              expected), case
         outcomes[make.__name__, "tied" if tied else "normal"] += 1
     for make in (_planes_case, _mirrored_case, _line_and_plane_case, _clusters_case,
                  _small_case):

@@ -3,7 +3,8 @@
 Each ``run-all`` case runs the whole pipeline in-process and compares the
 sha256 of four output files against pinned values; the staged case runs
 ``explore``, ``estimate --truth`` and ``plan`` one after another and pins one
-file of each stage. A refactor must leave every digest unchanged; a
+file of each stage; the infeasible case pins the ``plan.json`` of a goal that
+every order fails, with its rejection diagnostics. A refactor must leave every digest unchanged; a
 deliberate behaviour change updates the digests here and says why in
 CHANGES.md.
 
@@ -13,6 +14,8 @@ bytes without any change in the code.
 """
 
 import hashlib
+import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -20,6 +23,7 @@ import pytest
 from artiscene.cli import main
 
 SCENES = Path(__file__).resolve().parents[1] / "scenes"
+DATA = Path(__file__).resolve().parent / "data"
 
 GOLDEN = {
     ("kitchen", 0): {
@@ -95,3 +99,20 @@ def test_staged_commands_match_golden_digests(tmp_path, scene, seed):
     mismatches = _mismatches(tmp_path, STAGED[(scene, seed)])
     assert not mismatches, (f"{scene} seed {seed} staged digests changed:\n"
                             + "\n".join(mismatches))
+
+
+# data/facing_panels.json: a galley whose north and south fold-down panels
+# overlap when both are open, so every order of the goal is rejected
+INFEASIBLE_PLAN = "0ec66e2071a33c795e17c4fb12faade28aa9cb8b23d676b7254470fc7762c878"
+
+
+def test_infeasible_plan_matches_golden_digest(tmp_path):
+    assert main(["plan", "--scene", str(DATA / "facing_panels.json"),
+                 "--goal", str(DATA / "facing_panels_goal.json"),
+                 "--out", str(tmp_path), "--seed", "0"]) == 0
+    plan = json.loads((tmp_path / "plan.json").read_text())
+    assert not plan["feasible"] and len(plan["diagnostics"]) == 24
+    reasons = Counter(d["reason"] for d in plan["diagnostics"])
+    assert reasons == {"part-collision": 16, "path-blocked": 8}
+    mismatches = _mismatches(tmp_path, {"plan.json": INFEASIBLE_PLAN})
+    assert not mismatches, "infeasible plan digest changed:\n" + "\n".join(mismatches)

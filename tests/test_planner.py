@@ -1,6 +1,6 @@
 import itertools
 import math
-from collections import Counter
+from collections import Counter, deque
 
 import numpy as np
 import pytest
@@ -20,7 +20,7 @@ from artiscene.planner import (EndEffectorTrajectory, InteractionPlan, PlannerCo
                                write_plan)
 from artiscene.scene import (JointModel, KinematicScene, MobilePart, RobotState,
                              SceneState, StaticBaseMap)
-from artiscene.sim import nav_grid
+from artiscene.sim import OccupancyGrid, nav_grid
 from oracles import flood_fill_reachable
 
 
@@ -199,6 +199,103 @@ def test_path_pose_in_occupied_cell_unreachable():
     assert not check_path(grid, (2.0, 2.0, 0.0), (0.5, 0.5, 0.0))
 
 
+def reference_check_path(grid, from_pose, to_pose):
+    """check_path as a breadth-first search from the start cell."""
+    if np.allclose(np.asarray(from_pose[:2], dtype=float),
+                   np.asarray(to_pose[:2], dtype=float)):
+        return grid.is_free(from_pose[:2])
+    start = grid.cell_of(from_pose[:2])
+    goal = grid.cell_of(to_pose[:2])
+    for ix, iy in (start, goal):
+        if not grid.in_grid(ix, iy) or grid.occupied[iy, ix]:
+            return False
+    ny, nx = grid.occupied.shape
+    seen = np.zeros((ny, nx), dtype=bool)
+    seen[start[1], start[0]] = True
+    queue = deque([start])
+    while queue:
+        cx, cy = queue.popleft()
+        if (cx, cy) == goal:
+            return True
+        for dx, dy in ((1, 0), (-1, 0), (0, 1), (0, -1)):
+            jx, jy = cx + dx, cy + dy
+            if 0 <= jx < nx and 0 <= jy < ny and not seen[jy, jx] \
+                    and not grid.occupied[jy, jx]:
+                seen[jy, jx] = True
+                queue.append((jx, jy))
+    return False
+
+
+def _walled_grid(rng):
+    """Random grid crossed by walls, each with at most one one-cell gap."""
+    ny, nx = (int(v) for v in rng.integers(1, 25, size=2))
+    occupied = rng.random((ny, nx)) < rng.choice([0.0, 0.1, 0.3])
+    for _ in range(int(rng.integers(0, 4))):
+        if rng.random() < 0.5:
+            x = int(rng.integers(nx))
+            occupied[:, x] = True
+            if rng.random() < 0.7:
+                occupied[int(rng.integers(ny)), x] = False
+        else:
+            y = int(rng.integers(ny))
+            occupied[y, :] = True
+            if rng.random() < 0.7:
+                occupied[y, int(rng.integers(nx))] = False
+    origin = rng.uniform(-1.0, 1.0, size=2)
+    return OccupancyGrid(origin, float(rng.choice([0.05, 0.1, 0.25])), occupied)
+
+
+def _random_pose(rng, grid):
+    """A pose anywhere in or around the grid, often exactly on a cell edge."""
+    ny, nx = grid.occupied.shape
+    cells = rng.integers(-1, [nx + 1, ny + 1])
+    frac = np.where(rng.random(2) < 0.4, 0.0, rng.random(2))
+    xy = grid.origin + (cells + frac) * grid.resolution
+    return (float(xy[0]), float(xy[1]), float(rng.uniform(-math.pi, math.pi)))
+
+
+def test_check_path_matches_bfs_reference(monkeypatch):
+    floods = []
+    real_flood = OccupancyGrid._flood
+
+    def counting_flood(grid, seed):
+        floods.append(seed)
+        return real_flood(grid, seed)
+
+    monkeypatch.setattr(OccupancyGrid, "_flood", counting_flood)
+    rng = np.random.default_rng(13)
+    verdicts = Counter()
+    for case in range(200):
+        grid = _walled_grid(rng)
+        floods.clear()
+        for _ in range(40):
+            a = _random_pose(rng, grid)
+            kind = int(rng.integers(4))
+            if kind == 0:    # the same pose
+                b = a
+            elif kind == 1:  # another pose in the same cell
+                ix, iy = grid.cell_of(a[:2])
+                b = tuple(grid.origin + (np.array([ix, iy]) + rng.random(2) * 0.9)
+                          * grid.resolution) + (0.0,)
+            else:
+                b = _random_pose(rng, grid)
+            expected = reference_check_path(grid, a, b)
+            assert check_path(grid, a, b) == expected, (case, a, b)
+            same_cell = grid.cell_of(a[:2]) == grid.cell_of(b[:2])
+            free = grid.is_free(a[:2]) and grid.is_free(b[:2])
+            verdicts[bool(expected), same_cell, bool(free)] += 1
+        # every region is flooded at most once, from the cell it is labelled by
+        assert len(floods) == len(set(floods)), case
+        width = grid.occupied.shape[1] + 2
+        for seed in floods:
+            py, px = divmod(seed, width)
+            assert grid.component((px - 1, py - 1)) == seed, case
+    # (connected, same cell, both free): each kind of verdict occurs
+    assert verdicts[True, True, True] > 0 and verdicts[True, False, True] > 0
+    assert verdicts[False, False, True] > 0 and verdicts[False, True, False] > 0
+    assert verdicts[False, False, False] > 0
+
+
 # --- base selection ----------------------------------------------------------
 
 def test_select_base_full_coverage():
@@ -354,18 +451,25 @@ def test_plan_scene_builds_each_step_world_once(monkeypatch):
     real_nav_grid = planner.nav_grid
 
     def counting_nav_grid(scene, state, extra_boxes=()):
-        builds.append((tuple(sorted(state.joint_states.items())),
-                       tuple(b.center.tobytes() for b in extra_boxes)))
+        builds.append((tuple(sorted(state.joint_states.items())), tuple(extra_boxes)))
         return real_nav_grid(scene, state, extra_boxes=extra_boxes)
 
     monkeypatch.setattr(planner, "nav_grid", counting_nav_grid)
     plan = plan_scene(scene, state, robot, goal, cfg)
     shared = len(builds)
     # a standing grid's sweep boxes name the part, so each standing build is
-    # one (committed, part) world, and each world builds one travel grid
-    standing = [b for b in builds if b[1]]
-    assert len(standing) == len(set(standing))
-    assert shared == 2 * len(standing)
+    # one (committed, part) world; the travel grid depends on the committed
+    # states alone, and is built once for each that reaches a path check
+    standing = [(states, tuple(map(id, boxes))) for states, boxes in builds if boxes]
+    travel = [states for states, boxes in builds if not boxes]
+    assert len(standing) == len(set(standing)) == 6
+    assert len(travel) == len(set(travel)) == 4
+    assert set(travel) <= {states for states, _ in standing}
+    # a part's inflated sweep boxes are the same read-only objects in every
+    # world, so their footprint masks are rasterized once per part
+    sweeps = {boxes for _, boxes in standing}
+    assert len(sweeps) <= len(goal) < len(standing)
+    assert not any(b.half_extents.flags.writeable for _, boxes in builds for b in boxes)
     # evaluating every order on its own, without sharing, agrees
     diagnostics, steps = [], []
     for idx, order in enumerate(itertools.permutations(sorted(goal))):
@@ -381,9 +485,9 @@ def test_plan_scene_builds_each_step_world_once(monkeypatch):
 
 
 def test_plan_scene_makes_one_sat_pass_per_step_world(monkeypatch):
-    """galley_block: each step world is collision-checked in one array pass
-    (plus one pass that drops the mount obstacles), and the scalar SAT runs
-    only as the tie fallback inside a pass."""
+    """galley_block: each step world is collision-checked in one array pass,
+    each part's mount obstacles are dropped in one pass per plan, and the
+    scalar SAT runs only as the tie fallback inside a pass."""
     scene, robot, goal = fixture_setup(galley_block, galley_block_goal)
     passes = Counter()
     scalar = geometry.obb_intersects
@@ -407,9 +511,9 @@ def test_plan_scene_makes_one_sat_pass_per_step_world(monkeypatch):
     worlds = []
     real_step_world = planner._step_world
 
-    def counting_step_world(scene, committed, part):
+    def counting_step_world(scene, committed, part, obstacles=None):
         worlds.append((tuple(sorted(committed.items())), part.id))
-        return real_step_world(scene, committed, part)
+        return real_step_world(scene, committed, part, obstacles)
 
     monkeypatch.setattr(planner, "obb_overlaps", counting_overlaps, raising=False)
     monkeypatch.setattr(planner, "obb_intersects", no_per_pair_sat)
@@ -418,7 +522,9 @@ def test_plan_scene_makes_one_sat_pass_per_step_world(monkeypatch):
     plan = plan_scene(scene, scene.initial_state(), robot, goal, PlannerConfig(seed=0))
     assert plan.feasible and len(plan.diagnostics) == 3
     assert len(worlds) == len(set(worlds)) > 0
-    assert passes == {"sweep": len(worlds), "mounts": len(worlds)}
+    parts = {part_id for _, part_id in worlds}
+    assert len(worlds) == 8 and len(parts) == 3
+    assert passes == {"sweep": len(worlds), "mounts": len(parts)}
 
 
 def test_galley_plan_feasible_and_validates():
