@@ -108,8 +108,9 @@ def check_part_collision(candidate_sweep, environment, margin: float = MARGIN):
 
 def check_path(grid: OccupancyGrid, from_pose, to_pose) -> bool:
     """4-connected free path between two poses on the inflated grid."""
-    if np.allclose(np.asarray(from_pose[:2], dtype=float),
-                   np.asarray(to_pose[:2], dtype=float)):
+    # equal poses by np.allclose's rule, on Python floats
+    if all(abs(a - b) <= 1e-8 + 1e-5 * abs(b) and math.isfinite(b) or a == b
+           for a, b in zip(map(float, from_pose[:2]), map(float, to_pose[:2]))):
         return grid.is_free(from_pose[:2])
     start = grid.component(grid.cell_of(from_pose[:2]))
     return start is not None and start == grid.component(grid.cell_of(to_pose[:2]))
@@ -127,27 +128,29 @@ def select_base(trajectory: EndEffectorTrajectory, scene: KinematicScene,
     returns the argmax (ties: nearest the centroid, then lowest sample
     index). Raises NoBaseFoundError when no valid sample appears.
 
-    The generator is consumed in chunks of n_samples draws, possibly past
-    the last draw used; no caller reads it afterwards. The reach test is
-    RobotState.reach_mask, whose math.hypot fallback keeps the verdict at
-    the annulus edges equal to the scalar can_reach.
+    The whole budget is drawn at once, (radius, angle) pairs from one
+    rng.random(40 * n_samples) call, and tested for collision in two blocks:
+    the first 8 * n_samples draws, then the rest only while fewer than
+    n_samples were free. No caller reads the generator afterwards. The
+    reach test is RobotState.reach_mask, whose math.hypot fallback keeps the
+    verdict at the annulus edges equal to the scalar can_reach.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
     rng = rng or np.random.default_rng(0)
     cxy = trajectory.centroid()[:2]
-    chunks, valid = [], 0
-    while valid < n_samples and len(chunks) < 20:
-        u = rng.random(2 * n_samples).reshape(n_samples, 2)  # draw: radius, angle
+    draws = rng.random(40 * n_samples).reshape(-1, 2)  # radius, angle
+    blocks = []
+    for u in np.split(draws, [8 * n_samples]):
         r = sample_range * np.sqrt(u[:, 0])
         phi = u[:, 1] * 2.0 * math.pi
         xy = cxy + r[:, None] * np.column_stack([np.cos(phi), np.sin(phi)])
-        xy = xy[scene.base.in_bounds(xy) & grid.is_free(xy)]
-        chunks.append(xy)
-        valid += len(xy)
-    if valid == 0:
+        blocks.append(xy[scene.base.in_bounds(xy) & grid.is_free(xy)])
+        if len(blocks[0]) >= n_samples:
+            break
+    xy = np.concatenate(blocks)[:n_samples]
+    if len(xy) == 0:
         raise NoBaseFoundError("no collision-free base sample in range")
-    xy = np.concatenate(chunks)[:n_samples]
     score = arm.reach_mask(trajectory.waypoints, bases=xy).sum(axis=1)
     top = np.flatnonzero(score == score.max())
     # the array norm can differ from the scalar one in the last bit, so the
@@ -250,8 +253,9 @@ def evaluate_candidate_order(scene: KinematicScene, state: SceneState,
 
     worlds holds what the orders of one plan share, so each is built once
     per plan: a part id maps to its unmounted obstacles, the sorted committed
-    states to their travel grid, and (committed states, part id) to the
-    step's _step_world result. None shares nothing. Base selection is not
+    states to their travel grid, (committed states, part id) to the step's
+    _step_world result, and (part id, start, goal) to the part's trajectory,
+    its waypoints read-only. None shares nothing. Base selection is not
     shared: its generator is keyed on candidate_idx, and sharing it would
     re-roll bases and change every pinned digest.
     """
@@ -276,7 +280,11 @@ def evaluate_candidate_order(scene: KinematicScene, state: SceneState,
             return None, {"order": list(order), "step": part_id,
                           "reason": "part-collision",
                           "sweep_config": pair[0], "environment_box": pair[1]}
-        trajectory = part_trajectory(part, theta_start, theta_goal, K)
+        key = part_id, theta_start, theta_goal
+        if key not in worlds:
+            worlds[key] = part_trajectory(part, theta_start, theta_goal, K)
+            worlds[key].waypoints.flags.writeable = False
+        trajectory = worlds[key]
         rng = np.random.default_rng([config.seed, candidate_idx, step_idx])
         try:
             base_pose, reach = select_base(trajectory, scene, standing_grid, robot, rng=rng)

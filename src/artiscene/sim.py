@@ -379,14 +379,21 @@ def nav_grid(scene: KinematicScene, state: SceneState,
     boxes = list(scene.base.obstacles)
     boxes.extend(part_shape_at(p, state.theta(p.id)) for p in scene.parts)
     boxes.extend(extra_boxes)
-    # each box's inflated footprint is rasterized once per grid geometry and
-    # kept, read-only, on the box; OR is exact, so the grid is the same
+    # each box's inflated footprint is rasterized once per grid geometry, over
+    # the cells within robot_radius + resolution of its bounding box (every
+    # other cell is farther than robot_radius from it, so free), and kept on
+    # the box as (rows, cols, read-only mask); OR is exact, so the grid is the same
     key = ("nav_grid", float(lo[0]), float(lo[1]), nx, ny, resolution, robot_radius)
+    pad = robot_radius + resolution
     for box in boxes:
-        mask = box.memo.get(key)
-        if mask is None:
-            mask = _near_polygon(xs[None, :], ys[:, None], box.footprint(), robot_radius)
+        window = box.memo.get(key)
+        if window is None:
+            fp = box.footprint()
+            cols = slice(*np.searchsorted(xs, (fp[:, 0].min() - pad, fp[:, 0].max() + pad)))
+            rows = slice(*np.searchsorted(ys, (fp[:, 1].min() - pad, fp[:, 1].max() + pad)))
+            mask = _near_polygon(xs[None, cols], ys[rows, None], fp, robot_radius)
             mask.flags.writeable = False
-            box.memo[key] = mask
-        occ |= mask
+            window = box.memo[key] = (rows, cols, mask)
+        rows, cols, mask = window
+        occ[rows, cols] |= mask
     return OccupancyGrid(np.asarray(lo, dtype=float).copy(), resolution, occ)

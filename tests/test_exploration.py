@@ -290,19 +290,39 @@ def test_explore_reuses_poses_footprint_masks_and_kd_trees(monkeypatch):
         assert count <= boxes[footprint]
 
 
-def _rasterize(scene, state, resolution, robot_radius, extra_boxes):
-    """nav_grid without reuse: every footprint rasterized afresh."""
+def _cell_centers(scene, resolution):
+    """x and y of the floor grid's cell centers."""
     lo, hi = scene.base.floor_min, scene.base.floor_max
     nx = max(1, int(math.ceil((hi[0] - lo[0]) / resolution)))
     ny = max(1, int(math.ceil((hi[1] - lo[1]) / resolution)))
-    xs = lo[0] + (np.arange(nx) + 0.5) * resolution
-    ys = lo[1] + (np.arange(ny) + 0.5) * resolution
-    occ = np.zeros((ny, nx), dtype=bool)
+    return lo[0] + (np.arange(nx) + 0.5) * resolution, lo[1] + (np.arange(ny) + 0.5) * resolution
+
+
+def _rasterize(scene, state, resolution, robot_radius, extra_boxes):
+    """nav_grid without reuse: every footprint rasterized afresh over the
+    whole grid."""
+    xs, ys = _cell_centers(scene, resolution)
+    occ = np.zeros((len(ys), len(xs)), dtype=bool)
     boxes = list(scene.base.obstacles)
     boxes += [p.shape.transformed(part_pose_at(p, state.theta(p.id))) for p in scene.parts]
     for box in boxes + list(extra_boxes):
         occ |= sim._near_polygon(xs[None, :], ys[:, None], box.footprint(), robot_radius)
     return occ
+
+
+def _edge_boxes(scene):
+    """Boxes placed against the floor grid: wholly off it, partly off it,
+    touching its edges from inside, and one small box well inside it."""
+    lo, hi = scene.base.floor_min, scene.base.floor_max
+    mid = (lo + hi) / 2.0
+    centers = [(lo[0] - 2.0, lo[1] - 2.0),  # wholly off, beyond a corner
+               (hi[0] + 0.2, mid[1]),       # wholly off, within the radius of it
+               (lo[0] - 0.05, mid[1]),      # partly off the west edge
+               (mid[0], hi[1] + 0.1),       # partly off the north edge
+               (hi[0] - 0.1, mid[1]),       # touching the east edge
+               (lo[0] + 0.1, lo[1] + 0.15),  # touching the south-west corner
+               (mid[0], mid[1])]            # well inside
+    return [OrientedBox.axis_aligned((x, y, 0.5), (0.1, 0.15, 0.5)) for x, y in centers]
 
 
 def test_cached_nav_grid_equals_fresh_rasterization():
@@ -312,6 +332,7 @@ def test_cached_nav_grid_equals_fresh_rasterization():
     for _ in range(6):
         theta = {p.id: rng.uniform(0.0, p.joint.max_state()) for p in scene.parts}
         states.append(SceneState({k: v if rng.random() < 0.7 else 0.0 for k, v in theta.items()}))
+    edge_boxes = _edge_boxes(scene)
     for case in range(40):
         state = states[int(rng.integers(len(states)))]
         resolution, radius = [(0.05, 0.30), (0.1, 0.30), (0.05, 0.2)][case % 3]
@@ -322,13 +343,42 @@ def test_cached_nav_grid_equals_fresh_rasterization():
                                      rodrigues_rotation((0.0, 0.0, 1.0), rng.uniform(0, math.pi))))
         if extra and case % 2:
             extra.append(extra[0])  # a box given twice
+        if case % 4 < 3:
+            extra += edge_boxes
         grid = nav_grid(scene, state, resolution, radius, extra_boxes=extra)
         assert np.array_equal(grid.occupied,
                               _rasterize(scene, state, resolution, radius, extra)), case
+    # each box keeps one (rows, cols, mask) per grid geometry: its footprint
+    # rasterized over its own window, which set into an empty grid is the
+    # box's rasterization over the whole grid
+    def windows(box):
+        return {key: v for key, v in box.memo.items() if key != "footprint"}
+
+    for box in list(scene.base.obstacles) + edge_boxes:
+        assert len(windows(box)) == 3
+        for key, (rows, cols, mask) in windows(box).items():
+            xs, ys = _cell_centers(scene, key[5])
+            alone = np.zeros((len(ys), len(xs)), dtype=bool)
+            alone[rows, cols] = mask
+            assert mask.shape == alone[rows, cols].shape
+            assert np.array_equal(alone, sim._near_polygon(xs[None, :], ys[:, None],
+                                                           box.footprint(), key[6]))
+    wholly_off, beside, *_, well_inside = edge_boxes
+    for key, (rows, cols, mask) in windows(wholly_off).items():
+        assert mask.size == 0
+    for key, (rows, cols, mask) in windows(beside).items():
+        # off the grid but within the radius of it, so it marks cells
+        assert 0 < mask.size < key[3] * key[4] and mask.any()
+    for key, (rows, cols, mask) in windows(well_inside).items():
+        assert 0 < rows.start and rows.stop < key[4]
+        assert 0 < cols.start and cols.stop < key[3]
+        assert mask.any() and not (mask[0].any() or mask[-1].any()
+                                   or mask[:, 0].any() or mask[:, -1].any())
     # the cached masks (and the footprint hull they were rasterized from) are
     # shared by every later grid, so they are read-only
-    memo = scene.base.obstacles[0].memo
-    assert len([key for key in memo if key != "footprint"]) == 3  # one per grid geometry
-    for mask in memo.values():
+    obstacle = scene.base.obstacles[0]
+    with pytest.raises(ValueError, match="read-only"):
+        obstacle.footprint()[0, 0] = 0.0
+    for _, _, mask in windows(obstacle).values():
         with pytest.raises(ValueError, match="read-only"):
-            mask[0, 0] = not mask[0, 0]
+            mask[...] = False

@@ -4,7 +4,8 @@ Each ``run-all`` case runs the whole pipeline in-process and compares the
 sha256 of four output files against pinned values; the staged case runs
 ``explore``, ``estimate --truth`` and ``plan`` one after another and pins one
 file of each stage; the infeasible case pins the ``plan.json`` of a goal that
-every order fails, with its rejection diagnostics. A refactor must leave every digest unchanged; a
+every order fails, with its rejection diagnostics, and the feasible case the
+``plan.json`` of a one-part goal on the same scene, with its drawn base pose. A refactor must leave every digest unchanged; a
 deliberate behaviour change updates the digests here and says why in
 CHANGES.md.
 
@@ -116,3 +117,18 @@ def test_infeasible_plan_matches_golden_digest(tmp_path):
     assert reasons == {"part-collision": 16, "path-blocked": 8}
     mismatches = _mismatches(tmp_path, {"plan.json": INFEASIBLE_PLAN})
     assert not mismatches, "infeasible plan digest changed:\n" + "\n".join(mismatches)
+
+
+# the north panel alone opens: one step whose base pose is drawn on the
+# standing grid of facing_panels, where few base samples land on a free cell
+FEASIBLE_PLAN = "86c719f3e7cc42a48891f26b9661aac9bf345ca32fe5130167e9156034cfb2f5"
+
+
+def test_feasible_plan_matches_golden_digest(tmp_path):
+    assert main(["plan", "--scene", str(DATA / "facing_panels.json"),
+                 "--goal", str(DATA / "facing_panels_north_goal.json"),
+                 "--out", str(tmp_path), "--seed", "0"]) == 0
+    plan = json.loads((tmp_path / "plan.json").read_text())
+    assert plan["feasible"] and [s["part_id"] for s in plan["steps"]] == ["north_panel"]
+    mismatches = _mismatches(tmp_path, {"plan.json": FEASIBLE_PLAN})
+    assert not mismatches, "feasible plan digest changed:\n" + "\n".join(mismatches)

@@ -1,6 +1,8 @@
 import itertools
+import json
 import math
 from collections import Counter, deque
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -18,10 +20,12 @@ from artiscene.planner import (EndEffectorTrajectory, InteractionPlan, PlannerCo
                                prismatic_trajectory, revolute_trajectory,
                                sample_part_sweep, select_base, validate_plan,
                                write_plan)
-from artiscene.scene import (JointModel, KinematicScene, MobilePart, RobotState,
-                             SceneState, StaticBaseMap)
+from artiscene.scene import (REVOLUTE, JointModel, KinematicScene, MobilePart, RobotState,
+                             SceneState, StaticBaseMap, load_scene_extras)
 from artiscene.sim import OccupancyGrid, nav_grid
 from oracles import flood_fill_reachable
+
+DATA = Path(__file__).resolve().parent / "data"
 
 
 def rev_joint(axis=(0.0, 0.0, 1.0), pivot=(0.0, 0.0, 0.0), lim=math.pi / 2):
@@ -336,9 +340,11 @@ def test_select_base_deterministic_and_prefix_monotone():
     assert s1 >= s_prefix
 
 
-def reference_select_base(trajectory, scene, grid, arm, n_samples, sample_range, rng):
+def reference_select_base(trajectory, scene, grid, arm, n_samples, sample_range, rng,
+                          counts=None):
     """Sample-by-sample loop kept as the reference for the array scoring in
-    select_base, with the scalar math.hypot reach rule."""
+    select_base, with the scalar math.hypot reach rule. counts, if given,
+    receives the number of draws made and of valid samples kept."""
     cxy = trajectory.centroid()[:2]
     best = None  # (-score, distance, index), pose, score
     valid = 0
@@ -360,6 +366,8 @@ def reference_select_base(trajectory, scene, grid, arm, n_samples, sample_range,
         if best is None or key < best[0]:
             best = (key, pose, score)
         valid += 1
+    if counts is not None:
+        counts.update(draws=draws, valid=valid)
     if best is None:
         raise NoBaseFoundError("no collision-free base sample in range")
     return best[1], best[2]
@@ -368,6 +376,7 @@ def reference_select_base(trajectory, scene, grid, arm, n_samples, sample_range,
 def test_select_base_matches_loop_reference():
     rng = np.random.default_rng(2024)
     raised = 0
+    regimes = Counter()
     for case in range(300):
         lo, hi = np.zeros(2), rng.uniform(2.0, 4.0, 2)
         obstacles = []
@@ -387,12 +396,21 @@ def test_select_base_matches_loop_reference():
         arm = RobotState(r_min=r_min, r_max=r_min + rng.uniform(0.1, 1.0))
         n_samples = int(rng.choice([1, 5, 50, 200]))
         sample_range = rng.uniform(0.2, 2.0)
+        counts = {}
         try:
             expected = reference_select_base(traj, scene, grid, arm, n_samples,
-                                             sample_range, np.random.default_rng(case))
+                                             sample_range, np.random.default_rng(case),
+                                             counts)
         except NoBaseFoundError:
             expected = None
             raised += 1
+        # select_base tests the first 8 n draws, then the other 12 n only
+        # when fewer than n of the first were free
+        if counts["valid"] == n_samples:
+            regimes["first block" if counts["draws"] <= 8 * n_samples
+                    else "second block"] += 1
+        elif counts["valid"]:
+            regimes["budget spent"] += 1
         if expected is None:
             with pytest.raises(NoBaseFoundError):
                 select_base(traj, scene, grid, arm, n_samples, sample_range,
@@ -401,6 +419,7 @@ def test_select_base_matches_loop_reference():
             assert select_base(traj, scene, grid, arm, n_samples, sample_range,
                                rng=np.random.default_rng(case)) == expected, case
     assert 0 < raised < 300
+    assert set(regimes) == {"first block", "second block", "budget spent"}, regimes
 
 
 # --- plan_scene --------------------------------------------------------------
@@ -525,6 +544,49 @@ def test_plan_scene_makes_one_sat_pass_per_step_world(monkeypatch):
     parts = {part_id for _, part_id in worlds}
     assert len(worlds) == 8 and len(parts) == 3
     assert passes == {"sweep": len(worlds), "mounts": len(parts)}
+
+
+def test_plan_scene_builds_each_trajectory_once(monkeypatch):
+    """facing_panels, whose 24 orders are all rejected: each (part, start,
+    goal) trajectory is built once per plan and shared read-only, and it
+    equals a fresh build."""
+    scene, extras = load_scene_extras(DATA / "facing_panels.json")
+    x, y, heading = extras["robot"]["start"]
+    robot = RobotState(base_pose=(x, y, math.radians(heading)))
+    goal = {pid: math.radians(v) if scene.part(pid).joint.kind == REVOLUTE else v
+            for pid, v in json.loads((DATA / "facing_panels_goal.json").read_text()).items()}
+    built, used = {}, []
+    real_trajectory, real_select_base = planner.part_trajectory, planner.select_base
+
+    def counting_trajectory(part, theta_start, theta_goal, K):
+        key = (part.id, theta_start, theta_goal)
+        assert key not in built, key
+        built[key] = real_trajectory(part, theta_start, theta_goal, K)
+        return built[key]
+
+    def recording_select_base(trajectory, *args, **kwargs):
+        used.append(trajectory)
+        return real_select_base(trajectory, *args, **kwargs)
+
+    monkeypatch.setattr(planner, "part_trajectory", counting_trajectory)
+    monkeypatch.setattr(planner, "select_base", recording_select_base)
+    state = scene.initial_state()
+    plan = plan_scene(scene, state, robot, goal, PlannerConfig(seed=0))
+    assert not plan.feasible and len(plan.diagnostics) == 24
+    assert 0 < len(built) <= len(goal) < len(used)
+    assert {id(t) for t in used} == {id(t) for t in built.values()}
+    for (part_id, theta_start, theta_goal), trajectory in built.items():
+        with pytest.raises(ValueError, match="read-only"):
+            trajectory.waypoints[0, 0] = 0.0
+        fresh = real_trajectory(scene.part(part_id), theta_start, theta_goal, planner.K)
+        assert np.array_equal(trajectory.waypoints, fresh.waypoints)
+        assert (trajectory.part_id, trajectory.goal_delta, trajectory.K) == \
+            (fresh.part_id, fresh.goal_delta, fresh.K)
+    # evaluating every order on its own, without sharing, agrees
+    monkeypatch.setattr(planner, "part_trajectory", real_trajectory)
+    assert plan.diagnostics == [
+        evaluate_candidate_order(scene, state, robot, order, goal, PlannerConfig(seed=0), idx)[1]
+        for idx, order in enumerate(itertools.permutations(sorted(goal)))]
 
 
 def test_galley_plan_feasible_and_validates():
