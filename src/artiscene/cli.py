@@ -151,6 +151,9 @@ def run_explore(scene: KinematicScene, extras: dict, sim: SimConfig,
 
     records_dir = out / "records"
     records_dir.mkdir(exist_ok=True)
+    # estimate reads every record here, so a --force rerun drops the last run's
+    for stale in [*records_dir.glob("*.json"), *records_dir.glob("*.xyz")]:
+        stale.unlink()
     for rec in result.records:
         doc = {"part_id": rec.part_id, "succeeded": rec.succeeded,
                "classified_kind": rec.classified_kind,

@@ -13,17 +13,20 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import EstimationFailedError, SegmentationFailedError
 from .geometry import (DegenerateGeometryError, OrientedBox, PointCloud,
                        RigidTransform, as_vec3, consensus_plane_normal,
-                       erode_isolated, fit_rigid_transform, rotation_axis_angle,
-                       unit)
+                       erode_isolated, fit_rigid_transform, kd_tree,
+                       rotation_axis_angle, unit)
 from .scene import PRISMATIC, REVOLUTE, JointModel, MobilePart, default_limits
 from .sim import Observation
+
+if TYPE_CHECKING:
+    from scipy.spatial import cKDTree
 
 REVOLUTE_MIN_ANGLE = math.radians(5.0)
 REVOLUTE_MAX_ANGLE = math.radians(175.0)
@@ -98,7 +101,7 @@ def _region_grow(points: np.ndarray, candidates: np.ndarray, seeds: np.ndarray,
     if cand_idx.size == 0 or not seeds.any():
         return np.zeros(points.shape[0], dtype=bool)
     cand_pts = points[cand_idx]
-    tree = cKDTree(cand_pts)
+    tree = kd_tree(cand_pts)
     seed_local = np.flatnonzero(seeds[cand_idx])
     visited = np.zeros(cand_idx.size, dtype=bool)
     stack = list(seed_local)
@@ -188,7 +191,7 @@ def _mutual_pairs(src_moved: np.ndarray, dst: np.ndarray, tree_dst: cKDTree):
     """Mutual nearest-neighbor pairs; points whose twin fell outside the other
     observation window pair non-mutually and drop out."""
     d_f, idx_f = tree_dst.query(src_moved)
-    _, idx_b = cKDTree(src_moved).query(dst)
+    _, idx_b = kd_tree(src_moved).query(dst)
     mutual = idx_b[idx_f] == np.arange(src_moved.shape[0])
     return d_f, idx_f, mutual
 

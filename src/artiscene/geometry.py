@@ -9,11 +9,14 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy.spatial import cKDTree
 
 from .errors import DegenerateGeometryError
+
+if TYPE_CHECKING:
+    from scipy.spatial import cKDTree
 
 UNIT_TOL = 1e-9
 
@@ -275,6 +278,13 @@ def obb_overlaps(first, second, margin: float = 0.02) -> np.ndarray:
     return out
 
 
+def kd_tree(points) -> cKDTree:
+    """KD-tree over (n, 3) points. scipy.spatial is imported on the first tree, so
+    a process that never queries neighbours (planning) starts with numpy alone."""
+    from scipy.spatial import cKDTree
+    return cKDTree(points)
+
+
 @dataclass(frozen=True)
 class PointCloud:
     """Set of 3D points."""
@@ -294,12 +304,13 @@ class PointCloud:
     @cached_property
     def kdtree(self) -> cKDTree:
         """KD-tree over the points, built on first use."""
-        return cKDTree(self.points)
+        return kd_tree(self.points)
 
 
 def save_xyz(cloud: PointCloud, path) -> None:
-    """Write one whitespace-separated point per line."""
-    np.savetxt(path, cloud.points, fmt="%.9g")
+    """Write one whitespace-separated point per line (np.savetxt's fmt="%.9g" bytes)."""
+    with open(path, "w") as f:
+        f.write(("%.9g %.9g %.9g\n" * len(cloud)) % tuple(cloud.points.ravel().tolist()))
 
 
 def load_xyz(path) -> PointCloud:
@@ -346,7 +357,7 @@ def consensus_plane_normal(points: np.ndarray, viewpoint=None, min_points: int =
     if n < 3:
         return plane_normal(pts, viewpoint=viewpoint)  # raises
     anchors = np.arange(0, n, max(1, n // 12))
-    _, idx = (cKDTree(pts) if tree is None else tree).query(pts[anchors], k=min(9, n))
+    _, idx = (kd_tree(pts) if tree is None else tree).query(pts[anchors], k=min(9, n))
     local = pts[idx]
     mean = local.mean(axis=1)
     centered = local - mean[:, None]

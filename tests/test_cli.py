@@ -1,5 +1,7 @@
 import builtins
 import json
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -265,6 +267,58 @@ def test_each_command_reads_each_scene_file_once(tmp_path, drawer_scene, json_re
         json_reads.clear()
         assert main(argv) == 0
         assert json_reads and set(json_reads.values()) == {1}, (argv[0], json_reads)
+
+
+def test_force_rerun_estimates_only_its_own_records(tmp_path, drawer_scene, aisle_scene):
+    # estimate reads every record under explore's records/, so a --force rerun
+    # into a used directory must not leave the last run's records there
+    scene_path, goal_path = aisle_scene
+    out = tmp_path / "run"
+    assert main(["run-all", "--scene", str(scene_path), "--goal", str(goal_path),
+                 "--out", str(out), "--seed", "0"]) == 0
+    drawer_goal = write_goal(tmp_path, {"drawer_1": 0.15})
+    assert main(["run-all", "--scene", str(drawer_scene), "--goal", str(drawer_goal),
+                 "--out", str(out), "--seed", "0", "--force"]) == 0
+    assert load_scene(out / "estimate/estimated_scene.json").part_ids() == ["drawer_1"]
+    fresh = tmp_path / "fresh"
+    assert main(["explore", "--scene", str(drawer_scene), "--out", str(fresh),
+                 "--seed", "0"]) == 0
+    assert sorted(p.name for p in (out / "explore/records").iterdir()) == \
+        sorted(p.name for p in (fresh / "records").iterdir())
+
+    # explore --force over the drawer's output, then estimate
+    assert main(["explore", "--scene", str(scene_path), "--out", str(fresh),
+                 "--seed", "0", "--force"]) == 0
+    est = tmp_path / "est"
+    assert main(["estimate", "--records", str(fresh), "--out", str(est)]) == 0
+    assert sorted(load_scene(est / "estimated_scene.json").part_ids()) == \
+        ["dishwasher", "east_drawer"]
+
+
+FRESH_INTERPRETER = """
+import sys
+sys.path.insert(0, sys.argv[1])
+from artiscene.cli import main
+assert main(sys.argv[2:]) == 0
+print("scipy.spatial" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("command, loads_scipy", [("plan", False), ("explore", True)])
+def test_scipy_loads_only_with_the_first_kd_tree(tmp_path, drawer_scene, command,
+                                                 loads_scipy):
+    # a fresh interpreter, so that the test session's own imports do not count
+    data = Path(__file__).resolve().parent / "data"
+    if command == "plan":
+        argv = ["plan", "--scene", str(data / "facing_panels.json"),
+                "--goal", str(data / "facing_panels_goal.json")]
+    else:
+        argv = ["explore", "--scene", str(drawer_scene)]
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run([sys.executable, "-c", FRESH_INTERPRETER, str(src), *argv,
+                           "--out", str(tmp_path / "out")],
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.splitlines()[-1] == str(loads_scipy)
 
 
 def test_estimate_missing_records_exits_runtime(tmp_path):

@@ -108,7 +108,7 @@ def test_fit_screw_builds_one_tree_of_the_post_subset(monkeypatch):
     post = PointCloud(screw_apply(pts, np.array([0.0, 0.0, 1.0]),
                                   np.array([0.5, 0.2, 0.0]), math.radians(40.0)))
     built, built_in_geometry = [], []
-    kd_tree = estimation.cKDTree
+    kd_tree = estimation.kd_tree
 
     def counting_tree(log):
         def build(data, *args, **kwargs):
@@ -116,8 +116,8 @@ def test_fit_screw_builds_one_tree_of_the_post_subset(monkeypatch):
             return kd_tree(data, *args, **kwargs)
         return build
 
-    monkeypatch.setattr(estimation, "cKDTree", counting_tree(built))
-    monkeypatch.setattr(geometry, "cKDTree", counting_tree(built_in_geometry))
+    monkeypatch.setattr(estimation, "kd_tree", counting_tree(built))
+    monkeypatch.setattr(geometry, "kd_tree", counting_tree(built_in_geometry))
     fit = fit_screw(PointCloud(pts), post)
     assert fit.kind == "revolute"
     # the candidate ranking, its plane normal of the post subset and the

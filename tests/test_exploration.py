@@ -264,7 +264,7 @@ def test_explore_reuses_poses_footprint_masks_and_kd_trees(monkeypatch):
             rasterized[poly.tobytes(), np.shape(px), np.shape(py), radius] += 1
         return near_polygon(px, py, poly, radius)
 
-    kd_tree = geometry.cKDTree
+    kd_tree = geometry.kd_tree
 
     def counting_tree(data, *args, **kwargs):
         trees[np.asarray(data).tobytes()] += 1
@@ -273,7 +273,7 @@ def test_explore_reuses_poses_footprint_masks_and_kd_trees(monkeypatch):
     scene, _ = kitchen()
     monkeypatch.setattr(scene_module, "part_pose_at", counting_pose)
     monkeypatch.setattr(sim, "_near_polygon", counting_near_polygon)
-    monkeypatch.setattr(geometry, "cKDTree", counting_tree)
+    monkeypatch.setattr(geometry, "kd_tree", counting_tree)
     result = explore_scene(scene, SimConfig(rng_seed=0), rng=np.random.default_rng(0))
     assert all(r.succeeded for r in result.records)
 

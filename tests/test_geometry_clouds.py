@@ -118,6 +118,17 @@ def test_xyz_round_trip(tmp_path):
     assert np.allclose(back.points, cloud.points, atol=1e-7)
 
 
+@pytest.mark.parametrize("n", [0, 1, 2, 1000])
+def test_save_xyz_writes_savetxt_bytes(tmp_path, n):
+    rng = np.random.default_rng(16 + n)
+    pts = rng.normal(size=(n, 3)) * 10.0 ** rng.integers(-300, 21, size=(n, 3))
+    special = np.array([-0.0, 1e-300, 1e20, -1e20, 0.0, -1e-300, 0.1, 1.0 / 3.0, 123456789.5])
+    pts.ravel()[:min(pts.size, special.size)] = special[:pts.size]
+    save_xyz(PointCloud(pts), tmp_path / "ours.xyz")
+    np.savetxt(tmp_path / "savetxt.xyz", pts, fmt="%.9g")
+    assert (tmp_path / "ours.xyz").read_bytes() == (tmp_path / "savetxt.xyz").read_bytes()
+
+
 # --- consensus plane normal ----------------------------------------------------
 
 def reference_consensus_plane_normal(points, viewpoint=None, min_points=6,
