@@ -72,8 +72,10 @@ def _is_a(value, kind) -> bool:
         value, (int, float) if kind is float else kind)
 
 
-def _dataclass_with(cls, overrides: dict):
-    fields = {f.name for f in dataclasses.fields(cls)}
+def _dataclass_with(cls, overrides: dict, **flags):
+    """cls from JSON overrides. The fields in flags are set by a command-line flag
+    or robot.start, so the JSON may not name them."""
+    fields = {f.name for f in dataclasses.fields(cls)} - set(flags)
     unknown = set(overrides) - fields
     if unknown:
         raise ValueError(f"unknown {cls.__name__} fields: {sorted(unknown)}")
@@ -82,7 +84,7 @@ def _dataclass_with(cls, overrides: dict):
         if hints[name] in (int, float) and not _is_a(value, hints[name]):
             raise ValueError(f"{cls.__name__}.{name}: expected {hints[name].__name__}, "
                              f"got {value!r}")
-    return cls(**overrides)
+    return cls(**overrides, **flags)
 
 
 def _build_configs(extras: dict, args):
@@ -94,27 +96,24 @@ def _build_configs(extras: dict, args):
                 raise ValueError(f"{name}: expected a JSON object")
     sim_kwargs = dict(extras.get("sim", {}))
     sim_kwargs.update(overrides.get("sim", {}))
-    sim_kwargs["rng_seed"] = args.seed
     if args.noise_sigma is not None:
         sim_kwargs["noise_sigma"] = args.noise_sigma
-    sim = _dataclass_with(SimConfig, sim_kwargs)
+    sim = _dataclass_with(SimConfig, sim_kwargs, rng_seed=args.seed)
 
     expl = _dataclass_with(ExplorationConfig, overrides.get("exploration", {}))
 
     planner_kwargs = dict(overrides.get("planner", {}))
-    planner_kwargs["seed"] = args.seed
     if args.max_candidates is not None:
         planner_kwargs["max_candidates"] = args.max_candidates
-    planner = _dataclass_with(PlannerConfig, planner_kwargs)
+    planner = _dataclass_with(PlannerConfig, planner_kwargs, seed=args.seed)
 
     robot_kwargs = dict(extras.get("robot", {}))
     robot_kwargs.update(overrides.get("robot", {}))
-    start = robot_kwargs.pop("start", None)
-    robot = _dataclass_with(RobotState, robot_kwargs)
-    if start is not None:
-        if not (_is_a(start, list) and len(start) == 3 and all(_is_a(v, float) for v in start)):
-            raise ValueError(f"robot.start: expected [x, y, heading_deg], got {start!r}")
-        robot = robot.at((start[0], start[1], math.radians(start[2])))
+    start = robot_kwargs.pop("start", [0.0, 0.0, 0.0])
+    if not (_is_a(start, list) and len(start) == 3 and all(_is_a(v, float) for v in start)):
+        raise ValueError(f"robot.start: expected [x, y, heading_deg], got {start!r}")
+    pose = (float(start[0]), float(start[1]), math.radians(start[2]))
+    robot = _dataclass_with(RobotState, robot_kwargs, base_pose=pose)
     return sim, expl, planner, robot
 
 

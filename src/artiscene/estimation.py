@@ -329,14 +329,14 @@ def estimate_record(part_id: str, pre: Observation, post: Observation) -> Estima
         motion_transform=fit.transform, post_mask=post_mask)
 
 
-def obb_from_points(points: np.ndarray, min_extent: float = 0.005) -> OrientedBox:
-    """PCA-oriented bounding box of a point set."""
+def obb_from_points(points: np.ndarray) -> OrientedBox:
+    """PCA-oriented bounding box of a point set; every half extent is at least 5 mm."""
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
     c, frame = _pca_frame(pts)
     local = (pts - c) @ frame
     lo = local.min(axis=0)
     hi = local.max(axis=0)
-    half = np.maximum((hi - lo) / 2.0, min_extent)
+    half = np.maximum((hi - lo) / 2.0, 0.005)
     center = c + frame @ ((hi + lo) / 2.0)
     return OrientedBox(center, half, frame)
 

@@ -74,17 +74,13 @@ class ExplorationResult:
     final_state: SceneState
 
 
-def compliance_action(obs: Observation, grasp) -> np.ndarray:
+def _compliance_action(obs: Observation, grasp) -> np.ndarray:
     """Pull direction from the local surface normal around the grasp.
 
     Fits a plane to the points within the compliance neighborhood and returns
     its normal oriented toward the viewpoint (outward). For both drawer fronts
     and door faces this is the direction the part can move.
     """
-    return _compliance_action(obs, grasp)
-
-
-def _compliance_action(obs: Observation, grasp) -> np.ndarray:
     g = np.asarray(grasp, dtype=float).reshape(3)
     d2 = np.sum((obs.cloud.points - g) ** 2, axis=1)
     neigh = obs.cloud.points[d2 <= LOCAL_RADIUS * LOCAL_RADIUS]

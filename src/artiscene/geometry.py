@@ -145,9 +145,9 @@ class OrientedBox:
     def transformed(self, t: RigidTransform) -> "OrientedBox":
         return OrientedBox(t.apply(self.center), self.half_extents, t.rotation @ self.orientation)
 
-    def contains(self, point, tol: float = 0.0) -> bool:
+    def contains(self, point) -> bool:
         local = self.orientation.T @ (as_vec3(point) - self.center)
-        return bool(np.all(np.abs(local) <= self.half_extents + tol))
+        return bool(np.all(np.abs(local) <= self.half_extents))
 
     def distance_to_point(self, point) -> float:
         """Euclidean distance from a point to the box (0 if inside)."""
@@ -399,22 +399,20 @@ def fit_rigid_transform(src: PointCloud, dst: PointCloud) -> RigidTransform:
     return RigidTransform(rot, cb - rot @ ca)
 
 
-def erode_isolated(cloud: PointCloud, mask: np.ndarray, k: int = 6) -> np.ndarray:
+def erode_isolated(cloud: PointCloud, mask: np.ndarray) -> np.ndarray:
     """Drop marked points whose own-cloud neighborhoods are mostly unmarked.
 
     Lone marked points (sensor dropout, crop-boundary flicker) carry large
     lever arms into downstream fits; a genuinely moved region supports its
-    members.
+    members. A marked point stays if at least 3 of its 6 nearest other points are.
     """
     mask = np.asarray(mask, dtype=bool)
-    n = len(cloud)
-    if not mask.any() or n < 8:
+    if not mask.any() or len(cloud) < 8:
         return mask
-    kk = min(k, n - 1)
-    _, idx = cloud.kdtree.query(cloud.points[mask], k=kk + 1)
+    _, idx = cloud.kdtree.query(cloud.points[mask], k=7)
     support = mask[idx[:, 1:]].sum(axis=1)
     out = np.zeros_like(mask)
-    out[np.flatnonzero(mask)[support >= (kk + 1) // 2]] = True
+    out[np.flatnonzero(mask)[support >= 3]] = True
     return out
 
 

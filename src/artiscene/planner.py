@@ -11,9 +11,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .errors import LimitViolationError, NoBaseFoundError
-# obb_intersects is not called here: perfbench/layers.py traces its
-# "planner.sat" layer through this binding, so the import stays
-from .geometry import as_vec3, obb_intersects, obb_overlaps  # noqa: F401
+from .geometry import as_vec3, obb_overlaps
 from .scene import (REVOLUTE, JointModel, KinematicScene, MobilePart, RobotState,
                     SceneState, handle_at, part_shape_at, rodrigues_rotation)
 from .sim import OccupancyGrid, nav_grid

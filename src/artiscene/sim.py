@@ -245,7 +245,7 @@ def attempt_pull(scene: KinematicScene, state: SceneState, part_id: str, grasp,
 
 
 def arm_blocked(scene: KinematicScene, state: SceneState, part_id: str, grasp,
-                robot: RobotState, robot_radius: float = ROBOT_RADIUS) -> str | None:
+                robot: RobotState) -> str | None:
     """Why the arm cannot execute a pull right now, or None if it can.
 
     Models the real system's self-collision and joint-limit failures: the
@@ -257,7 +257,7 @@ def arm_blocked(scene: KinematicScene, state: SceneState, part_id: str, grasp,
     box = part_shape_at(scene.part(part_id), state.theta(part_id))
     # robot body as a vertical cylinder vs. the part footprint
     x, y, _ = robot.base_pose
-    if _near_polygon(x, y, box.footprint(), robot_radius):
+    if _near_polygon(x, y, box.footprint(), ROBOT_RADIUS):
         return "part-contact"
     return None
 

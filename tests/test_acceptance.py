@@ -14,16 +14,15 @@ from artiscene.cli import main as cli_main
 from artiscene.errors import EstimationFailedError
 from artiscene.estimation import fit_screw
 from artiscene.exploration import ExplorationConfig, explore_scene
-from artiscene.fixtures import (blocked_aisle, blocked_aisle_goal, galley_block,
-                                galley_block_goal, kitchen, kitchen_goal)
 from artiscene.geometry import (OrientedBox, PointCloud, obb_intersects,
                                 obb_separation, rodrigues_rotation)
 from artiscene.planner import (PlannerConfig, evaluate_candidate_order,
                                plan_scene, prismatic_trajectory,
                                revolute_trajectory, validate_plan)
-from artiscene.scene import JointModel, RobotState, save_scene
+from artiscene.scene import JointModel, RobotState
 from artiscene.sim import SimConfig
 from oracles import boxes_overlap_oracle, flood_fill_reachable, order_feasible_oracle
+from shipped import SCENES, load, plan_inputs
 
 KIND_TRUTH = {"door_1": "revolute-left", "door_2": "revolute-right",
               "door_3": "revolute-left", "door_4": "revolute-right",
@@ -51,17 +50,6 @@ def line_dist(p1, u1, p2, u2):
     if n < 1e-9:
         return float(np.linalg.norm(w - (w @ u1) * u1))
     return abs(float(w @ c)) / n
-
-
-def fixture(builder, goal_fn):
-    scene, extras = builder()
-    start = extras["robot"]["start"]
-    robot = RobotState(base_pose=(start[0], start[1], math.radians(start[2])))
-    goal = {}
-    for pid, v in goal_fn().items():
-        part = scene.part(pid)
-        goal[pid] = math.radians(v) if part.joint.kind == "revolute" else float(v)
-    return scene, robot, goal
 
 
 def test_criterion_1_rotation_group():
@@ -188,7 +176,7 @@ def test_criterion_3_screw_estimator_oracle():
 
 
 def test_criterion_4_exploration_end_to_end():
-    scene, _ = kitchen()
+    scene, _ = load("kitchen")
     robot = RobotState(base_pose=(3.0, 1.2, math.pi / 2))
     results = []
     times = []
@@ -226,7 +214,7 @@ def test_criterion_5_obb_vs_sampling_oracle():
 
 
 def test_criterion_6_ordering_oracle():
-    scene, robot, goal = fixture(galley_block, galley_block_goal)
+    scene, robot, goal = plan_inputs("galley_block")
     state = scene.initial_state()
     cfg = PlannerConfig(seed=0)
     orders = list(itertools.permutations(sorted(goal)))
@@ -258,7 +246,7 @@ def test_criterion_6_ordering_oracle():
 
 
 def test_criterion_7_path_blocking_fixture():
-    scene, robot, goal = fixture(blocked_aisle, blocked_aisle_goal)
+    scene, robot, goal = plan_inputs("blocked_aisle")
     state = scene.initial_state()
     blocker_last = True
     for seed in range(5):
@@ -292,14 +280,9 @@ def test_criterion_7_path_blocking_fixture():
 
 
 def run_pipeline(tmp_path, name, seed):
-    scene_path = tmp_path / "kitchen.json"
-    if not scene_path.exists():
-        scene, extras = kitchen()
-        save_scene(scene, scene_path, extra=extras)
-        (tmp_path / "goal.json").write_text(json.dumps(kitchen_goal()))
     out = tmp_path / name
-    rc = cli_main(["run-all", "--scene", str(scene_path),
-                   "--goal", str(tmp_path / "goal.json"), "--out", str(out),
+    rc = cli_main(["run-all", "--scene", str(SCENES / "kitchen.json"),
+                   "--goal", str(SCENES / "kitchen_goal.json"), "--out", str(out),
                    "--seed", str(seed), "--config", NOISELESS])
     assert rc == 0
     return out

@@ -1,5 +1,6 @@
 import builtins
 import json
+import shutil
 import subprocess
 import sys
 from collections import Counter
@@ -8,28 +9,16 @@ from pathlib import Path
 import pytest
 
 from artiscene.cli import main
-from artiscene.fixtures import blocked_aisle, blocked_aisle_goal, minimal_drawer
-from artiscene.scene import load_scene, save_scene
+from artiscene.scene import load_scene, load_scene_extras, save_scene
+from shipped import SCENES
 
 NOISELESS = '{"sim": {"noise_sigma": 0.0, "dropout_prob": 0.0}}'
+AISLE, AISLE_GOAL = SCENES / "blocked_aisle.json", SCENES / "blocked_aisle_goal.json"
 
 
 @pytest.fixture()
 def drawer_scene(tmp_path):
-    scene, extras = minimal_drawer()
-    path = tmp_path / "scene.json"
-    save_scene(scene, path, extra=extras)
-    return path
-
-
-@pytest.fixture()
-def aisle_scene(tmp_path):
-    scene, extras = blocked_aisle()
-    path = tmp_path / "aisle.json"
-    save_scene(scene, path, extra=extras)
-    goal_path = tmp_path / "aisle_goal.json"
-    goal_path.write_text(json.dumps(blocked_aisle_goal()))
-    return path, goal_path
+    return shutil.copy(SCENES / "minimal_drawer.json", tmp_path / "scene.json")
 
 
 def write_goal(tmp_path, goal):
@@ -120,10 +109,9 @@ def test_plan_unknown_part_exits_2(tmp_path, drawer_scene):
     assert rc == 2
 
 
-def test_plan_ordering_fixture(tmp_path, aisle_scene):
-    scene_path, goal_path = aisle_scene
+def test_plan_ordering_fixture(tmp_path):
     out = tmp_path / "plan"
-    rc = main(["plan", "--scene", str(scene_path), "--goal", str(goal_path),
+    rc = main(["plan", "--scene", str(AISLE), "--goal", str(AISLE_GOAL),
                "--out", str(out), "--seed", "0"])
     assert rc == 0
     plan = json.loads((out / "plan.json").read_text())
@@ -213,6 +201,12 @@ def test_estimate_runtime_error_exits_3(tmp_path, drawer_scene):
                  id="plan-planner-constant-not-a-field"),
     pytest.param("explore", ["--config", '{"exploration": {"robot_radius": 0.3}}'],
                  id="explore-exploration-constant-not-a-field"),
+    pytest.param("explore", ["--config", '{"robot": {"base_pose": [1.5, 1.0, 0.0]}}'],
+                 id="explore-robot-base-pose-comes-from-start"),
+    pytest.param("explore", ["--config", '{"sim": {"rng_seed": 3}}'],
+                 id="explore-sim-rng-seed-comes-from-seed"),
+    pytest.param("plan", ["--config", '{"planner": {"seed": 99}}'],
+                 id="plan-planner-seed-comes-from-seed"),
 ])
 def test_unreadable_inputs_exit_1(tmp_path, drawer_scene, capsys, command, extra):
     # the command cannot read its own inputs or use --out: exit 1, no traceback
@@ -269,12 +263,11 @@ def test_each_command_reads_each_scene_file_once(tmp_path, drawer_scene, json_re
         assert json_reads and set(json_reads.values()) == {1}, (argv[0], json_reads)
 
 
-def test_force_rerun_estimates_only_its_own_records(tmp_path, drawer_scene, aisle_scene):
+def test_force_rerun_estimates_only_its_own_records(tmp_path, drawer_scene):
     # estimate reads every record under explore's records/, so a --force rerun
     # into a used directory must not leave the last run's records there
-    scene_path, goal_path = aisle_scene
     out = tmp_path / "run"
-    assert main(["run-all", "--scene", str(scene_path), "--goal", str(goal_path),
+    assert main(["run-all", "--scene", str(AISLE), "--goal", str(AISLE_GOAL),
                  "--out", str(out), "--seed", "0"]) == 0
     drawer_goal = write_goal(tmp_path, {"drawer_1": 0.15})
     assert main(["run-all", "--scene", str(drawer_scene), "--goal", str(drawer_goal),
@@ -287,7 +280,7 @@ def test_force_rerun_estimates_only_its_own_records(tmp_path, drawer_scene, aisl
         sorted(p.name for p in (fresh / "records").iterdir())
 
     # explore --force over the drawer's output, then estimate
-    assert main(["explore", "--scene", str(scene_path), "--out", str(fresh),
+    assert main(["explore", "--scene", str(AISLE), "--out", str(fresh),
                  "--seed", "0", "--force"]) == 0
     est = tmp_path / "est"
     assert main(["estimate", "--records", str(fresh), "--out", str(est)]) == 0
@@ -327,12 +320,11 @@ def test_estimate_missing_records_exits_runtime(tmp_path):
     assert rc in (2, 3)
 
 
-def test_run_all_fold_down_scene_end_to_end(tmp_path, aisle_scene):
+def test_run_all_fold_down_scene_end_to_end(tmp_path):
     # horizontal-axis joint through the whole chain: the estimated model must
     # reproduce the path-blocking constraint and execute to full opening
-    scene_path, goal_path = aisle_scene
     out = tmp_path / "run"
-    rc = main(["run-all", "--scene", str(scene_path), "--goal", str(goal_path),
+    rc = main(["run-all", "--scene", str(AISLE), "--goal", str(AISLE_GOAL),
                "--out", str(out), "--seed", "0", "--config", NOISELESS])
     assert rc == 0
     manifest = json.loads((out / "manifest.json").read_text())
@@ -348,13 +340,16 @@ def test_run_all_fold_down_scene_end_to_end(tmp_path, aisle_scene):
         assert float(ang) < 1.0
 
 
-def test_shipped_scene_files_match_builders(tmp_path):
-    from pathlib import Path
-    from artiscene.fixtures import write_all
-
-    shipped = Path(__file__).resolve().parent.parent / "scenes"
-    if not shipped.is_dir():
-        pytest.skip("scenes directory not present")
-    regenerated = write_all(tmp_path / "scenes")
-    for path in regenerated:
-        assert (shipped / path.name).read_bytes() == path.read_bytes(), path.name
+def test_shipped_scene_files_round_trip(tmp_path):
+    # the scene files are the only scene definition, so they pin the format:
+    # each is written back byte for byte, and each goal names only its parts
+    paths = [p for p in sorted(SCENES.glob("*.json")) if not p.stem.endswith("_goal")]
+    assert len(paths) == 4
+    for path in paths:
+        scene, extras = load_scene_extras(path)
+        save_scene(scene, tmp_path / path.name, extra=extras)
+        assert (tmp_path / path.name).read_bytes() == path.read_bytes(), path.name
+        goal_path = SCENES / f"{path.stem}_goal.json"
+        if goal_path.exists():
+            goal = json.loads(goal_path.read_text())
+            assert set(goal) <= set(scene.part_ids()), goal_path.name

@@ -10,10 +10,10 @@ from artiscene.estimation import (ContactHeatmap, EstimatedArticulation,
                                   estimated_part, fit_screw, obb_from_points,
                                   segment_mobile_part)
 from artiscene.exploration import OBSERVATION_RADIUS
-from artiscene.fixtures import kitchen
 from artiscene.geometry import PointCloud, rodrigues_rotation
 from artiscene.scene import JointModel, handle_at
 from artiscene.sim import Observation, SimConfig, render_observation
+from shipped import load
 
 
 def rand_unit(rng):
@@ -269,7 +269,7 @@ def test_estimate_record_on_rendered_kitchen_doors():
     # the pipeline's path: noisy renders of the crop sphere around the
     # closed-pose handle, with the grasped handle anchoring the alignment
     # candidates
-    scene, _ = kitchen()
+    scene, _ = load("kitchen")
     config = SimConfig()
     closed = scene.initial_state()
     opened = 0.35

@@ -3,10 +3,10 @@ import math
 import pytest
 
 from artiscene.execution import execute_plan, opening_degree
-from artiscene.fixtures import kitchen, kitchen_goal, minimal_drawer
 from artiscene.planner import PlannerConfig, plan_scene
 from artiscene.scene import RobotState
 from artiscene.sim import SimConfig
+from shipped import load, plan_inputs
 
 
 def noiseless():
@@ -14,13 +14,13 @@ def noiseless():
 
 
 def test_opening_degree_ratio():
-    scene, _ = minimal_drawer()
+    scene, _ = load("minimal_drawer")
     assert opening_degree(scene, "drawer_1", 0.15) == pytest.approx(1.0)
     assert opening_degree(scene, "drawer_1", 0.075) == pytest.approx(0.5)
 
 
 def test_execute_drawer_to_goal():
-    scene, _ = minimal_drawer()
+    scene, _ = load("minimal_drawer")
     robot = RobotState(base_pose=(1.5, 1.0, math.pi / 2))
     state = scene.initial_state()
     plan = plan_scene(scene, state, robot, {"drawer_1": 0.15}, PlannerConfig(seed=0))
@@ -34,12 +34,7 @@ def test_execute_drawer_to_goal():
 
 def test_execute_kitchen_goal_with_true_model():
     # executing against the ground-truth model is the oracle upper bound
-    scene, _ = kitchen()
-    robot = RobotState(base_pose=(3.0, 1.2, math.pi / 2))
-    goal = {}
-    for pid, v in kitchen_goal().items():
-        part = scene.part(pid)
-        goal[pid] = math.radians(v) if part.joint.kind == "revolute" else v
+    scene, robot, goal = plan_inputs("kitchen")
     state = scene.initial_state()
     plan = plan_scene(scene, state, robot, goal, PlannerConfig(seed=0))
     assert plan.feasible
@@ -49,7 +44,7 @@ def test_execute_kitchen_goal_with_true_model():
 
 
 def test_execution_respects_joint_limits():
-    scene, _ = minimal_drawer()
+    scene, _ = load("minimal_drawer")
     robot = RobotState(base_pose=(1.5, 1.0, math.pi / 2))
     state = scene.initial_state()
     plan = plan_scene(scene, state, robot, {"drawer_1": 0.15}, PlannerConfig(seed=1))

@@ -8,13 +8,13 @@ from artiscene import exploration, geometry, scene as scene_module, sim
 from artiscene.errors import NoActionError, RepositionFailedError
 from artiscene.exploration import (FAILURE_THRESHOLD, PRISMATIC_KIND, REVOLUTE_LEFT,
                                    REVOLUTE_RIGHT, UNKNOWN, ExplorationConfig, Handle,
-                                   classify_joint, compliance_action,
+                                   _compliance_action, classify_joint,
                                    detect_failure, explore_scene, reposition_base)
-from artiscene.fixtures import kitchen, minimal_drawer
 from artiscene.geometry import OrientedBox, PointCloud, rodrigues_rotation
 from artiscene.scene import (KinematicScene, RobotState, SceneState,
                              StaticBaseMap, part_pose_at)
 from artiscene.sim import Observation, SimConfig, nav_grid
+from shipped import load
 
 
 def noiseless_sim(seed=0):
@@ -35,7 +35,7 @@ def face_observation(rng, normal_angle=0.0, offset=(0.0, 0.0, 0.0), n=400,
 def test_compliance_direction_is_outward_face_normal():
     rng = np.random.default_rng(0)
     obs = face_observation(rng)
-    d = compliance_action(obs, obs.hotspot)
+    d = _compliance_action(obs, obs.hotspot)
     angle = math.degrees(math.acos(abs(float(d @ [0, -1, 0]))))
     assert angle < 2.0
     assert d[1] < 0  # toward the viewpoint
@@ -45,7 +45,7 @@ def test_compliance_tracks_rotated_face():
     rng = np.random.default_rng(1)
     ang = math.radians(30.0)
     obs = face_observation(rng, normal_angle=ang, viewpoint=(0.5, -1.5, 0.5))
-    d = compliance_action(obs, obs.hotspot)
+    d = _compliance_action(obs, obs.hotspot)
     expected = rodrigues_rotation((0, 0, 1.0), ang) @ np.array([0.0, -1.0, 0.0])
     angle = math.degrees(math.acos(abs(float(d @ expected))))
     assert angle < 5.0
@@ -55,7 +55,7 @@ def test_compliance_needs_local_points():
     rng = np.random.default_rng(2)
     obs = face_observation(rng)
     with pytest.raises(NoActionError):
-        compliance_action(obs, obs.hotspot + np.array([3.0, 0.0, 0.0]))
+        _compliance_action(obs, obs.hotspot + np.array([3.0, 0.0, 0.0]))
 
 
 def test_detect_failure_thresholds():
@@ -128,7 +128,7 @@ def test_reposition_revolute_moves_to_rotation_side():
 
 
 def test_reposition_snaps_to_free_cell():
-    scene, _ = kitchen()
+    scene, _ = load("kitchen")
     grid = nav_grid(scene, scene.initial_state(), 0.05, 0.30)
     robot = RobotState(base_pose=(3.0, 2.8, math.pi / 2))
     # target 0.3 from a hotspot on the counter face is inside the inflated zone
@@ -137,7 +137,7 @@ def test_reposition_snaps_to_free_cell():
 
 
 def test_reposition_fails_when_no_free_cell():
-    scene, _ = kitchen()
+    scene, _ = load("kitchen")
     grid = nav_grid(scene, scene.initial_state(), 0.05, 0.30)
     robot = RobotState(base_pose=(3.0, 3.05, math.pi / 2))
     # a target deep inside the counter with a tiny snap radius cannot resolve
@@ -147,7 +147,7 @@ def test_reposition_fails_when_no_free_cell():
 
 
 def test_explore_minimal_drawer_noiseless():
-    scene, _ = minimal_drawer()
+    scene, _ = load("minimal_drawer")
     result = explore_scene(scene, noiseless_sim(), rng=np.random.default_rng(0))
     assert len(result.records) == 1
     rec = result.records[0]
@@ -163,7 +163,7 @@ def test_explore_minimal_drawer_noiseless():
 def test_explore_succeeded_record_invariant():
     from artiscene.geometry import cloud_displacement
 
-    scene, _ = minimal_drawer()
+    scene, _ = load("minimal_drawer")
     result = explore_scene(scene, SimConfig(rng_seed=5), ExplorationConfig(),
                            rng=np.random.default_rng(5))
     for rec in result.records:
@@ -173,7 +173,7 @@ def test_explore_succeeded_record_invariant():
 
 
 def test_explore_empty_space_handle_fails_out():
-    scene, _ = minimal_drawer()
+    scene, _ = load("minimal_drawer")
     cfg = ExplorationConfig(max_attempts=2)
     handles = [Handle("ghost", np.array([0.5, 0.5, 0.5]))]
     result = explore_scene(scene, noiseless_sim(), cfg, handles=handles,
@@ -186,13 +186,13 @@ def test_explore_empty_space_handle_fails_out():
 
 def test_explore_single_attempt_on_perfect_drawer():
     # noiseless reachable prismatic joint: the first attempt must succeed
-    scene, _ = minimal_drawer()
+    scene, _ = load("minimal_drawer")
     result = explore_scene(scene, noiseless_sim(), rng=np.random.default_rng(1))
     assert result.records[0].attempts_used == 1
 
 
 def test_explore_step_and_attempt_budgets_respected():
-    scene, _ = minimal_drawer()
+    scene, _ = load("minimal_drawer")
     cfg = ExplorationConfig(max_steps=7, max_attempts=2)
     handles = [Handle("ghost", np.array([0.5, 0.5, 0.5]))]
     result = explore_scene(scene, noiseless_sim(), cfg, handles=handles,
@@ -206,7 +206,7 @@ def test_explore_step_and_attempt_budgets_respected():
 def test_final_check_logs_the_last_step():
     # one 1 cm pull stays under the 2 cm failure threshold, so the check after
     # the step budget fails the attempt and logs it at step max_steps
-    scene, _ = minimal_drawer()
+    scene, _ = load("minimal_drawer")
     result = explore_scene(scene, noiseless_sim(),
                            ExplorationConfig(max_steps=1, max_attempts=1),
                            rng=np.random.default_rng(3))
@@ -232,7 +232,7 @@ def test_explore_survives_a_failed_pre_observation(monkeypatch):
         return None if len(calls) == 1 else observe(*args)
 
     monkeypatch.setattr(exploration, "_observe", first_fails)
-    scene, _ = minimal_drawer()
+    scene, _ = load("minimal_drawer")
     result = explore_scene(scene, noiseless_sim(), rng=np.random.default_rng(0))
     rec = result.records[0]
     assert rec.pre is None and rec.post is not None
@@ -270,7 +270,7 @@ def test_explore_reuses_poses_footprint_masks_and_kd_trees(monkeypatch):
         trees[np.asarray(data).tobytes()] += 1
         return kd_tree(data, *args, **kwargs)
 
-    scene, _ = kitchen()
+    scene, _ = load("kitchen")
     monkeypatch.setattr(scene_module, "part_pose_at", counting_pose)
     monkeypatch.setattr(sim, "_near_polygon", counting_near_polygon)
     monkeypatch.setattr(geometry, "kd_tree", counting_tree)
@@ -326,7 +326,7 @@ def _edge_boxes(scene):
 
 
 def test_cached_nav_grid_equals_fresh_rasterization():
-    scene, _ = kitchen()
+    scene, _ = load("kitchen")
     rng = np.random.default_rng(7)
     states = [scene.initial_state()]
     for _ in range(6):

@@ -22,8 +22,8 @@ from pathlib import Path
 import pytest
 
 from artiscene.cli import main
+from shipped import SCENES
 
-SCENES = Path(__file__).resolve().parents[1] / "scenes"
 DATA = Path(__file__).resolve().parent / "data"
 
 GOLDEN = {

@@ -8,14 +8,12 @@ envelope over these cases is 4.9 mm on the kitchen, 6.7 mm on galley_block
 """
 
 import csv
-from pathlib import Path
 
 import pytest
 
 from artiscene.cli import main
 from artiscene.scene import load_scene
-
-SCENES = Path(__file__).resolve().parents[1] / "scenes"
+from shipped import SCENES
 
 PIVOT_BOUND_M = 0.008
 AXIS_BOUND_DEG = 1.5

@@ -1,5 +1,4 @@
 import itertools
-import json
 import math
 from collections import Counter, deque
 from pathlib import Path
@@ -8,9 +7,6 @@ import numpy as np
 import pytest
 
 from artiscene.errors import LimitViolationError, NoBaseFoundError, UnknownPartError
-from artiscene.fixtures import (blocked_aisle, blocked_aisle_goal, galley_block,
-                                galley_block_goal, kitchen, kitchen_goal,
-                                minimal_drawer)
 from artiscene import geometry
 from artiscene.geometry import OrientedBox, obb_intersects
 from artiscene import planner
@@ -20,10 +16,11 @@ from artiscene.planner import (EndEffectorTrajectory, InteractionPlan, PlannerCo
                                prismatic_trajectory, revolute_trajectory,
                                sample_part_sweep, select_base, validate_plan,
                                write_plan)
-from artiscene.scene import (REVOLUTE, JointModel, KinematicScene, MobilePart, RobotState,
-                             SceneState, StaticBaseMap, load_scene_extras)
+from artiscene.scene import (JointModel, KinematicScene, MobilePart, RobotState,
+                             SceneState, StaticBaseMap)
 from artiscene.sim import OccupancyGrid, nav_grid
 from oracles import flood_fill_reachable
+from shipped import load, plan_inputs
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -34,17 +31,6 @@ def rev_joint(axis=(0.0, 0.0, 1.0), pivot=(0.0, 0.0, 0.0), lim=math.pi / 2):
 
 def pris_joint(axis=(1.0, 0.0, 0.0), lim=0.15):
     return JointModel("prismatic", axis, None, 0.0, lim)
-
-
-def fixture_setup(builder, goal_fn):
-    scene, extras = builder()
-    start = extras["robot"]["start"]
-    robot = RobotState(base_pose=(start[0], start[1], math.radians(start[2])))
-    goal = {}
-    for pid, v in goal_fn().items():
-        part = scene.part(pid)
-        goal[pid] = math.radians(v) if part.joint.kind == "revolute" else float(v)
-    return scene, robot, goal
 
 
 # --- trajectories ------------------------------------------------------------
@@ -425,7 +411,7 @@ def test_select_base_matches_loop_reference():
 # --- plan_scene --------------------------------------------------------------
 
 def test_single_part_goal_trivial_plan():
-    scene, extras = minimal_drawer()
+    scene, extras = load("minimal_drawer")
     robot = RobotState(base_pose=(1.5, 1.0, math.pi / 2))
     plan = plan_scene(scene, scene.initial_state(), robot, {"drawer_1": 0.15},
                       PlannerConfig(seed=0))
@@ -436,7 +422,7 @@ def test_single_part_goal_trivial_plan():
 
 
 def test_unknown_goal_part_raises():
-    scene, _ = minimal_drawer()
+    scene, _ = load("minimal_drawer")
     with pytest.raises(UnknownPartError):
         plan_scene(scene, scene.initial_state(), RobotState(base_pose=(1.5, 1, 0)),
                    {"nope": 0.1})
@@ -446,7 +432,7 @@ from oracles import order_feasible_oracle as oracle_order_feasible
 
 
 def test_galley_ordering_constraint_matches_oracle():
-    scene, robot, goal = fixture_setup(galley_block, galley_block_goal)
+    scene, robot, goal = plan_inputs("galley_block")
     state = scene.initial_state()
     cfg = PlannerConfig(seed=0)
     verdicts = {}
@@ -463,7 +449,7 @@ def test_galley_ordering_constraint_matches_oracle():
 
 
 def test_plan_scene_builds_each_step_world_once(monkeypatch):
-    scene, robot, goal = fixture_setup(galley_block, galley_block_goal)
+    scene, robot, goal = plan_inputs("galley_block")
     state = scene.initial_state()
     cfg = PlannerConfig(seed=0)
     builds = []  # (committed states, standing sweep boxes) per nav_grid call
@@ -507,7 +493,7 @@ def test_plan_scene_makes_one_sat_pass_per_step_world(monkeypatch):
     """galley_block: each step world is collision-checked in one array pass,
     each part's mount obstacles are dropped in one pass per plan, and the
     scalar SAT runs only as the tie fallback inside a pass."""
-    scene, robot, goal = fixture_setup(galley_block, galley_block_goal)
+    scene, robot, goal = plan_inputs("galley_block")
     passes = Counter()
     scalar = geometry.obb_intersects
     inside = []  # the pass in progress, if any
@@ -524,9 +510,6 @@ def test_plan_scene_makes_one_sat_pass_per_step_world(monkeypatch):
         assert inside, "scalar SAT outside an array pass"
         return scalar(a, b, margin)
 
-    def no_per_pair_sat(*args, **kwargs):
-        raise AssertionError("per-pair SAT call from the planner")
-
     worlds = []
     real_step_world = planner._step_world
 
@@ -535,7 +518,7 @@ def test_plan_scene_makes_one_sat_pass_per_step_world(monkeypatch):
         return real_step_world(scene, committed, part, obstacles)
 
     monkeypatch.setattr(planner, "obb_overlaps", counting_overlaps, raising=False)
-    monkeypatch.setattr(planner, "obb_intersects", no_per_pair_sat)
+    assert not hasattr(planner, "obb_intersects")  # no per-pair SAT binding to call
     monkeypatch.setattr(geometry, "obb_intersects", fallback)
     monkeypatch.setattr(planner, "_step_world", counting_step_world)
     plan = plan_scene(scene, scene.initial_state(), robot, goal, PlannerConfig(seed=0))
@@ -550,11 +533,7 @@ def test_plan_scene_builds_each_trajectory_once(monkeypatch):
     """facing_panels, whose 24 orders are all rejected: each (part, start,
     goal) trajectory is built once per plan and shared read-only, and it
     equals a fresh build."""
-    scene, extras = load_scene_extras(DATA / "facing_panels.json")
-    x, y, heading = extras["robot"]["start"]
-    robot = RobotState(base_pose=(x, y, math.radians(heading)))
-    goal = {pid: math.radians(v) if scene.part(pid).joint.kind == REVOLUTE else v
-            for pid, v in json.loads((DATA / "facing_panels_goal.json").read_text()).items()}
+    scene, robot, goal = plan_inputs("facing_panels", DATA)
     built, used = {}, []
     real_trajectory, real_select_base = planner.part_trajectory, planner.select_base
 
@@ -590,7 +569,7 @@ def test_plan_scene_builds_each_trajectory_once(monkeypatch):
 
 
 def test_galley_plan_feasible_and_validates():
-    scene, robot, goal = fixture_setup(galley_block, galley_block_goal)
+    scene, robot, goal = plan_inputs("galley_block")
     state = scene.initial_state()
     plan = plan_scene(scene, state, robot, goal, PlannerConfig(seed=0))
     assert plan.feasible
@@ -599,7 +578,7 @@ def test_galley_plan_feasible_and_validates():
 
 
 def test_blocked_aisle_dishwasher_planned_last():
-    scene, robot, goal = fixture_setup(blocked_aisle, blocked_aisle_goal)
+    scene, robot, goal = plan_inputs("blocked_aisle")
     state = scene.initial_state()
     for seed in range(5):
         plan = plan_scene(scene, state, robot, goal, PlannerConfig(seed=seed))
@@ -641,7 +620,7 @@ def test_infeasible_goal_returns_diagnostics():
 
 
 def test_kitchen_goal_plans_with_full_reach():
-    scene, robot, goal = fixture_setup(kitchen, kitchen_goal)
+    scene, robot, goal = plan_inputs("kitchen")
     plan = plan_scene(scene, scene.initial_state(), robot, goal, PlannerConfig(seed=0))
     assert plan.feasible
     assert sorted(plan.order()) == sorted(goal)
@@ -651,7 +630,7 @@ def test_kitchen_goal_plans_with_full_reach():
 
 
 def test_plan_json_byte_stable(tmp_path):
-    scene, robot, goal = fixture_setup(blocked_aisle, blocked_aisle_goal)
+    scene, robot, goal = plan_inputs("blocked_aisle")
     plan = plan_scene(scene, scene.initial_state(), robot, goal, PlannerConfig(seed=3))
     p1 = tmp_path / "a.json"
     p2 = tmp_path / "b.json"

@@ -11,7 +11,7 @@ from artiscene.scene import (JointModel, KinematicScene, MobilePart, RobotState,
                              SceneState, StaticBaseMap, goal_satisfied, handle_at,
                              load_scene, part_pose_at, part_shape_at, save_scene,
                              scene_from_json, scene_to_json)
-from artiscene.fixtures import kitchen, minimal_drawer
+from shipped import load
 
 
 def drawer_part(part_id="d", axis=(1.0, 0.0, 0.0)):
@@ -141,7 +141,7 @@ def test_scene_overlap_error_names_the_first_pair_in_loop_order():
 
 
 def test_goal_satisfied_thresholds():
-    scene, _ = minimal_drawer()
+    scene, _ = load("minimal_drawer")
     state = scene.initial_state()
     assert goal_satisfied(scene, state, {})
     assert not goal_satisfied(scene, state, {"drawer_1": 0.05})
@@ -161,7 +161,7 @@ def test_goal_revolute_30_degree_threshold():
 
 
 def test_minimal_scene_loads_with_one_part(tmp_path):
-    scene, extras = minimal_drawer()
+    scene, extras = load("minimal_drawer")
     path = tmp_path / "scene.json"
     save_scene(scene, path, extra=extras)
     loaded = load_scene(path)
@@ -170,7 +170,7 @@ def test_minimal_scene_loads_with_one_part(tmp_path):
 
 
 def test_kitchen_loads_with_nine_parts(tmp_path):
-    scene, extras = kitchen()
+    scene, extras = load("kitchen")
     path = tmp_path / "kitchen.json"
     save_scene(scene, path, extra=extras)
     loaded = load_scene(path)
@@ -181,7 +181,7 @@ def test_kitchen_loads_with_nine_parts(tmp_path):
 
 
 def test_round_trip_preserves_numbers(tmp_path):
-    scene, _ = kitchen()
+    scene, _ = load("kitchen")
     p1 = tmp_path / "a.json"
     p2 = tmp_path / "b.json"
     save_scene(scene, p1)
@@ -197,7 +197,7 @@ def test_round_trip_preserves_numbers(tmp_path):
 
 
 def test_schema_violations_name_the_field(tmp_path):
-    scene, _ = minimal_drawer()
+    scene, _ = load("minimal_drawer")
     doc = scene_to_json(scene)
     del doc["parts"][0]["joint"]["axis"]
     path = tmp_path / "broken.json"
@@ -208,7 +208,7 @@ def test_schema_violations_name_the_field(tmp_path):
 
 
 def test_overlapping_parts_rejected_at_load(tmp_path):
-    scene, _ = minimal_drawer()
+    scene, _ = load("minimal_drawer")
     doc = scene_to_json(scene)
     clone = json.loads(json.dumps(doc["parts"][0]))
     clone["id"] = "drawer_2"
@@ -220,7 +220,7 @@ def test_overlapping_parts_rejected_at_load(tmp_path):
 
 
 def test_prismatic_limit_field_mismatch(tmp_path):
-    scene, _ = minimal_drawer()
+    scene, _ = load("minimal_drawer")
     doc = scene_to_json(scene)
     doc["parts"][0]["joint"]["limits_deg"] = [0, 90]
     del doc["parts"][0]["joint"]["limits_m"]
@@ -258,7 +258,7 @@ def test_reach_mask_boundary_matches_math_hypot():
 
 def test_unreachable_handle_rejected_at_load(tmp_path):
     # drawer handle walled in on all sides: no free floor within arm reach
-    scene, extras = minimal_drawer()
+    scene, extras = load("minimal_drawer")
     doc = scene_to_json(scene)
     for cx, cy, hx, hy in ((1.5, 1.2, 1.5, 0.15), (1.5, 2.95, 1.5, 0.05),
                            (0.25, 2.1, 0.2, 1.0), (2.75, 2.1, 0.2, 1.0)):

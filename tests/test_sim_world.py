@@ -5,13 +5,13 @@ import pytest
 
 from artiscene.errors import GraspFailureError, InvalidViewpointError
 from artiscene.exploration import OBSERVATION_RADIUS
-from artiscene.fixtures import kitchen, minimal_drawer
 from artiscene.geometry import OrientedBox, rodrigues_rotation
 from artiscene.scene import (KinematicScene, SceneState, StaticBaseMap, handle_at,
                              part_shape_at)
 from artiscene.sim import (Observation, SimConfig, _near_polygon, _node_hash,
                            attempt_pull, motion_direction, nav_grid,
                            render_observation)
+from shipped import load
 
 
 def slab_scene():
@@ -36,7 +36,7 @@ def test_face_sampling_density_and_planarity():
 
 
 def test_render_deterministic_for_seed():
-    scene, _ = minimal_drawer()
+    scene, _ = load("minimal_drawer")
     cfg = SimConfig(rng_seed=7)
     a = render_observation(scene, scene.initial_state(), (1.5, 1.0, 1.0), cfg)
     b = render_observation(scene, scene.initial_state(), (1.5, 1.0, 1.0), cfg)
@@ -118,7 +118,7 @@ def test_crop_render_equals_full_render_then_crop(name):
     # inside it, and leaves the generator where the full render leaves it;
     # the full render equals the face-by-face reference loop
     config = CROP_CONFIGS[name]
-    scene, _ = kitchen()
+    scene, _ = load("kitchen")
     closed = scene.initial_state()
     opened = closed.with_theta("door_1", 0.6).with_theta("drawer_1", 0.1)
     r2 = OBSERVATION_RADIUS ** 2
@@ -154,7 +154,7 @@ def test_crop_render_equals_full_render_then_crop(name):
 # --- attempt_pull ------------------------------------------------------------
 
 def pull_setup():
-    scene, _ = minimal_drawer()
+    scene, _ = load("minimal_drawer")
     state = scene.initial_state()
     part = scene.parts[0]
     grasp = handle_at(part, 0.0)
@@ -217,7 +217,7 @@ def test_far_grasp_rejected():
 
 
 def test_revolute_motion_direction_is_tangent():
-    scene, _ = kitchen()
+    scene, _ = load("kitchen")
     part = scene.part("door_1")
     for theta in (0.0, 0.5, 1.2):
         d = motion_direction(part, theta)
@@ -250,7 +250,7 @@ def test_inflation_cell_count_arithmetic():
 
 
 def test_open_door_occupies_aisle_strip():
-    scene, _ = kitchen()
+    scene, _ = load("kitchen")
     closed = nav_grid(scene, scene.initial_state(), 0.05, 0.30)
     open_state = scene.initial_state().with_theta("door_1", math.pi / 2)
     opened = nav_grid(scene, open_state, 0.05, 0.30)
@@ -264,7 +264,7 @@ def test_open_door_occupies_aisle_strip():
 
 
 def test_inflation_monotone_in_radius():
-    scene, _ = kitchen()
+    scene, _ = load("kitchen")
     state = scene.initial_state()
     prev = nav_grid(scene, state, 0.05, 0.10).occupied
     for r in (0.20, 0.30, 0.40):
@@ -335,7 +335,7 @@ def test_sim_config_validation():
 
 
 def test_noiseless_render_points_lie_on_surfaces():
-    scene, _ = kitchen()
+    scene, _ = load("kitchen")
     obs = render_observation(scene, scene.initial_state(), (3.0, 1.5, 1.0),
                              noiseless(density=400))
     boxes = list(scene.base.obstacles) + [p.shape for p in scene.parts]
