@@ -101,14 +101,13 @@ def _region_grow(points: np.ndarray, candidates: np.ndarray, seeds: np.ndarray,
     if cand_idx.size == 0 or not seeds.any():
         return np.zeros(points.shape[0], dtype=bool)
     cand_pts = points[cand_idx]
-    tree = kd_tree(cand_pts)
+    neighbours = kd_tree(cand_pts).query_ball_point(cand_pts, radius)
     seed_local = np.flatnonzero(seeds[cand_idx])
     visited = np.zeros(cand_idx.size, dtype=bool)
     stack = list(seed_local)
     visited[seed_local] = True
     while stack:
-        i = stack.pop()
-        for j in tree.query_ball_point(cand_pts[i], radius):
+        for j in neighbours[stack.pop()]:
             if not visited[j]:
                 visited[j] = True
                 stack.append(j)

@@ -253,9 +253,10 @@ def _observe(scene, state, viewpoint, hotspot, center, sim_config, rng):
 
     One crop center per handle makes the static content of successive
     observations coincide, so apparent displacement comes from real motion
-    only. The renderer draws the noise for the whole visible scene, so the
-    generator stream, and with it every later observation, does not depend
-    on the crop."""
+    only, and lets every box that did not move take its visible faces and
+    crop window from its memo. The renderer draws the noise for the whole
+    visible scene, so the generator stream, and with it every later
+    observation, does not depend on the crop."""
     try:
         return render_observation(scene, state, viewpoint, sim_config, rng,
                                   hotspot=hotspot, crop=(center, OBSERVATION_RADIUS))

@@ -83,20 +83,17 @@ def _node_hash(i: np.ndarray, j: np.ndarray, salt) -> np.ndarray:
     return v - np.floor(v)
 
 
-def _visible_faces(boxes, viewpoint: np.ndarray, pitch: float):
-    """The box faces whose outward normal faces the viewpoint, in box then
-    face order, as per-face arrays: face index (0-5), center, (u, v, normal)
-    axes, (u, v) half extents and (u, v) node counts."""
-    axes = np.array([b.orientation.T[_FACE_FRAMES] for b in boxes]).reshape(-1, 3, 3)
-    half = np.array([b.half_extents[_FACE_FRAMES] for b in boxes]).reshape(-1, 3)
-    normal = np.tile(_FACE_SIGNS, len(boxes))[:, None] * axes[:, 2]
-    axes[:, 2] = normal
-    center = np.repeat(np.reshape([b.center for b in boxes], (-1, 3)), 6, axis=0)
-    center = center + normal * half[:, 2:]
-    seen = np.sum(normal * (viewpoint - center), axis=1) > 0.0
+def _visible_faces(box, viewpoint: np.ndarray, pitch: float):
+    """The faces of box whose outward normal faces the viewpoint, in face
+    order, as per-face arrays: face index (0-5), center, (u, v, normal) axes,
+    (u, v) half extents and (u, v) node counts."""
+    axes = box.orientation.T[_FACE_FRAMES]
+    half = box.half_extents[_FACE_FRAMES]
+    axes[:, 2] *= _FACE_SIGNS[:, None]
+    center = box.center + axes[:, 2] * half[:, 2:]
+    seen = np.sum(axes[:, 2] * (viewpoint - center), axis=1) > 0.0
     counts = np.maximum(1, np.round(2.0 * half[seen, :2] / pitch)).astype(np.intp)
-    face = np.tile(np.arange(6), len(boxes))
-    return face[seen], center[seen], axes[seen], half[seen, :2], counts
+    return np.arange(6)[seen], center[seen], axes[seen], half[seen, :2], counts
 
 
 def _crop_windows(center, reach: float, face_center, axes, half, counts):
@@ -151,25 +148,31 @@ def render_observation(scene: KinematicScene, state: SceneState, viewpoint,
     are dropped, standing in for occlusion. Dropout and noise are drawn for
     every visible node, so the generator ends where a full render leaves it
     and the kept points are exactly the full render's points inside the
-    sphere; only the nodes that can land inside are built. Deterministic
-    given the generator (or config.rng_seed when none is passed).
+    sphere; only the nodes that can land inside are built. Each box keeps in
+    its memo, per viewpoint, whether the viewpoint is inside it, its visible
+    faces and their node total, and per crop center the nodes of the widest
+    window built so far, so a box that does not move between renders is
+    culled and sampled once. Deterministic given the generator (or
+    config.rng_seed when none is passed).
     """
     vp = as_vec3(viewpoint)
-    for box in scene.base.obstacles:
-        if box.contains(vp):
-            raise InvalidViewpointError("viewpoint lies inside a base obstacle")
-    boxes = list(scene.base.obstacles)
-    for part in scene.parts:
-        box = part_shape_at(part, state.theta(part.id))
-        if box.contains(vp):
-            raise InvalidViewpointError(f"viewpoint lies inside part {part.id!r}")
-        boxes.append(box)
+    pitch = 1.0 / math.sqrt(config.surface_point_density)
+    key = ("render", *vp.tolist(), pitch)
+    boxes = [(box, "a base obstacle") for box in scene.base.obstacles]
+    boxes += [(part_shape_at(p, state.theta(p.id)), f"part {p.id!r}") for p in scene.parts]
+    views = []
+    for box, name in boxes:  # obstacles first, then parts
+        view = box.memo.get(key)
+        if view is None:
+            faces = _visible_faces(box, vp, pitch)
+            n = int(np.prod(faces[-1], axis=1).sum())
+            view = box.memo[key] = (box.contains(vp), faces, n)
+        if view[0]:
+            raise InvalidViewpointError(f"viewpoint lies inside {name}")
+        views.append((box, *view[1:]))
     if rng is None:
         rng = np.random.default_rng(config.rng_seed)
-    pitch = 1.0 / math.sqrt(config.surface_point_density)
-    faces = _visible_faces(boxes, vp, pitch)
-    counts = faces[-1]
-    n_nodes = int(np.sum(counts[:, 0] * counts[:, 1]))
+    n_nodes = sum(n for _, _, n in views)
     if n_nodes == 0:
         raise ValueError("nothing visible from this viewpoint")
     keep = row = noise = None
@@ -183,13 +186,30 @@ def render_observation(scene: KinematicScene, state: SceneState, viewpoint,
         n_kept = n_nodes if keep is None else int(row[-1]) + 1
         noise = rng.normal(0.0, config.noise_sigma, size=(n_kept, 3))
     if crop is None:
-        lo, hi = np.zeros_like(counts), counts
+        center, reach = None, math.inf
     else:
         center, radius = as_vec3(crop[0]), float(crop[1])
-        # a noisy point within radius has its node within radius + |noise| + rounding
-        margin = 0.0 if noise is None else math.sqrt(3.0) * float(np.abs(noise).max())
-        lo, hi = _crop_windows(center, radius + margin + 1e-6, *faces[1:])
-    points, node = _window_nodes(*faces, lo, hi)
+        # a noisy point within radius has its node within radius + |noise| +
+        # rounding; the 6 sigma floor keeps one window per site as noise varies
+        margin = 6.0 * config.noise_sigma
+        if noise is not None:
+            margin = max(margin, float(noise.max()), float(-noise.min()))
+        reach = radius + math.sqrt(3.0) * margin + 1e-6
+    # a wider window holds the same nodes in the same order, plus nodes whose
+    # points the sphere test drops, so the widest window built is reused
+    window_key = (key, None if center is None else tuple(center.tolist()))
+    points, node, offset = [], [], 0
+    for box, faces, n in views:
+        window = box.memo.get(window_key)
+        if window is None or window[0] < reach:
+            counts = faces[-1]
+            lo, hi = ((np.zeros_like(counts), counts) if center is None
+                      else _crop_windows(center, reach, *faces[1:]))
+            window = box.memo[window_key] = (reach, *_window_nodes(*faces, lo, hi))
+        points.append(window[1])
+        node.append(window[2] + offset)
+        offset += n
+    points, node = np.concatenate(points), np.concatenate(node)
     if keep is not None:
         kept = keep[node]
         points, node = points[kept], row[node[kept]]

@@ -212,6 +212,37 @@ def test_segmentation_candidates_monotone_in_tau():
         prev = cands
 
 
+def per_point_region_grow(points, candidates, seeds, radius):
+    """Region growing with one ball query per popped candidate."""
+    cand_idx = np.flatnonzero(candidates)
+    cand_pts = points[cand_idx]
+    tree = geometry.kd_tree(cand_pts)
+    visited = seeds[cand_idx].copy()
+    stack = list(np.flatnonzero(visited))
+    while stack:
+        for j in tree.query_ball_point(cand_pts[stack.pop()], radius):
+            if not visited[j]:
+                visited[j] = True
+                stack.append(j)
+    mask = np.zeros(points.shape[0], dtype=bool)
+    mask[cand_idx[visited]] = True
+    return mask
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_region_grow_equals_per_point_flood(seed):
+    # one batched neighbour query floods the same regions as a query per point
+    rng = np.random.default_rng(seed)
+    points = rng.uniform(0.0, 1.0, size=(rng.integers(50, 800), 3))
+    candidates = rng.random(len(points)) < rng.uniform(0.3, 1.0)
+    seeds = candidates & (rng.random(len(points)) < 0.02)
+    for radius in (0.03, 0.08, 0.15):
+        mask = estimation._region_grow(points, candidates, seeds, radius)
+        assert np.array_equal(mask, per_point_region_grow(points, candidates, seeds, radius))
+        assert not np.any(mask & ~candidates) and np.all(mask[seeds])
+    assert not estimation._region_grow(points, candidates, seeds & False, 0.08).any()
+
+
 # --- error metrics -----------------------------------------------------------
 
 def revolute_est(axis, pivot):

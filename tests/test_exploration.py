@@ -290,6 +290,39 @@ def test_explore_reuses_poses_footprint_masks_and_kd_trees(monkeypatch):
         assert count <= boxes[footprint]
 
 
+def test_explore_builds_each_crop_window_once_per_viewpoint_and_site(monkeypatch):
+    """Kitchen seed 0: each box's crop window is built at most once per
+    (viewpoint, site); later renders there take it from the box's memo."""
+    at = {}
+    renders = []
+    builds = Counter()
+    render = exploration.render_observation
+
+    def locating_render(scene, state, viewpoint, config, rng, hotspot=None, crop=None):
+        at["site"] = (np.asarray(viewpoint).tobytes(), np.asarray(crop[0]).tobytes())
+        renders.append(at["site"])
+        return render(scene, state, viewpoint, config, rng, hotspot, crop)
+
+    window_nodes = sim._window_nodes
+
+    def counting_window_nodes(face_idx, face_center, *args):
+        # a box's visible faces name it at one viewpoint
+        builds[at["site"], face_idx.tobytes(), face_center.tobytes()] += 1
+        return window_nodes(face_idx, face_center, *args)
+
+    scene, _ = load("kitchen")
+    monkeypatch.setattr(exploration, "render_observation", locating_render)
+    monkeypatch.setattr(sim, "_window_nodes", counting_window_nodes)
+    result = explore_scene(scene, SimConfig(rng_seed=0), rng=np.random.default_rng(0))
+    assert all(r.succeeded for r in result.records)
+
+    n_boxes = len(scene.base.obstacles) + len(scene.parts)
+    n_sites = len(set(renders))
+    assert len(renders) > 100 and max(builds.values()) == 1
+    # each render after a site's first builds at most the moved part's window
+    assert sum(builds.values()) <= n_boxes * n_sites + len(renders) - n_sites
+
+
 def _cell_centers(scene, resolution):
     """x and y of the floor grid's cell centers."""
     lo, hi = scene.base.floor_min, scene.base.floor_max

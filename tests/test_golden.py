@@ -5,9 +5,10 @@ sha256 of four output files against pinned values; the staged case runs
 ``explore``, ``estimate --truth`` and ``plan`` one after another and pins one
 file of each stage; the infeasible case pins the ``plan.json`` of a goal that
 every order fails, with its rejection diagnostics, and the feasible case the
-``plan.json`` of a one-part goal on the same scene, with its drawn base pose. A refactor must leave every digest unchanged; a
-deliberate behaviour change updates the digests here and says why in
-CHANGES.md.
+``plan.json`` of a one-part goal on the same scene, with its drawn base pose;
+the noisy case pins the log and one record cloud of ``explore`` at heavy noise
+and dropout. A refactor must leave every digest unchanged; a deliberate
+behaviour change updates the digests here and says why in CHANGES.md.
 
 The digests belong to one toolchain: Python 3.11, numpy 2.4, scipy 1.17.
 Other versions may round floating point differently and so produce other
@@ -100,6 +101,24 @@ def test_staged_commands_match_golden_digests(tmp_path, scene, seed):
     mismatches = _mismatches(tmp_path, STAGED[(scene, seed)])
     assert not mismatches, (f"{scene} seed {seed} staged digests changed:\n"
                             + "\n".join(mismatches))
+
+
+# explore at heavy noise and dropout, where a crop window must reach
+# sqrt(3) * 6 sigma = 0.21 m beyond the crop sphere
+NOISY_EXPLORE = {
+    "exploration_log.jsonl":
+        "5be2ffaba1c38bc2adf56c0e760c50413eb92ca50a683498aa231483e9c39067",
+    "records/door_1_post.xyz":
+        "ad99f5e9cae998fab5d19de79b62118604171eadeffcf460be649d07a721da0a",
+}
+
+
+def test_noisy_explore_matches_golden_digests(tmp_path):
+    assert main(["explore", "--scene", str(SCENES / "kitchen.json"), "--out", str(tmp_path),
+                 "--seed", "1", "--config",
+                 '{"sim": {"noise_sigma": 0.02, "dropout_prob": 0.1}}']) == 0
+    mismatches = _mismatches(tmp_path, NOISY_EXPLORE)
+    assert not mismatches, "noisy explore digests changed:\n" + "\n".join(mismatches)
 
 
 # data/facing_panels.json: a galley whose north and south fold-down panels

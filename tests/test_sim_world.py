@@ -6,8 +6,8 @@ import pytest
 from artiscene.errors import GraspFailureError, InvalidViewpointError
 from artiscene.exploration import OBSERVATION_RADIUS
 from artiscene.geometry import OrientedBox, rodrigues_rotation
-from artiscene.scene import (KinematicScene, SceneState, StaticBaseMap, handle_at,
-                             part_shape_at)
+from artiscene.scene import (PRISMATIC, JointModel, KinematicScene, MobilePart,
+                             SceneState, StaticBaseMap, handle_at, part_shape_at)
 from artiscene.sim import (Observation, SimConfig, _near_polygon, _node_hash,
                            attempt_pull, motion_direction, nav_grid,
                            render_observation)
@@ -149,6 +149,52 @@ def test_crop_render_equals_full_render_then_crop(name):
             render_observation(scene, state, viewpoint, config, crop_rng,
                                crop=(far, OBSERVATION_RADIUS))
         assert crop_rng.random() == full_rng.random()
+
+
+def test_repeated_renders_equal_renders_on_a_fresh_scene():
+    # boxes keep their visible faces and crop windows in their memo across
+    # renders; each render equals one on a freshly loaded scene, whose memos
+    # are empty, byte for byte, and leaves the generator in the same place
+    scene, _ = load("kitchen")
+    closed = scene.initial_state()
+    site = handle_at(scene.part("door_1"), 0.0)
+    viewpoint = site + np.array([0.0, -0.55, 0.55])
+    noisy = SimConfig(noise_sigma=0.02)
+    # a noiseless render stores the narrowest windows, which the noisy one
+    # must widen; then the grasped part moves between renders
+    renders = [(closed, SimConfig(noise_sigma=0.0, dropout_prob=0.0)), (closed, noisy)]
+    renders += [(closed.with_theta("door_1", t), SimConfig()) for t in (0.0, 0.05, 0.1, 0.1)]
+    renders += [(closed.with_theta("door_1", 0.1), noisy)]
+    rng = np.random.default_rng(5)
+    for crop in ((site, OBSERVATION_RADIUS), None):
+        for state, config in renders:
+            fresh_rng = np.random.default_rng(5)
+            fresh_rng.bit_generator.state = rng.bit_generator.state
+            fresh = render_observation(load("kitchen")[0], state, viewpoint, config,
+                                       fresh_rng, crop=crop)
+            obs = render_observation(scene, state, viewpoint, config, rng, crop=crop)
+            assert obs.cloud.points.tobytes() == fresh.cloud.points.tobytes()
+            assert rng.bit_generator.state == fresh_rng.bit_generator.state
+
+
+def test_viewpoint_inside_a_part_rejected_after_obstacles_without_drawing():
+    wall = OrientedBox.axis_aligned((0.0, 0.0, 1.0), (0.01, 0.5, 0.5))
+    drawer = MobilePart("drawer", OrientedBox.axis_aligned((0.0, 0.2, 1.0), (0.05, 0.1, 0.1)),
+                        JointModel(PRISMATIC, (1.0, 0.0, 0.0), limit_max=0.3),
+                        handle=(0.05, 0.2, 1.0))
+    scene = KinematicScene(StaticBaseMap((wall,), (-3, -3), (3, 3)), (drawer,))
+    state = scene.initial_state()
+    rng = np.random.default_rng(2)
+    render_observation(scene, state, (2.0, 0.2, 1.0), SimConfig(), rng)
+    after = rng.bit_generator.state
+    # twice each: a viewpoint first seen, then one the boxes' memos hold
+    for viewpoint, inside in (((0.04, 0.2, 1.0), "part 'drawer'"),
+                              ((0.0, 0.2, 1.0), "a base obstacle")):  # inside both
+        for _ in range(2):
+            with pytest.raises(InvalidViewpointError, match=f"inside {inside}$"):
+                render_observation(scene, state, viewpoint, SimConfig(), rng,
+                                   crop=((0.05, 0.2, 1.0), OBSERVATION_RADIUS))
+            assert rng.bit_generator.state == after
 
 
 # --- attempt_pull ------------------------------------------------------------
