@@ -89,6 +89,8 @@ def _dataclass_with(cls, overrides: dict, **flags):
 
 def _build_configs(extras: dict, args):
     """Merge scene-file extras, --config overrides and direct flags."""
+    if args.seed < 0:
+        raise ValueError(f"--seed: expected a non-negative integer, got {args.seed}")
     overrides = _load_overrides(args.config)
     for doc in (extras, overrides):
         for name in ("sim", "exploration", "planner", "robot"):

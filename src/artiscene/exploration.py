@@ -96,8 +96,19 @@ def _compliance_action(obs: Observation, grasp) -> np.ndarray:
 
 def detect_failure(pre: Observation, current: Observation,
                    threshold: float = FAILURE_THRESHOLD) -> bool:
-    """Failure iff the clouds moved less than the threshold (strict)."""
-    return cloud_displacement(pre.cloud, current.cloud) < threshold
+    """Failure iff the clouds moved less than the threshold (strict): exactly
+    cloud_displacement(pre.cloud, current.cloud) < threshold.
+
+    The current cloud is first queried against the pre cloud's tree, which
+    every check of an attempt shares. The displacement is 0.5 * (m_pre +
+    m_cur) with both means >= 0, and rounding is monotone, so 0.5 * m_cur >=
+    threshold already proves no failure; only otherwise is the current cloud
+    given a tree and the pre cloud queried against it."""
+    m_cur = float(pre.cloud.kdtree.query(current.cloud.points)[0].mean())
+    if 0.5 * m_cur >= threshold:
+        return False
+    m_pre = float(current.cloud.kdtree.query(pre.cloud.points)[0].mean())
+    return 0.5 * (m_pre + m_cur) < threshold
 
 
 def _displaced_subset(a: Observation, b: Observation, tau: float) -> np.ndarray:

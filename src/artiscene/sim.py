@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from array import array
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -112,26 +112,34 @@ def _crop_windows(center, reach: float, face_center, axes, half, counts):
     return lo, hi
 
 
+@lru_cache(maxsize=256)
+def _face_grid(face: int, hu: float, hv: float, cu: int, cv: int):
+    """A face's node offsets along u and v from its center, and each node's
+    index on the face, as read-only (cv, cu) grids of rows (v) by columns
+    (u). They depend on the face's index, size and node counts, not on the
+    box pose, so one grid serves every pose of every box of that size."""
+    jj, ii = np.indices((cv, cu), dtype=float)
+    ju = (_node_hash(ii, jj, face) - 0.5) * 0.7
+    jv = (_node_hash(ii, jj, face + 13.7) - 0.5) * 0.7
+    us = ((ii + 0.5 + ju) / cu) * 2.0 - 1.0
+    vs = ((jj + 0.5 + jv) / cv) * 2.0 - 1.0
+    grids = (us * hu, vs * hv, np.arange(cu * cv).reshape(cv, cu))
+    for g in grids:
+        g.flags.writeable = False
+    return grids
+
+
 def _window_nodes(face_idx, face_center, axes, half, counts, lo, hi):
     """Jittered-grid samples of each face's [lo, hi) node window, in face then
     row (v) then column (u) order, with each node's index among all faces."""
-    window = hi - lo
-    n_window = window[:, 0] * window[:, 1]
-    f = np.repeat(np.arange(len(counts)), n_window)
-    k = np.arange(f.size) - np.repeat(np.cumsum(n_window) - n_window, n_window)
-    i = lo[f, 0] + k % window[f, 0]
-    j = lo[f, 1] + k // window[f, 0]
-    sizes = counts[:, 0] * counts[:, 1]
-    node = (np.cumsum(sizes) - sizes)[f] + j * counts[f, 0] + i
-    ii, jj = i.astype(float), j.astype(float)
-    salt = face_idx[f].astype(float)
-    ju = (_node_hash(ii, jj, salt) - 0.5) * 0.7
-    jv = (_node_hash(ii, jj, salt + 13.7) - 0.5) * 0.7
-    us = ((ii + 0.5 + ju) / counts[f, 0]) * 2.0 - 1.0
-    vs = ((jj + 0.5 + jv) / counts[f, 1]) * 2.0 - 1.0
-    points = (face_center[f] + (us * half[f, 0])[:, None] * axes[f, 0]
-              + (vs * half[f, 1])[:, None] * axes[f, 1])
-    return points, node
+    points, node, offset = [np.empty((0, 3))], [np.empty(0, np.intp)], 0
+    for f, c, ax, h, n, (u0, v0), (u1, v1) in zip(face_idx.tolist(), face_center, axes,
+                                                   half.tolist(), counts.tolist(), lo, hi):
+        du, dv, index = (g[v0:v1, u0:u1].ravel() for g in _face_grid(f, *h, *n))
+        points.append(c + du[:, None] * ax[0] + dv[:, None] * ax[1])
+        node.append(index + offset)
+        offset += n[0] * n[1]
+    return np.concatenate(points), np.concatenate(node)
 
 
 def render_observation(scene: KinematicScene, state: SceneState, viewpoint,
@@ -152,8 +160,12 @@ def render_observation(scene: KinematicScene, state: SceneState, viewpoint,
     its memo, per viewpoint, whether the viewpoint is inside it, its visible
     faces and their node total, and per crop center the nodes of the widest
     window built so far, so a box that does not move between renders is
-    culled and sampled once. Deterministic given the generator (or
-    config.rng_seed when none is passed).
+    culled and sampled once. A box that moved (the grasped part) takes its
+    nodes' jitter and face-frame offsets from grids keyed on the face's
+    index, size and node counts, never on its pose; its window points are
+    the per-node formula center + du * axis_u + dv * axis_v, element for
+    element, so they match a per-node build bit for bit. Deterministic given
+    the generator (or config.rng_seed when none is passed).
     """
     vp = as_vec3(viewpoint)
     pitch = 1.0 / math.sqrt(config.surface_point_density)

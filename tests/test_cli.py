@@ -207,6 +207,9 @@ def test_estimate_runtime_error_exits_3(tmp_path, drawer_scene):
                  id="explore-sim-rng-seed-comes-from-seed"),
     pytest.param("plan", ["--config", '{"planner": {"seed": 99}}'],
                  id="plan-planner-seed-comes-from-seed"),
+    pytest.param("explore", ["--seed", "-1"], id="explore-negative-seed"),
+    pytest.param("plan", ["--seed", "-1"], id="plan-negative-seed"),
+    pytest.param("run-all", ["--seed", "-1"], id="run-all-negative-seed"),
 ])
 def test_unreadable_inputs_exit_1(tmp_path, drawer_scene, capsys, command, extra):
     # the command cannot read its own inputs or use --out: exit 1, no traceback
@@ -223,6 +226,7 @@ def test_unreadable_inputs_exit_1(tmp_path, drawer_scene, capsys, command, extra
     assert main(argv) == 1
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.fixture()

@@ -70,6 +70,53 @@ def test_detect_failure_thresholds():
     assert not detect_failure(still, exact, 0.03125)
 
 
+def test_detect_failure_equals_thresholded_chamfer():
+    # the check decided on the pre cloud's tree alone, or on both means,
+    # equals the symmetric chamfer against the threshold on every pair: at
+    # thresholds on, just above and just below both the chamfer and half the
+    # current cloud's mean, where the first query stops deciding
+    rng = np.random.default_rng(12)
+    pairs = [(face_observation(np.random.default_rng(3)),
+              face_observation(np.random.default_rng(3), offset=(0.0, -0.03125, 0.0)))]
+    for _ in range(12):
+        n_pre, n_cur = rng.integers(50, 400, size=2)
+        pre = face_observation(rng, n=n_pre)
+        cur = face_observation(rng, normal_angle=rng.uniform(-0.3, 0.3),
+                               offset=rng.uniform(-0.06, 0.06, 3), n=n_cur)
+        pairs.append((pre, cur))
+    decided = Counter()
+    for pre, cur in pairs:
+        chamfer = geometry.cloud_displacement(pre.cloud, cur.cloud)
+        half_cur = 0.5 * float(pre.cloud.kdtree.query(cur.cloud.points)[0].mean())
+        for t in (chamfer, half_cur, 0.02, 0.03125):
+            for threshold in (np.nextafter(t, 0.0), t, np.nextafter(t, 1.0)):
+                expected = chamfer < threshold
+                fresh = (Observation(PointCloud(o.cloud.points), o.hotspot, o.viewpoint)
+                         for o in (pre, cur))
+                assert detect_failure(*fresh, threshold) == expected, (chamfer, threshold)
+                decided["first" if half_cur >= threshold else f"second-{expected}"] += 1
+    assert set(decided) == {"first", "second-True", "second-False"}
+
+
+def test_a_check_decided_by_the_first_query_builds_no_current_tree(monkeypatch):
+    trees = Counter()
+    kd_tree = geometry.kd_tree
+
+    def counting_tree(data, *args, **kwargs):
+        trees[np.asarray(data).tobytes()] += 1
+        return kd_tree(data, *args, **kwargs)
+
+    monkeypatch.setattr(geometry, "kd_tree", counting_tree)
+    rng = np.random.default_rng(4)
+    pre = face_observation(rng)
+    moved = face_observation(rng, offset=(0.0, -0.10, 0.0))
+    still = face_observation(rng)
+    assert not detect_failure(pre, moved)
+    assert trees == {pre.cloud.points.tobytes(): 1}
+    assert detect_failure(pre, still)  # the second mean decides: one more tree
+    assert trees == {pre.cloud.points.tobytes(): 1, still.cloud.points.tobytes(): 1}
+
+
 def test_classify_prismatic_translation():
     rng = np.random.default_rng(4)
     pre = face_observation(rng)

@@ -48,6 +48,18 @@ GOLDEN = {
         "explore/exploration_log.jsonl":
             "b575ee5e4ff74aa1bce0fa92eb877bf697591f70989fa8b6548d15c788ed2344",
     },
+    # the fold-down panel turns about a horizontal axis: its visible faces
+    # change with theta
+    ("blocked_aisle", 0): {
+        "plan/plan.json":
+            "4b4ded8b2509aa9776feb831b55d2f2053b3c201b7302da1c400a18f26efcaac",
+        "estimate/metrics.csv":
+            "a0f14fd5a057dbbb3d2ce773428d5ee5b7e2b4daeb64989ad466473268ef2a75",
+        "execution.csv":
+            "c206edcc250c8c286351b921470a24af63a9bb5862687b27eab097e353b320a8",
+        "explore/exploration_log.jsonl":
+            "44592a586bf642048095949d31149dc095423cecdf56e25b7986a82da45344d9",
+    },
 }
 
 

@@ -4,13 +4,14 @@ import numpy as np
 import pytest
 
 from artiscene.errors import GraspFailureError, InvalidViewpointError
-from artiscene.exploration import OBSERVATION_RADIUS
+from artiscene.exploration import OBSERVATION_RADIUS, explore_scene
 from artiscene.geometry import OrientedBox, rodrigues_rotation
 from artiscene.scene import (PRISMATIC, JointModel, KinematicScene, MobilePart,
                              SceneState, StaticBaseMap, handle_at, part_shape_at)
-from artiscene.sim import (Observation, SimConfig, _near_polygon, _node_hash,
-                           attempt_pull, motion_direction, nav_grid,
-                           render_observation)
+from artiscene import sim
+from artiscene.sim import (Observation, SimConfig, _crop_windows, _near_polygon,
+                           _node_hash, _visible_faces, _window_nodes, attempt_pull,
+                           motion_direction, nav_grid, render_observation)
 from shipped import load
 
 
@@ -175,6 +176,79 @@ def test_repeated_renders_equal_renders_on_a_fresh_scene():
             obs = render_observation(scene, state, viewpoint, config, rng, crop=crop)
             assert obs.cloud.points.tobytes() == fresh.cloud.points.tobytes()
             assert rng.bit_generator.state == fresh_rng.bit_generator.state
+
+
+def reference_window_nodes(face_idx, face_center, axes, half, counts, lo, hi):
+    """The per-node window construction: every node's jitter hashed and its
+    point built from the face's pose, node by node, in one array pass."""
+    window = hi - lo
+    n_window = window[:, 0] * window[:, 1]
+    f = np.repeat(np.arange(len(counts)), n_window)
+    k = np.arange(f.size) - np.repeat(np.cumsum(n_window) - n_window, n_window)
+    i = lo[f, 0] + k % window[f, 0]
+    j = lo[f, 1] + k // window[f, 0]
+    sizes = counts[:, 0] * counts[:, 1]
+    node = (np.cumsum(sizes) - sizes)[f] + j * counts[f, 0] + i
+    ii, jj = i.astype(float), j.astype(float)
+    salt = face_idx[f].astype(float)
+    ju = (_node_hash(ii, jj, salt) - 0.5) * 0.7
+    jv = (_node_hash(ii, jj, salt + 13.7) - 0.5) * 0.7
+    us = ((ii + 0.5 + ju) / counts[f, 0]) * 2.0 - 1.0
+    vs = ((jj + 0.5 + jv) / counts[f, 1]) * 2.0 - 1.0
+    points = (face_center[f] + (us * half[f, 0])[:, None] * axes[f, 0]
+              + (vs * half[f, 1])[:, None] * axes[f, 1])
+    return points, node
+
+
+@pytest.mark.parametrize("density", [1200.0, 3000.0])
+def test_window_nodes_equal_per_node_construction(density):
+    # the offsets shared by every pose of a face size give the same points,
+    # bit for bit, and the same node indices as building each node from the
+    # pose; on full, partial and empty windows of randomly posed boxes, some
+    # turned about a horizontal axis as a fold-down panel is
+    pitch = 1.0 / math.sqrt(density)
+    rng = np.random.default_rng(11)
+    kinds = set()
+    for trial in range(40):
+        axis = rng.normal(size=3)
+        if trial % 2:
+            axis[2] = 0.0  # horizontal: the top and bottom faces turn into view
+        rot = rodrigues_rotation(axis / np.linalg.norm(axis), rng.uniform(-math.pi, math.pi))
+        box = OrientedBox(rng.uniform(-1.0, 1.0, 3), rng.uniform(0.01, 0.4, 3), rot)
+        faces = _visible_faces(box, rng.uniform(-1.0, 1.0, 3) * 3.0, pitch)
+        counts = faces[-1]
+        center = box.center + rng.uniform(-0.6, 0.6, 3)
+        for lo, hi in ((np.zeros_like(counts), counts),
+                       _crop_windows(center, rng.uniform(0.05, 0.5), *faces[1:]),
+                       (counts, counts)):
+            points, node = _window_nodes(*faces, lo, hi)
+            ref_points, ref_node = reference_window_nodes(*faces, lo, hi)
+            assert points.tobytes() == ref_points.tobytes()
+            assert np.array_equal(node, ref_node) and node.dtype == ref_node.dtype
+            n = int(np.prod(hi - lo, axis=1).sum())
+            kinds.add("empty" if n == 0 else
+                      "full" if n == int(np.prod(counts, axis=1).sum()) else "partial")
+    assert kinds == {"empty", "partial", "full"}
+
+
+def test_explore_computes_each_face_grid_once():
+    # kitchen seed 0: each (face, size) offset grid is computed on first use
+    # and every later window of that face size, at any pose, reuses it
+    hashed = []
+    node_hash = sim._node_hash
+
+    def counting_hash(i, j, salt):
+        hashed.append(np.shape(i))
+        return node_hash(i, j, salt)
+
+    sim._face_grid.cache_clear()
+    scene, _ = load("kitchen")
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sim, "_node_hash", counting_hash)
+        explore_scene(scene, SimConfig(rng_seed=0), rng=np.random.default_rng(0))
+    info = sim._face_grid.cache_info()
+    assert info.misses == info.currsize and info.hits > 10 * info.misses
+    assert len(hashed) == 2 * info.misses  # two hashes per grid, none per window
 
 
 def test_viewpoint_inside_a_part_rejected_after_obstacles_without_drawing():
