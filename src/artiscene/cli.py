@@ -370,11 +370,15 @@ def cmd_run_all(args):
 # --- entry point -------------------------------------------------------------
 
 def _add_common(p, scene=True):
+    """--out and --force; with scene, also --scene and the flags that set the
+    stage configs, which estimate does not read."""
     if scene:
         p.add_argument("--scene", required=True, help="scene JSON file")
     p.add_argument("--out", required=True, help="output directory")
-    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--force", action="store_true", help="allow non-empty --out")
+    if not scene:
+        return
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--config", help="JSON overrides (path or inline)")
     p.add_argument("--noise-sigma", dest="noise_sigma", type=float, default=None)
     p.add_argument("--max-candidates", dest="max_candidates", type=int, default=None,
@@ -413,9 +417,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args, unknown = parser.parse_known_args(argv)
     except SystemExit as e:
         return EXIT_USAGE if e.code not in (0, None) else 0
+    if unknown:
+        return _fail(EXIT_USAGE, f"unrecognized arguments: {' '.join(unknown)}")
     try:
         # a command reads its inputs and returns its stages, run on the prepared --out
         stages = args.func(args)

@@ -150,7 +150,8 @@ def _alignment_candidates(src: np.ndarray, dst: np.ndarray, tree: cKDTree,
     thin near-vertical panels this pipeline sees), and anchored translation
     variants when the grasped contact point is known in both observations.
     Near-ties resolve toward the smaller rotation, the physical reading for
-    articulated furniture motion. tree is the KD-tree of dst.
+    articulated furniture motion. tree is the KD-tree of dst. Each
+    candidate comes with the _mutual_pairs it was scored on.
     """
     cs, fs = _pca_frame(src)
     cd, fd = _pca_frame(dst)
@@ -173,17 +174,18 @@ def _alignment_candidates(src: np.ndarray, dst: np.ndarray, tree: cKDTree,
                           for rot in rotations)
     scored = []
     for t in candidates:
-        d, _, mutual = _mutual_pairs(t.apply(src), dst, tree)
+        pairs = _mutual_pairs(t.apply(src), dst, tree)
+        d, _, mutual = pairs
         # score on mutual pairs only: points whose twin is outside the other
         # observation window would otherwise drown out the true alignment
         score = float(d[mutual].mean()) if mutual.any() else float(d.mean())
-        scored.append((score, t))
-    best_res = min(s for s, _ in scored)
+        scored.append((score, t, pairs))
+    best_res = min(st[0] for st in scored)
     slack = max(1.05 * best_res, best_res + 1e-6)
     near = sorted((st for st in scored if st[0] <= slack),
                   key=lambda st: _rotation_angle(st[1].rotation))
     far = sorted((st for st in scored if st[0] > slack), key=lambda st: st[0])
-    return [t for _, t in near + far]
+    return [(t, pairs) for _, t, pairs in near + far]
 
 
 def _mutual_pairs(src_moved: np.ndarray, dst: np.ndarray, tree_dst: cKDTree):
@@ -196,16 +198,17 @@ def _mutual_pairs(src_moved: np.ndarray, dst: np.ndarray, tree_dst: cKDTree):
 
 
 def _refine_mutual(src: np.ndarray, dst: np.ndarray, tree: cKDTree,
-                   start: RigidTransform):
-    """Trimmed refinement on mutual pairs from a coarse alignment.
+                   start: RigidTransform, pairs):
+    """Trimmed refinement on mutual pairs from a coarse alignment, whose
+    _mutual_pairs are given.
 
     Points whose twin fell outside the other observation window cannot
     vote on the transform. Returns (transform, inlier residual) or None.
     """
     transform = start
     inlier_res = np.inf
-    for _ in range(25):
-        d, idx, mutual = _mutual_pairs(transform.apply(src), dst, tree)
+    for i in range(25):
+        d, idx, mutual = pairs if i == 0 else _mutual_pairs(transform.apply(src), dst, tree)
         if not mutual.any():
             return None
         cut = max(3.0 * float(np.median(d[mutual])), 1e-6)
@@ -243,8 +246,8 @@ def fit_screw(pre_mobile: PointCloud, post_mobile: PointCloud, anchors=None) -> 
     dst = post_mobile.points
     tree = post_mobile.kdtree
     best = None
-    for start in _alignment_candidates(src, dst, tree, anchors)[:2]:
-        refined = _refine_mutual(src, dst, tree, start)
+    for start, pairs in _alignment_candidates(src, dst, tree, anchors)[:2]:
+        refined = _refine_mutual(src, dst, tree, start, pairs)
         if refined is not None and (best is None or refined[1] < best[1]):
             best = refined
         if best is not None and best[1] < 1e-6:

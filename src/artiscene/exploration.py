@@ -301,6 +301,7 @@ def _explore_handle(scene, state, hd: Handle, sim_config, config, robot, rng, lo
             points=len(pre.cloud) if pre else 0)
 
     classified = UNKNOWN
+    completed = None  # the last observation of a completed attempt
     attempts = 0
     failed_out = False
     while True:
@@ -309,13 +310,12 @@ def _explore_handle(scene, state, hd: Handle, sim_config, config, robot, rng, lo
                                _current_hotspot(scene, state, part_id, hd),
                                site, sim_config, rng)
         if attempt_pre is None:
-            outcome = "failed"
             log.add("observe-failed", handle=hd.label, attempt=attempts)
         else:
-            state, outcome, classified = _run_attempt(
+            state, completed, classified = _run_attempt(
                 scene, state, hd, part_id, attempt_pre, pre, site, robot,
                 viewpoint, sim_config, config, rng, log, classified)
-        if outcome == "completed":
+        if completed is not None:
             break
         if attempts >= config.max_attempts:
             failed_out = True
@@ -354,11 +354,13 @@ def _explore_handle(scene, state, hd: Handle, sim_config, config, robot, rng, lo
     if pre is not None and post is not None:
         displacement = cloud_displacement(pre.cloud, post.cloud)
         final_kind = classify_joint(pre, post)
-        if final_kind == UNKNOWN:
-            final_kind = classified
     else:
         displacement = 0.0
-        final_kind = classified
+        final_kind = UNKNOWN
+    if final_kind == UNKNOWN:
+        # a completed attempt is classified only when the record falls back on it
+        final_kind = classified if completed is None \
+            else _maybe_classify(pre, completed, classified)
     succeeded = (not failed_out) and displacement >= FAILURE_THRESHOLD
     record = ExplorationRecord(
         part_id=hd.label, pre=pre, post=post, attempts_used=attempts,
@@ -380,7 +382,9 @@ def _run_attempt(scene, state, hd, part_id, attempt_pre, first_pre, site, robot,
                  viewpoint, sim_config, config, rng, log, classified):
     """One attempt: up to max_steps micro-interactions, then a final check.
 
-    Returns (state, outcome, classified) with outcome 'completed' or 'failed'.
+    Returns (state, completed, classified). completed is the last observation
+    of a completed attempt, left for the caller to classify when it needs to,
+    and None when the attempt failed.
     """
     no_advance = 0
     for i in range(1, config.max_steps + 2):
@@ -391,20 +395,19 @@ def _run_attempt(scene, state, hd, part_id, attempt_pre, first_pre, site, robot,
         obs = _observe(scene, state, viewpoint, hotspot, site, sim_config, rng)
         if obs is None:
             log.add("observe-failed", handle=hd.label, step=step)
-            return state, "failed", classified
+            return state, None, classified
 
         stalled = no_advance >= STALL_BREAK
         check_failure = final or i > GRACE_STEPS or stalled
         if check_failure and detect_failure(attempt_pre, obs):
             classified = _maybe_classify(first_pre, obs, classified)
             log.add("failure", handle=hd.label, step=step, kind=classified)
-            return state, "failed", classified
+            return state, None, classified
         if stalled or final:
             if not final:
                 # arm made progress earlier but cannot advance further: done here
                 log.add("stall", handle=hd.label, step=step)
-            classified = _maybe_classify(first_pre, obs, classified)
-            return state, "completed", classified
+            return state, obs, classified
 
         advanced = 0.0
         try:

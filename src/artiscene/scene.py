@@ -128,7 +128,12 @@ class RobotState:
             raise ValueError("require 0 < r_min < r_max")
 
     def can_reach(self, point) -> bool:
-        return bool(self.reach_mask(as_vec3(point))[0, 0])
+        """reach_mask's verdict for one point: it uses math.hypot within 1e-9
+        of either radius, and farther out np.hypot, which differs from
+        math.hypot in the last bit at most, cannot cross a radius."""
+        x, y, z = as_vec3(point).tolist()
+        d = math.hypot(x - self.base_pose[0], y - self.base_pose[1])
+        return self.r_min <= d <= self.r_max and self.z_min <= z <= self.z_max
 
     def reach_mask(self, points, bases=None) -> np.ndarray:
         """(bases, points) bool array: each point inside the reach annulus

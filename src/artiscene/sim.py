@@ -196,7 +196,10 @@ def render_observation(scene: KinematicScene, state: SceneState, viewpoint,
             keep = None
     if config.noise_sigma > 0.0:
         n_kept = n_nodes if keep is None else int(row[-1]) + 1
-        noise = rng.normal(0.0, config.noise_sigma, size=(n_kept, 3))
+        # rng.normal(0.0, sigma)'s stream and numbers, scaled in place: its
+        # 0.0 + sigma * z differs only in a zero's sign, which + 0.0 restores
+        noise = rng.standard_normal((n_kept, 3))
+        noise *= config.noise_sigma
     if crop is None:
         center, reach = None, math.inf
     else:
@@ -226,7 +229,7 @@ def render_observation(scene: KinematicScene, state: SceneState, viewpoint,
         kept = keep[node]
         points, node = points[kept], row[node[kept]]
     if noise is not None:
-        points = points + noise[node]
+        points = points + (noise[node] + 0.0)
     if crop is not None:
         points = points[np.sum((points - center) ** 2, axis=1) <= radius * radius]
     if points.shape[0] == 0:
@@ -287,9 +290,12 @@ def arm_blocked(scene: KinematicScene, state: SceneState, part_id: str, grasp,
     if not robot.can_reach(grasp):
         return "unreachable"
     box = part_shape_at(scene.part(part_id), state.theta(part_id))
+    edges = box.memo.get("edges")
+    if edges is None:
+        edges = box.memo["edges"] = _edge_table(box.footprint())
     # robot body as a vertical cylinder vs. the part footprint
     x, y, _ = robot.base_pose
-    if _near_polygon(x, y, box.footprint(), ROBOT_RADIUS):
+    if _near_edges(x, y, edges, ROBOT_RADIUS):
         return "part-contact"
     return None
 
@@ -371,27 +377,44 @@ class OccupancyGrid:
         return np.array([xs[ix], ys[iy]])
 
 
+def _edge_table(poly: np.ndarray) -> list:
+    """Per edge of a polygon, from each vertex a to the next b, the floats
+    (a0, a1, e0, e1, e @ e) with e = b - a."""
+    edges = np.concatenate((poly[1:], poly[:1])) - poly
+    return [(a0, a1, e0, e1, float(e @ e))
+            for (a0, a1), (e0, e1), e in zip(poly.tolist(), edges.tolist(), edges)]
+
+
 def _near_polygon(px, py, poly: np.ndarray, radius: float):
-    """Whether each point (px, py) lies inside or within radius of a convex
-    counterclockwise polygon; px and py broadcast, scalars give one bool."""
-    inside = True
-    best = np.inf
-    for a, b in zip(poly, np.roll(poly, -1, axis=0)):
-        e = b - a
-        inside &= e[0] * (py - a[1]) - e[1] * (px - a[0]) >= 0.0
-        best = np.minimum(best, _segment_dist2(px, py, a, b))
+    """Whether each point (px, py) of two broadcasting arrays lies inside or
+    within radius of a convex counterclockwise polygon."""
+    inside, best = True, np.inf
+    for a0, a1, e0, e1, ee in _edge_table(poly):
+        inside &= e0 * (py - a1) - e1 * (px - a0) >= 0.0
+        if ee == 0.0:
+            d2 = (px - a0) ** 2 + (py - a1) ** 2
+        else:
+            t = np.clip(((px - a0) * e0 + (py - a1) * e1) / ee, 0.0, 1.0)
+            d2 = (px - (a0 + t * e0)) ** 2 + (py - (a1 + t * e1)) ** 2
+        best = np.minimum(best, d2)
     return inside | (best <= radius * radius)
 
 
-def _segment_dist2(px, py, a, b):
-    e = b - a
-    ee = float(e @ e)
-    if ee == 0.0:
-        return (px - a[0]) ** 2 + (py - a[1]) ** 2
-    t = np.clip(((px - a[0]) * e[0] + (py - a[1]) * e[1]) / ee, 0.0, 1.0)
-    cx = a[0] + t * e[0]
-    cy = a[1] + t * e[1]
-    return (px - cx) ** 2 + (py - cy) ** 2
+def _near_edges(x: float, y: float, edges: list, radius: float) -> bool:
+    """_near_polygon for one point, in float arithmetic on the polygon's
+    _edge_table. It rounds as numpy scalars do: ** is libm pow, not x * x,
+    e @ e is numpy's dot, not e0 * e0 + e1 * e1, and t is clipped as np.clip
+    does, so it gives numpy's verdict exactly."""
+    inside, best = True, math.inf
+    for a0, a1, e0, e1, ee in edges:
+        inside = inside and e0 * (y - a1) - e1 * (x - a0) >= 0.0
+        if ee == 0.0:
+            d2 = (x - a0) ** 2 + (y - a1) ** 2
+        else:
+            t = min(max(((x - a0) * e0 + (y - a1) * e1) / ee, 0.0), 1.0)
+            d2 = (x - (a0 + t * e0)) ** 2 + (y - (a1 + t * e1)) ** 2
+        best = min(best, d2)
+    return inside or best <= radius * radius
 
 
 def nav_grid(scene: KinematicScene, state: SceneState,

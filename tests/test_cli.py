@@ -210,6 +210,12 @@ def test_estimate_runtime_error_exits_3(tmp_path, drawer_scene):
     pytest.param("explore", ["--seed", "-1"], id="explore-negative-seed"),
     pytest.param("plan", ["--seed", "-1"], id="plan-negative-seed"),
     pytest.param("run-all", ["--seed", "-1"], id="run-all-negative-seed"),
+    # estimate reads no seed, noise or config: it takes none of their flags
+    pytest.param("estimate", ["--seed", "-1"], id="estimate-seed-flag"),
+    pytest.param("estimate", ["--noise-sigma", "5"], id="estimate-noise-sigma-flag"),
+    pytest.param("estimate", ["--max-candidates", "-3"], id="estimate-max-candidates-flag"),
+    pytest.param("estimate", ["--config", '{"sim": {"bogus": 1}}'],
+                 id="estimate-config-flag"),
 ])
 def test_unreadable_inputs_exit_1(tmp_path, drawer_scene, capsys, command, extra):
     # the command cannot read its own inputs or use --out: exit 1, no traceback

@@ -1,10 +1,12 @@
 import math
+import sys
 from collections import Counter
 
 import numpy as np
 import pytest
 
-from artiscene import exploration, geometry, scene as scene_module, sim
+from artiscene import estimation, exploration, geometry, scene as scene_module, sim
+from artiscene.cli import main
 from artiscene.errors import NoActionError, RepositionFailedError
 from artiscene.exploration import (FAILURE_THRESHOLD, PRISMATIC_KIND, REVOLUTE_LEFT,
                                    REVOLUTE_RIGHT, UNKNOWN, ExplorationConfig, Handle,
@@ -14,7 +16,7 @@ from artiscene.geometry import OrientedBox, PointCloud, rodrigues_rotation
 from artiscene.scene import (KinematicScene, RobotState, SceneState,
                              StaticBaseMap, part_pose_at)
 from artiscene.sim import Observation, SimConfig, nav_grid
-from shipped import load
+from shipped import SCENES, load
 
 
 def noiseless_sim(seed=0):
@@ -368,6 +370,65 @@ def test_explore_builds_each_crop_window_once_per_viewpoint_and_site(monkeypatch
     assert len(renders) > 100 and max(builds.values()) == 1
     # each render after a site's first builds at most the moved part's window
     assert sum(builds.values()) <= n_boxes * n_sites + len(renders) - n_sites
+
+
+def _counting(monkeypatch, module, name, counts):
+    original = getattr(module, name)
+
+    def counted(*args, **kwargs):
+        counts[name] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counted)
+
+
+def test_run_all_classifies_each_record_once_and_reuses_scored_pairs(tmp_path, monkeypatch):
+    """Kitchen seed 0: a completed attempt is classified only when its record
+    falls back on it, so each record classifies its pre/post pair once, and
+    each refinement starts from the mutual pairs its candidate was scored on."""
+    counts = Counter()
+    _counting(monkeypatch, exploration, "classify_joint", counts)
+    _counting(monkeypatch, exploration, "render_observation", counts)
+    _counting(monkeypatch, estimation, "_mutual_pairs", counts)
+    assert main(["run-all", "--scene", str(SCENES / "kitchen.json"),
+                 "--goal", str(SCENES / "kitchen_goal.json"),
+                 "--out", str(tmp_path), "--seed", "0"]) == 0
+    assert counts == {"render_observation": 219, "classify_joint": 9, "_mutual_pairs": 186}
+
+
+def test_a_deferred_classification_equals_the_completed_attempts_own(monkeypatch):
+    """With every pre/post classification forced unknown, each record falls
+    back on its completed attempt: the kind is classify_joint(pre, last),
+    with last the attempt's final observation, as classifying it on
+    completion gives."""
+    observed = []
+    observe = exploration._observe
+
+    def recording_observe(*args):
+        observed.append(observe(*args))
+        return observed[-1]
+
+    calls = []
+
+    def post_unknown_classify(pre, current):
+        # the record classifies its pre/post pair itself; an attempt's
+        # classification goes through _maybe_classify
+        calls.append(sys._getframe(1).f_code.co_name)
+        return UNKNOWN if calls[-1] == "_explore_handle" else classify_joint(pre, current)
+
+    scene, _ = load("kitchen")
+    monkeypatch.setattr(exploration, "_observe", recording_observe)
+    monkeypatch.setattr(exploration, "classify_joint", post_unknown_classify)
+    result = explore_scene(scene, SimConfig(rng_seed=0), rng=np.random.default_rng(0))
+    assert not any(e["event"] == "failure" for e in result.events)
+
+    kinds = Counter()
+    for record in result.records:
+        last = observed[[o is record.post for o in observed].index(True) - 1]
+        assert record.classified_kind == classify_joint(record.pre, last) != UNKNOWN
+        kinds[record.classified_kind] += 1
+    assert len(kinds) == 3  # left and right doors, drawers
+    assert Counter(calls) == {"_explore_handle": 9, "_maybe_classify": 9}
 
 
 def _cell_centers(scene, resolution):

@@ -60,6 +60,18 @@ GOLDEN = {
         "explore/exploration_log.jsonl":
             "44592a586bf642048095949d31149dc095423cecdf56e25b7986a82da45344d9",
     },
+    # execution stops on part-contact: the estimated dishwasher panel is
+    # narrower than the true one, whose footprint the robot body touches
+    ("galley_block", 6): {
+        "plan/plan.json":
+            "fcddd1f3560c21db5631214e5ca6b469b4131ebe0f46eb4e683543eca4b48361",
+        "estimate/metrics.csv":
+            "24f2b6baaca9c383da76d83dcaa414de58a3176e2fa49a727003ff5217d035ab",
+        "execution.csv":
+            "bdd9537b34ab1ce3f569c4e7708b61801f7e689630c8778b27d3e1051262a81e",
+        "explore/exploration_log.jsonl":
+            "20373897e57a7ebbda2521babd7b57d7198346d29ed2adc25a8a3b6c5aa2c226",
+    },
 }
 
 
@@ -106,7 +118,7 @@ def test_staged_commands_match_golden_digests(tmp_path, scene, seed):
     assert main(["explore", "--scene", str(scene_path), "--out", str(explore),
                  "--seed", str(seed)]) == 0
     assert main(["estimate", "--records", str(explore), "--truth", str(scene_path),
-                 "--out", str(estimate), "--seed", str(seed)]) == 0
+                 "--out", str(estimate)]) == 0
     assert main(["plan", "--scene", str(estimate / "estimated_scene.json"),
                  "--goal", str(SCENES / f"{scene}_goal.json"),
                  "--out", str(plan), "--seed", str(seed)]) == 0

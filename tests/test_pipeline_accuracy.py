@@ -28,7 +28,7 @@ def test_estimated_joints_within_accuracy_bounds(tmp_path, scene, seed):
     assert main(["explore", "--scene", str(scene_path), "--out", str(explore),
                  "--seed", str(seed)]) == 0
     assert main(["estimate", "--records", str(explore), "--truth", str(scene_path),
-                 "--out", str(estimate), "--seed", str(seed)]) == 0
+                 "--out", str(estimate)]) == 0
     with open(estimate / "metrics.csv", newline="") as f:
         rows = {r["part_id"]: r for r in csv.DictReader(f)}
 

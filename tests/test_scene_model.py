@@ -256,6 +256,29 @@ def test_reach_mask_boundary_matches_math_hypot():
             assert mask.tolist() == [[True, False], [False, False]]
 
 
+def test_can_reach_equals_reach_mask_at_the_annulus_and_band_edges():
+    # can_reach's one math.hypot gives reach_mask's verdict with r_min, r_max,
+    # z_min and z_max a few ulps either side of the point's distance and height
+    rng = np.random.default_rng(12)
+    verdicts = set()
+    for _ in range(30):
+        base = (*rng.uniform(-3.0, 3.0, 2).tolist(), 0.0)
+        angle, dist = rng.uniform(-math.pi, math.pi), rng.uniform(0.2, 1.0)
+        z = rng.uniform(0.1, 1.2)
+        point = (base[0] + dist * math.cos(angle), base[1] + dist * math.sin(angle), z)
+        d = math.hypot(point[0] - base[0], point[1] - base[1])
+        for k in range(-3, 4):
+            for limits in (dict(r_min=d + k * math.ulp(d), r_max=d + 0.5),
+                           dict(r_min=d / 2, r_max=d + k * math.ulp(d)),
+                           dict(r_min=d / 2, r_max=d + 0.5, z_min=z + k * math.ulp(z)),
+                           dict(r_min=d / 2, r_max=d + 0.5, z_max=z + k * math.ulp(z))):
+                robot = RobotState(base_pose=base, **limits)
+                expected = bool(robot.reach_mask(point)[0, 0])
+                assert robot.can_reach(point) is expected, (base, point, limits)
+                verdicts.add(expected)
+    assert verdicts == {True, False}
+
+
 def test_unreachable_handle_rejected_at_load(tmp_path):
     # drawer handle walled in on all sides: no free floor within arm reach
     scene, extras = load("minimal_drawer")

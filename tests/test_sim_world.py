@@ -7,10 +7,12 @@ from artiscene.errors import GraspFailureError, InvalidViewpointError
 from artiscene.exploration import OBSERVATION_RADIUS, explore_scene
 from artiscene.geometry import OrientedBox, rodrigues_rotation
 from artiscene.scene import (PRISMATIC, JointModel, KinematicScene, MobilePart,
-                             SceneState, StaticBaseMap, handle_at, part_shape_at)
+                             RobotState, SceneState, StaticBaseMap, handle_at,
+                             part_shape_at)
 from artiscene import sim
-from artiscene.sim import (Observation, SimConfig, _crop_windows, _near_polygon,
-                           _node_hash, _visible_faces, _window_nodes, attempt_pull,
+from artiscene.sim import (ROBOT_RADIUS, Observation, SimConfig, _crop_windows,
+                           _edge_table, _near_edges, _near_polygon, _node_hash,
+                           _visible_faces, _window_nodes, arm_blocked, attempt_pull,
                            motion_direction, nav_grid, render_observation)
 from shipped import load
 
@@ -150,6 +152,31 @@ def test_crop_render_equals_full_render_then_crop(name):
             render_observation(scene, state, viewpoint, config, crop_rng,
                                crop=(far, OBSERVATION_RADIUS))
         assert crop_rng.random() == full_rng.random()
+
+
+@pytest.mark.parametrize("config", [
+    SimConfig(), SimConfig(noise_sigma=0.02, dropout_prob=0.3),
+    SimConfig(noise_sigma=5e-324),  # sigma * z underflows to a signed zero or one ulp
+], ids=["default", "heavy", "subnormal-sigma"])
+def test_noisy_render_equals_the_normal_draw_bit_for_bit(config):
+    # the scaled standard normals are rng.normal(0, sigma)'s numbers, down to
+    # the sign of a zero, and leave the generator where it leaves it
+    scene, _ = load("kitchen")
+    state = scene.initial_state().with_theta("door_1", 0.6).with_theta("drawer_1", 0.1)
+    r2 = OBSERVATION_RADIUS ** 2
+    for seed, part in enumerate(scene.parts[:4]):
+        center = handle_at(part, state.theta(part.id))
+        viewpoint = center + np.array([0.0, -0.55, 0.0])
+        viewpoint[2] = config.eye_height
+        ref_rng = np.random.default_rng(seed)
+        ref = reference_render(scene, state, viewpoint, config, ref_rng)
+        inside = np.sum((ref - center) ** 2, axis=1) <= r2
+        for crop, expected in ((None, ref), ((center, OBSERVATION_RADIUS), ref[inside])):
+            rng = np.random.default_rng(seed)
+            obs = render_observation(scene, state, viewpoint, config, rng,
+                                     hotspot=center, crop=crop)
+            assert obs.cloud.points.tobytes() == expected.tobytes(), part.id
+            assert rng.bit_generator.state == ref_rng.bit_generator.state
 
 
 def test_repeated_renders_equal_renders_on_a_fresh_scene():
@@ -426,13 +453,108 @@ def test_point_and_grid_footprint_queries_agree():
     grid = nav_grid(scene, SceneState({}), 0.1, 0.3)
     xs, ys = grid.cell_centers()
     fp = box.footprint()
-    point = [[bool(_near_polygon(x, y, fp, 0.3)) for x in xs] for y in ys]
+    edges = _edge_table(fp)
+    point = [[_near_edges(x, y, edges, 0.3) for x in xs.tolist()] for y in ys.tolist()]
     assert np.array_equal(np.array(point), grid.occupied)
     assert grid.occupied.any() and not grid.occupied.all()
-    for x, y in np.random.default_rng(3).uniform(0.5, 3.5, size=(2000, 2)):
+    for x, y in np.random.default_rng(3).uniform(0.5, 3.5, size=(2000, 2)).tolist():
         d = _polygon_distance(x, y, fp)
         if abs(d - 0.3) > 1e-9:
-            assert bool(_near_polygon(x, y, fp, 0.3)) == (d <= 0.3)
+            assert _near_edges(x, y, edges, 0.3) == (d <= 0.3)
+
+
+def _probe_points(poly, rng):
+    """Points on, just off and about one robot radius off a polygon's vertices
+    and edges, plus a few inside and far away."""
+    centroid = poly.mean(axis=0)
+    pts = [centroid, centroid + 5.0]
+    for a, b in zip(poly, np.roll(poly, -1, axis=0)):
+        e = b - a
+        n = np.array([e[1], -e[0]]) / max(float(np.hypot(*e)), 1e-300)  # outward
+        for off in (0.0, 1e-12, 1e-6, ROBOT_RADIUS, -1e-6):
+            pts.append(a + off * n)
+            pts.append(a + rng.uniform(0.0, 1.0) * e + off * n)
+            pts.append(a + off * rng.normal(size=2))
+    return [tuple(p.tolist()) for p in pts]
+
+
+def reference_segment_dist2(px, py, a, b):
+    e = b - a
+    ee = float(e @ e)
+    if ee == 0.0:
+        return (px - a[0]) ** 2 + (py - a[1]) ** 2
+    t = np.clip(((px - a[0]) * e[0] + (py - a[1]) * e[1]) / ee, 0.0, 1.0)
+    cx = a[0] + t * e[0]
+    cy = a[1] + t * e[1]
+    return (px - cx) ** 2 + (py - cy) ** 2
+
+
+def reference_near_polygon(px, py, poly, radius):
+    """The contact test as arm_blocked and nav_grid ran it before the edge
+    table, in numpy arithmetic: numpy scalars for one point, arrays for a
+    grid."""
+    inside = True
+    best = np.inf
+    for a, b in zip(poly, np.roll(poly, -1, axis=0)):
+        e = b - a
+        inside &= e[0] * (py - a[1]) - e[1] * (px - a[0]) >= 0.0
+        best = np.minimum(best, reference_segment_dist2(px, py, a, b))
+    return inside | (best <= radius * radius)
+
+
+def test_contact_tests_equal_the_numpy_reference():
+    # arm_blocked's float test on the edge table gives the numpy-scalar
+    # verdict on yawed and tilted box footprints and on a polygon with a
+    # zero-length edge, also at radii a few ulps either side of each point's
+    # squared distance as the reference rounds it; nav_grid's array test
+    # gives the reference's mask over a grid of cell centers
+    rng = np.random.default_rng(8)
+    polys = []
+    for trial in range(16):
+        axis = (0.0, 0.0, 1.0) if trial % 2 else rng.normal(size=3)
+        rot = rodrigues_rotation(axis / np.linalg.norm(axis), rng.uniform(-math.pi, math.pi))
+        polys.append(OrientedBox(rng.uniform(-2.0, 2.0, 3), rng.uniform(0.01, 0.5, 3),
+                                 rot).footprint())
+    polys.append(np.array([[0.0, 0.0], [1.0, 0.0], [1.0, 0.0], [0.3, 1.0]]))
+    verdicts = set()
+    for poly in polys:
+        edges = _edge_table(poly)
+        for x, y in _probe_points(poly, rng):
+            best = min(float(reference_segment_dist2(x, y, a, b))
+                       for a, b in zip(poly, np.roll(poly, -1, axis=0)))
+            r = math.sqrt(best)
+            radii = [ROBOT_RADIUS] + [r + k * math.ulp(r) for k in range(-3, 4)]
+            for radius in radii:
+                expected = bool(reference_near_polygon(x, y, poly, radius))
+                assert _near_edges(x, y, edges, radius) is expected, (poly, x, y, radius)
+                verdicts.add(expected)
+        lo, hi = poly.min(axis=0) - 0.5, poly.max(axis=0) + 0.5
+        xs, ys = np.arange(lo[0], hi[0], 0.01), np.arange(lo[1], hi[1], 0.01)
+        mask = _near_polygon(xs[None, :], ys[:, None], poly, ROBOT_RADIUS)
+        expected = reference_near_polygon(xs[None, :], ys[:, None], poly, ROBOT_RADIUS)
+        assert np.array_equal(mask, expected) and mask.any() and not mask.all()
+    assert verdicts == {True, False}
+
+
+def test_arm_blocked_equals_the_array_reach_and_contact_tests():
+    # the kitchen's parts, closed and open, against bases around each posed
+    # footprint: the verdict of reach_mask and the numpy contact test, in that order
+    scene, _ = load("kitchen")
+    rng = np.random.default_rng(9)
+    reasons = set()
+    for part in scene.parts:
+        for theta in (0.0, 0.5 * part.joint.limit_max):
+            state = scene.initial_state().with_theta(part.id, theta)
+            grasp = handle_at(part, theta)
+            fp = part_shape_at(part, theta).footprint()
+            for x, y in _probe_points(fp, rng)[::3]:
+                robot = RobotState(base_pose=(x, y, 0.0))
+                expected = ("unreachable" if not robot.reach_mask(grasp)[0, 0] else
+                            "part-contact" if reference_near_polygon(x, y, fp, ROBOT_RADIUS)
+                            else None)
+                assert arm_blocked(scene, state, part.id, grasp, robot) == expected
+                reasons.add(expected)
+    assert reasons == {"unreachable", "part-contact", None}
 
 
 def test_observation_hotspot_bound():
