@@ -16,7 +16,8 @@ from .geometry import (DegenerateGeometryError, cloud_displacement,
                        unit)
 from .scene import KinematicScene, RobotState, SceneState, handle_at
 from .sim import (GRASP_TOLERANCE, Observation, OccupancyGrid, SimConfig,
-                  arm_blocked, attempt_pull, nav_grid, render_observation)
+                  arm_blocked, attempt_pull, discard_pending_draw, nav_grid,
+                  render_observation)
 
 REVOLUTE_LEFT = "revolute-left"
 REVOLUTE_RIGHT = "revolute-right"
@@ -249,10 +250,13 @@ def explore_scene(scene: KinematicScene, sim_config: SimConfig,
     log = _EventLog()
     records = []
 
-    for hd in handles:
-        record, state = _explore_handle(scene, state, hd, sim_config, config,
-                                        robot, rng, log)
-        records.append(record)
+    try:
+        for hd in handles:
+            record, state = _explore_handle(scene, state, hd, sim_config, config,
+                                            robot, rng, log)
+            records.append(record)
+    finally:  # no generator or noise array outlives the run
+        discard_pending_draw()
 
     return ExplorationResult(records, log.events, state)
 

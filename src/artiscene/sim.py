@@ -9,6 +9,7 @@ numpy Generator; operations take a state and return new values.
 from __future__ import annotations
 
 import math
+import os
 from array import array
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
@@ -37,10 +38,16 @@ class SimConfig:
     eye_height: float = 1.0
 
     def __post_init__(self):
-        if self.surface_point_density <= 0.0:
-            raise ValueError("surface_point_density must be positive")
-        if self.noise_sigma < 0.0:
-            raise ValueError("noise_sigma must be >= 0")
+        # comparisons with NaN are false, so each test is written to fail on it
+        if not 0.0 < self.surface_point_density < math.inf:
+            raise ValueError("surface_point_density must be positive and finite")
+        if not 0.0 <= self.noise_sigma < math.inf:
+            raise ValueError("noise_sigma must be finite and >= 0")
+        for name in ("step_revolute", "step_prismatic"):
+            if not 0.0 < getattr(self, name) < math.inf:
+                raise ValueError(f"{name} must be positive and finite")
+        if not math.isfinite(self.eye_height):
+            raise ValueError("eye_height must be finite")
         if not 0.0 <= self.dropout_prob < 1.0:
             raise ValueError("dropout_prob must lie in [0, 1)")
         if not 0.0 < self.slip_angle < math.pi / 2.0:
@@ -142,6 +149,99 @@ def _window_nodes(face_idx, face_center, axes, half, counts, lo, hi):
     return np.concatenate(points), np.concatenate(node)
 
 
+def _draw(rng: np.random.Generator, n_nodes: int, p: float, sigma: float):
+    """Dropout and noise for n_nodes nodes: the kept-node mask and each
+    node's noise row (None when none drop out), the kept nodes' (k, 3) noise
+    (None when sigma is 0), and max |noise| floored at 6 sigma."""
+    keep = row = noise = None
+    if p > 0.0:
+        keep = rng.random(n_nodes) >= p
+        if keep.any():
+            row = np.cumsum(keep) - 1  # node -> noise row
+        else:  # every point dropped out: keep them all
+            keep = None
+    if sigma > 0.0:
+        n_kept = n_nodes if keep is None else int(row[-1]) + 1
+        # rng.normal(0.0, sigma)'s stream and numbers, scaled in place: its
+        # 0.0 + sigma * z differs only in a zero's sign, which + 0.0 restores
+        noise = rng.standard_normal((n_kept, 3))
+        noise *= sigma
+    # a noisy point within a crop radius has its node within radius + |noise|
+    # + rounding; the 6 sigma floor keeps one window per site as noise varies
+    margin = 6.0 * sigma
+    if noise is not None:
+        margin = max(margin, float(noise.max()), float(-noise.min()))
+    return keep, row, noise, margin
+
+
+def _draw_from(state: dict, args: tuple):
+    """_draw on a new PCG64 generator set to state, with its end state."""
+    rng = np.random.Generator(np.random.PCG64(0))
+    rng.bit_generator.state = state
+    return _draw(rng, *args), rng.bit_generator.state
+
+
+def _cpus_apart() -> set:
+    """The CPUs this process may use other than the calling thread's current
+    one; empty where that is unknown (no Linux /proc or affinity call)."""
+    try:
+        with open("/proc/thread-self/stat") as f:  # field 39: the thread's CPU
+            cpu = int(f.read().rsplit(")", 1)[1].split()[36])
+        return os.sched_getaffinity(0) - {cpu}
+    except (OSError, AttributeError, ValueError, IndexError):
+        return set()
+
+
+def _pin(cpus: set) -> None:
+    """Worker initializer: run on cpus, or where the scheduler puts it."""
+    try:
+        os.sched_setaffinity(0, cpus)
+    except OSError:
+        pass
+
+
+# the one thread that makes the next render's draw ahead, kept off the first
+# render's CPU: left to the scheduler, it is woken on the core of the render
+# thread that woke it and delays that thread instead of overlapping it;
+# False where no other CPU is known, and renders then draw serially
+_worker = None
+# (generator, its start state, _draw args, future) of that draw; any render
+# may replace it, but one takes it only on an exact match, so sharing it
+# between callers can cost a draw made ahead, never change a result
+_pending = None
+
+
+def _take_draw(rng: np.random.Generator, args: tuple):
+    """_draw(rng, *args), taken from the draw made ahead when it matches
+    exactly; then the next draw with the same args is made ahead."""
+    global _worker, _pending
+    pending, _pending = _pending, None
+    state = rng.bit_generator.state
+    if pending is not None and pending[0] is rng and pending[1:3] == (state, args):
+        drawn, state = pending[3].result()
+        rng.bit_generator.state = state
+    else:  # a discarded draw is left to finish: it has nearly always started
+        drawn = _draw(rng, *args)
+        state = rng.bit_generator.state
+    if _worker is None:
+        cpus, _worker = _cpus_apart(), False
+        if cpus:
+            from concurrent.futures import ThreadPoolExecutor
+            _worker = ThreadPoolExecutor(1, thread_name_prefix="artiscene-draw",
+                                         initializer=_pin, initargs=(cpus,))
+    # default_rng's PCG64 only: its state is a dict of ints, which == above
+    # compares exactly, and _draw_from rebuilds it
+    if _worker and type(rng.bit_generator) is np.random.PCG64:
+        _pending = (rng, state, args, _worker.submit(_draw_from, state, args))
+    return drawn
+
+
+def discard_pending_draw() -> None:
+    """Drop the draw made ahead, if any, with its generator and arrays."""
+    global _pending
+    _pending = None
+
+
 def render_observation(scene: KinematicScene, state: SceneState, viewpoint,
                        config: SimConfig, rng: np.random.Generator | None = None,
                        hotspot=None, crop=None) -> Observation:
@@ -166,6 +266,18 @@ def render_observation(scene: KinematicScene, state: SceneState, viewpoint,
     the per-node formula center + du * axis_u + dv * axis_v, element for
     element, so they match a per-node build bit for bit. Deterministic given
     the generator (or config.rng_seed when none is passed).
+
+    The draw (_draw) takes, in this order, one uniform per visible node for
+    dropout and three standard normals per kept node, scaled by sigma. After
+    drawing from a passed generator, the render has the next draw with the
+    same node count, dropout and sigma made ahead on a worker thread kept
+    off the render thread's CPU (where the process has another), from a
+    copy of the generator at its current state. The next render takes that
+    draw only if it is passed the same generator object, the generator is
+    still in the copy's start state and the node count, dropout and sigma
+    are equal; it then sets the generator to the copy's end state. Otherwise
+    it discards the draw and draws itself, so both ways give the same points
+    and leave the generator in the same state.
     """
     vp = as_vec3(viewpoint)
     pitch = 1.0 / math.sqrt(config.surface_point_density)
@@ -182,33 +294,16 @@ def render_observation(scene: KinematicScene, state: SceneState, viewpoint,
         if view[0]:
             raise InvalidViewpointError(f"viewpoint lies inside {name}")
         views.append((box, *view[1:]))
-    if rng is None:
-        rng = np.random.default_rng(config.rng_seed)
     n_nodes = sum(n for _, _, n in views)
     if n_nodes == 0:
         raise ValueError("nothing visible from this viewpoint")
-    keep = row = noise = None
-    if config.dropout_prob > 0.0:
-        keep = rng.random(n_nodes) >= config.dropout_prob
-        if keep.any():
-            row = np.cumsum(keep) - 1  # node -> noise row
-        else:  # every point dropped out: keep them all
-            keep = None
-    if config.noise_sigma > 0.0:
-        n_kept = n_nodes if keep is None else int(row[-1]) + 1
-        # rng.normal(0.0, sigma)'s stream and numbers, scaled in place: its
-        # 0.0 + sigma * z differs only in a zero's sign, which + 0.0 restores
-        noise = rng.standard_normal((n_kept, 3))
-        noise *= config.noise_sigma
+    args = (n_nodes, config.dropout_prob, config.noise_sigma)
+    keep, row, noise, margin = (_draw(np.random.default_rng(config.rng_seed), *args)
+                                if rng is None else _take_draw(rng, args))
     if crop is None:
         center, reach = None, math.inf
     else:
         center, radius = as_vec3(crop[0]), float(crop[1])
-        # a noisy point within radius has its node within radius + |noise| +
-        # rounding; the 6 sigma floor keeps one window per site as noise varies
-        margin = 6.0 * config.noise_sigma
-        if noise is not None:
-            margin = max(margin, float(noise.max()), float(-noise.min()))
         reach = radius + math.sqrt(3.0) * margin + 1e-6
     # a wider window holds the same nodes in the same order, plus nodes whose
     # points the sphere test drops, so the widest window built is reused

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from artiscene import sim
 from artiscene.cli import main
 from artiscene.scene import load_scene, load_scene_extras, save_scene
 from shipped import SCENES
@@ -197,6 +198,13 @@ def test_estimate_runtime_error_exits_3(tmp_path, drawer_scene):
     pytest.param("plan", ["--max-candidates", "0"], id="plan-zero-max-candidates"),
     pytest.param("plan", ["--max-candidates", "-5"], id="plan-negative-max-candidates"),
     pytest.param("explore", ["--noise-sigma", "-1"], id="explore-negative-noise-sigma"),
+    pytest.param("explore", ["--noise-sigma", "nan"], id="explore-nan-noise-sigma"),
+    pytest.param("explore", ["--config", '{"sim": {"surface_point_density": Infinity}}'],
+                 id="explore-infinite-point-density"),
+    pytest.param("explore", ["--config", '{"sim": {"eye_height": NaN}}'],
+                 id="explore-nan-eye-height"),
+    pytest.param("explore", ["--config", '{"sim": {"step_revolute": 0}}'],
+                 id="explore-zero-revolute-step"),
     pytest.param("plan", ["--config", '{"planner": {"K": 5}}'],
                  id="plan-planner-constant-not-a-field"),
     pytest.param("explore", ["--config", '{"exploration": {"robot_radius": 0.3}}'],
@@ -299,18 +307,22 @@ def test_force_rerun_estimates_only_its_own_records(tmp_path, drawer_scene):
 
 
 FRESH_INTERPRETER = """
-import sys
+import sys, threading
 sys.path.insert(0, sys.argv[1])
+from artiscene import sim
 from artiscene.cli import main
 assert main(sys.argv[2:]) == 0
-print("scipy.spatial" in sys.modules)
+print("scipy.spatial" in sys.modules, "concurrent.futures" in sys.modules,
+      threading.active_count())
 """
 
 
-@pytest.mark.parametrize("command, loads_scipy", [("plan", False), ("explore", True)])
+@pytest.mark.parametrize("command, explores", [("plan", False), ("explore", True)])
 def test_scipy_loads_only_with_the_first_kd_tree(tmp_path, drawer_scene, command,
-                                                 loads_scipy):
-    # a fresh interpreter, so that the test session's own imports do not count
+                                                 explores):
+    # a fresh interpreter, so that the test session's own imports do not count;
+    # the render's draw-ahead worker thread, like scipy, comes with the first
+    # explore, so plan and a bare import of the CLI start neither
     data = Path(__file__).resolve().parent / "data"
     if command == "plan":
         argv = ["plan", "--scene", str(data / "facing_panels.json"),
@@ -321,7 +333,8 @@ def test_scipy_loads_only_with_the_first_kd_tree(tmp_path, drawer_scene, command
     proc = subprocess.run([sys.executable, "-c", FRESH_INTERPRETER, str(src), *argv,
                            "--out", str(tmp_path / "out")],
                           capture_output=True, text=True, check=True)
-    assert proc.stdout.splitlines()[-1] == str(loads_scipy)
+    ahead = explores and bool(sim._cpus_apart())  # a worker needs another CPU
+    assert proc.stdout.splitlines()[-1] == f"{explores} {ahead} {1 + ahead}"
 
 
 def test_estimate_missing_records_exits_runtime(tmp_path):

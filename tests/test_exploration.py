@@ -1,5 +1,6 @@
 import math
 import sys
+import weakref
 from collections import Counter
 
 import numpy as np
@@ -370,6 +371,23 @@ def test_explore_builds_each_crop_window_once_per_viewpoint_and_site(monkeypatch
     assert len(renders) > 100 and max(builds.values()) == 1
     # each render after a site's first builds at most the moved part's window
     assert sum(builds.values()) <= n_boxes * n_sites + len(renders) - n_sites
+
+
+def test_explore_keeps_no_pending_draw():
+    # the draw made ahead after the last render is dropped when the run
+    # returns, so neither its generator nor a noise array outlives the run
+    class Rng(np.random.Generator):  # a plain Generator takes no weak reference
+        pass
+
+    rng = Rng(np.random.PCG64(0))
+    explore_scene(load("blocked_aisle")[0], SimConfig(), rng=rng)
+    gone = weakref.ref(rng)
+    del rng
+    assert gone() is None and sim._pending is None
+    # a render without a generator makes no draw ahead
+    kitchen, _ = load("kitchen")
+    sim.render_observation(kitchen, kitchen.initial_state(), (3.0, 1.5, 1.0), SimConfig())
+    assert sim._pending is None
 
 
 def _counting(monkeypatch, module, name, counts):

@@ -1,4 +1,6 @@
 import math
+import os
+import threading
 
 import numpy as np
 import pytest
@@ -203,6 +205,74 @@ def test_repeated_renders_equal_renders_on_a_fresh_scene():
             obs = render_observation(scene, state, viewpoint, config, rng, crop=crop)
             assert obs.cloud.points.tobytes() == fresh.cloud.points.tobytes()
             assert rng.bit_generator.state == fresh_rng.bit_generator.state
+
+
+def test_speculative_draws_equal_serial_draws(monkeypatch):
+    # a render takes the draw made ahead only on an exact match of generator,
+    # state, node count, dropout and sigma; hit or miss, its points and the
+    # generator's state equal those of a render that draws serially
+    scene, _ = load("kitchen")
+    site = handle_at(scene.part("door_1"), 0.0)
+    at = site + np.array([0.0, -0.55, 0.55])
+    moved = at + np.array([0.3, 0.0, 0.0])
+    crop, far = (site, OBSERVATION_RADIUS), (site + 5.0, OBSERVATION_RADIUS)
+    door = scene.initial_state().with_theta
+    renders = [  # (door angle, viewpoint, config, crop, shared generator, hit)
+        (0.0, at, SimConfig(), crop, True, False),
+        (0.02, at, SimConfig(), crop, True, True),  # the grasped part moved
+        (0.05, at, SimConfig(), crop, True, True),
+        (0.1, at, SimConfig(), crop, True, False),  # one of its faces came into view
+        (0.1, moved, SimConfig(), crop, True, False),  # viewpoint changed
+        "outside draw",
+        (0.1, moved, SimConfig(), crop, True, False),  # state moved on
+        (0.1, moved, SimConfig(noise_sigma=0.01), crop, True, False),
+        (0.1, moved, SimConfig(dropout_prob=0.05), crop, True, False),
+        (0.1, moved, SimConfig(dropout_prob=0.05), far, True, True),  # raises
+        (0.1, moved, SimConfig(dropout_prob=0.05), crop, True, True),
+        (0.1, moved, SimConfig(dropout_prob=0.05), crop, False, False),
+        (0.1, at, SimConfig(), crop, False, False),
+        (0.1, moved, SimConfig(dropout_prob=0.05), crop, True, True),
+    ]
+    serial_draw = sim._draw
+    drawn_here = []
+
+    def counting_draw(*args):  # the worker's draws are not counted
+        if threading.current_thread() is threading.main_thread():
+            drawn_here.append(args[1:])
+        return serial_draw(*args)
+
+    def render(theta, viewpoint, config, crop, rng):
+        try:
+            obs = render_observation(scene, door("door_1", theta), viewpoint, config,
+                                     rng, crop=crop)
+        except ValueError as e:
+            assert "nothing inside the crop sphere" in str(e)
+            return None
+        return obs.cloud.points.tobytes()
+
+    monkeypatch.setattr(sim, "_draw", counting_draw)
+    rng, ref = np.random.default_rng(11), np.random.default_rng(11)
+    hits = []
+    for step in renders:
+        if step == "outside draw":
+            assert rng.random() == ref.random()
+            continue
+        *args, shared, _ = step
+        with monkeypatch.context() as serial:
+            serial.setattr(sim, "_take_draw", lambda g, a: serial_draw(g, *a))
+            expected = render(*args, ref if shared else None)
+        drawn_here.clear()
+        assert render(*args, rng if shared else None) == expected
+        assert rng.bit_generator.state == ref.bit_generator.state
+        hits.append(not drawn_here)
+    apart = bool(sim._cpus_apart())  # else no worker: every render draws itself
+    assert hits == [apart and step[-1] for step in renders if step != "outside draw"]
+    sim.discard_pending_draw()
+    # the worker runs on CPUs other than the one that started it
+    workers = [t for t in threading.enumerate() if t.name.startswith("artiscene-draw")]
+    assert len(workers) == apart
+    if apart:
+        assert os.sched_getaffinity(workers[0].native_id) < os.sched_getaffinity(0)
 
 
 def reference_window_nodes(face_idx, face_center, axes, half, counts, lo, hi):
@@ -574,6 +644,15 @@ def test_sim_config_validation():
         SimConfig(slip_angle=math.pi)
     with pytest.raises(ValueError):
         SimConfig(noise_sigma=-1.0)
+    # NaN fails every comparison, so each bound must be written to reject it
+    for field, values in (("noise_sigma", (math.nan, math.inf)),
+                          ("surface_point_density", (math.nan, math.inf)),
+                          ("eye_height", (math.nan, math.inf, -math.inf)),
+                          ("step_revolute", (0.0, -0.05, math.nan, math.inf)),
+                          ("step_prismatic", (0.0, -0.01, math.nan, math.inf))):
+        for value in values:
+            with pytest.raises(ValueError, match=field):
+                SimConfig(**{field: value})
 
 
 def test_noiseless_render_points_lie_on_surfaces():
