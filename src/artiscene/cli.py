@@ -21,8 +21,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import (ArtisceneError, SceneFormatError, SceneValidationError,
-                     UnknownPartError)
+from .errors import (ArtisceneError, LimitViolationError, SceneFormatError,
+                     SceneValidationError, UnknownPartError)
 from .estimation import articulation_errors, estimate_record, estimated_part
 from .execution import execute_plan, opening_degree
 from .exploration import ExplorationConfig, explore_scene
@@ -112,20 +112,30 @@ def _build_configs(extras: dict, args):
     robot_kwargs = dict(extras.get("robot", {}))
     robot_kwargs.update(overrides.get("robot", {}))
     start = robot_kwargs.pop("start", [0.0, 0.0, 0.0])
-    if not (_is_a(start, list) and len(start) == 3 and all(_is_a(v, float) for v in start)):
-        raise ValueError(f"robot.start: expected [x, y, heading_deg], got {start!r}")
+    if not (_is_a(start, list) and len(start) == 3
+            and all(_is_a(v, float) and math.isfinite(v) for v in start)):
+        raise ValueError(f"robot.start: expected finite [x, y, heading_deg], got {start!r}")
     pose = (float(start[0]), float(start[1]), math.radians(start[2]))
     robot = _dataclass_with(RobotState, robot_kwargs, base_pose=pose)
     return sim, expl, planner, robot
 
 
 def _parse_goal(scene: KinematicScene, raw: dict) -> dict:
-    """Goal file maps part id -> threshold (degrees for revolute, meters else)."""
+    """Goal file maps part id -> threshold (degrees for revolute, meters else).
+
+    A threshold that is not a number raises ValueError; one that is not
+    finite, or above the joint's upper limit, raises LimitViolationError.
+    A threshold at or below the closed state is already met, so it stands."""
     goal = {}
     for part_id, value in raw.items():
         part = scene.part(part_id)  # raises UnknownPartError
-        goal[part_id] = math.radians(float(value)) if part.joint.kind == REVOLUTE \
-            else float(value)
+        if not _is_a(value, float):
+            raise ValueError(f"goal {part_id}: expected a number, got {value!r}")
+        theta = math.radians(value) if part.joint.kind == REVOLUTE else float(value)
+        if not (math.isfinite(theta) and theta <= part.joint.limit_max + 1e-9):
+            raise LimitViolationError(f"goal {part_id}: {value!r} is not a finite "
+                                      f"value within the joint's upper limit")
+        goal[part_id] = theta
     return goal
 
 
@@ -196,14 +206,24 @@ def cmd_explore(args):
 
 # --- estimate ----------------------------------------------------------------
 
-def _read_record(records_dir: Path, doc: dict):
-    def read_obs(sub):
-        cloud = load_xyz(records_dir / sub["cloud"])
-        return Observation(cloud, sub["hotspot"], sub["viewpoint"])
-
-    pre = read_obs(doc["pre"]) if "pre" in doc else None
-    post = read_obs(doc["post"]) if "post" in doc else None
-    return pre, post
+def _read_record(rec_path: Path):
+    """(part_id, (pre, post) or None when exploration failed) of one explore
+    record; a record without what estimation reads raises ValueError."""
+    doc = json.loads(rec_path.read_text())
+    if not (isinstance(doc, dict) and isinstance(doc.get("part_id"), str)):
+        raise ValueError(f"{rec_path}: expected an object with a string part_id")
+    if not doc.get("succeeded"):
+        return doc["part_id"], None
+    pair = []
+    for key in ("pre", "post"):
+        sub = doc.get(key)
+        if not (isinstance(sub, dict) and isinstance(sub.get("cloud"), str)
+                and {"hotspot", "viewpoint"} <= sub.keys()):
+            raise ValueError(f"{rec_path}: {key}: expected an object with cloud, "
+                             "hotspot and viewpoint")
+        cloud = load_xyz(rec_path.parent / sub["cloud"])
+        pair.append(Observation(cloud, sub["hotspot"], sub["viewpoint"]))
+    return doc["part_id"], pair
 
 
 def run_estimate(records_root: Path, out: Path,
@@ -222,17 +242,17 @@ def run_estimate(records_root: Path, out: Path,
     failures = []
     parts = []
     for rec_path in sorted(records_dir.glob("*.json")):
-        doc = json.loads(rec_path.read_text())
-        if not doc.get("succeeded"):
-            failures.append({"part_id": doc["part_id"], "stage": "exploration"})
+        part_id, pair = _read_record(rec_path)
+        if pair is None:
+            failures.append({"part_id": part_id, "stage": "exploration"})
             continue
-        pre, post = _read_record(records_dir, doc)
+        pre, post = pair
         try:
-            est = estimate_record(doc["part_id"], pre, post)
+            est = estimate_record(part_id, pre, post)
             estimates.append(est)
             parts.append(estimated_part(est, pre, post))
         except ArtisceneError as e:
-            failures.append({"part_id": doc["part_id"], "stage": "estimation",
+            failures.append({"part_id": part_id, "stage": "estimation",
                              "reason": str(e)})
 
     est_scene = KinematicScene(base_scene.base, parts)
@@ -426,7 +446,7 @@ def main(argv=None) -> int:
         # a command reads its inputs and returns its stages, run on the prepared --out
         stages = args.func(args)
         out = _prepare_out(args.out, args.force)
-    except VALIDATION_ERRORS as e:
+    except (*VALIDATION_ERRORS, LimitViolationError) as e:  # the goal past a limit
         return _fail(EXIT_VALIDATION, str(e))
     except (OSError, ValueError) as e:
         return _fail(EXIT_USAGE, str(e))

@@ -100,11 +100,6 @@ class RigidTransform:
             return self.rotation @ p + self.translation
         return p @ self.rotation.T + self.translation
 
-    def compose(self, other: "RigidTransform") -> "RigidTransform":
-        """self after other: (self o other)(x) = self(other(x))."""
-        return RigidTransform(self.rotation @ other.rotation,
-                              self.rotation @ other.translation + self.translation)
-
     def inverse(self) -> "RigidTransform":
         rt = self.rotation.T
         return RigidTransform(rt, -rt @ self.translation)
@@ -129,10 +124,6 @@ class OrientedBox:
         object.__setattr__(self, "center", c)
         object.__setattr__(self, "half_extents", h)
         object.__setattr__(self, "orientation", r)
-
-    @staticmethod
-    def axis_aligned(center, half_extents) -> "OrientedBox":
-        return OrientedBox(as_vec3(center), as_vec3(half_extents), np.eye(3))
 
     def inflated(self, margin: float) -> "OrientedBox":
         return OrientedBox(self.center, self.half_extents + margin, self.orientation)

@@ -6,14 +6,14 @@ from __future__ import annotations
 import itertools
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import LimitViolationError, NoBaseFoundError
-from .geometry import as_vec3, obb_overlaps
-from .scene import (REVOLUTE, JointModel, KinematicScene, MobilePart, RobotState,
-                    SceneState, handle_at, part_shape_at, rodrigues_rotation)
+from .errors import NoBaseFoundError
+from .geometry import obb_overlaps
+from .scene import (REVOLUTE, KinematicScene, MobilePart, RobotState, SceneState,
+                    part_pose_at, part_shape_at)
 from .sim import OccupancyGrid, nav_grid
 
 K = 10                  # trajectory segments: K + 1 waypoints per step
@@ -43,47 +43,17 @@ class EndEffectorTrajectory:
         return self.waypoints.mean(axis=0)
 
 
-def revolute_trajectory(p, joint: JointModel, g_r: float, K: int) -> EndEffectorTrajectory:
-    """Waypoints R(i g_r / K)(p - q) + q for i in 0..K about the joint axis."""
-    if joint.kind != REVOLUTE:
-        raise ValueError("joint must be revolute")
-    if K < 1:
-        raise ValueError("K must be >= 1")
-    _check_goal(joint, g_r)
-    p = as_vec3(p)
-    rel = p - joint.pivot
-    wps = [rodrigues_rotation(joint.axis, i * g_r / K) @ rel + joint.pivot
-           for i in range(K + 1)]
-    return EndEffectorTrajectory("", np.asarray(wps), g_r, K)
-
-
-def prismatic_trajectory(p, joint: JointModel, g_p: float, K: int) -> EndEffectorTrajectory:
-    """Waypoints p + (i/K) g_p u for i in 0..K along the joint axis."""
-    if joint.kind == REVOLUTE:
-        raise ValueError("joint must be prismatic")
-    if K < 1:
-        raise ValueError("K must be >= 1")
-    _check_goal(joint, g_p)
-    p = as_vec3(p)
-    wps = [p + (i / K) * g_p * joint.axis for i in range(K + 1)]
-    return EndEffectorTrajectory("", np.asarray(wps), g_p, K)
-
-
-def _check_goal(joint: JointModel, g: float) -> None:
-    if not (joint.limit_min - 1e-9 <= g <= joint.limit_max + 1e-9):
-        raise LimitViolationError(
-            f"goal {g} outside joint limits [{joint.limit_min}, {joint.limit_max}]")
-
-
 def part_trajectory(part: MobilePart, theta_start: float, theta_goal: float,
                     K: int) -> EndEffectorTrajectory:
-    """Trajectory of the handle from its pose at theta_start to theta_goal."""
-    j = part.joint
-    shifted = replace(j, limit_min=j.limit_min - theta_start,
-                      limit_max=j.limit_max - theta_start, state=0.0)
-    build = revolute_trajectory if j.kind == REVOLUTE else prismatic_trajectory
-    traj = build(handle_at(part, theta_start), shifted, theta_goal - theta_start, K)
-    return replace(traj, part_id=part.id)
+    """The handle posed by part_pose_at at K+1 evenly spaced joint states
+    from theta_start to theta_goal; a state past the joint limits raises
+    LimitViolationError."""
+    if K < 1:
+        raise ValueError("K must be >= 1")
+    delta = theta_goal - theta_start
+    wps = [part_pose_at(part, theta_start + i * delta / K).apply(part.handle)
+           for i in range(K + 1)]
+    return EndEffectorTrajectory(part.id, np.asarray(wps), delta, K)
 
 
 def sample_part_sweep(part: MobilePart, n_configs: int = N_CONFIGS) -> list:
@@ -106,10 +76,6 @@ def check_part_collision(candidate_sweep, environment, margin: float = MARGIN):
 
 def check_path(grid: OccupancyGrid, from_pose, to_pose) -> bool:
     """4-connected free path between two poses on the inflated grid."""
-    # equal poses by np.allclose's rule, on Python floats
-    if all(abs(a - b) <= 1e-8 + 1e-5 * abs(b) and math.isfinite(b) or a == b
-           for a, b in zip(map(float, from_pose[:2]), map(float, to_pose[:2]))):
-        return grid.is_free(from_pose[:2])
     start = grid.component(grid.cell_of(from_pose[:2]))
     return start is not None and start == grid.component(grid.cell_of(to_pose[:2]))
 

@@ -270,10 +270,26 @@ def _box_to_json(box: OrientedBox) -> dict:
     return d
 
 
+def _require_finite(d: dict, keys, where: str) -> None:
+    """Each number under d[key] is finite (json reads NaN and Infinity);
+    raises SceneFormatError naming the field. Absent and null keys are left
+    to the field's own rule."""
+    for key in keys:
+        if d.get(key) is None:
+            continue
+        try:
+            finite = np.isfinite(np.asarray(d[key], dtype=float)).all()
+        except (TypeError, ValueError):
+            finite = False
+        if not finite:
+            raise SceneFormatError(f"{where}.{key}", "expected finite numbers")
+
+
 def _box_from_json(d: dict, where: str) -> OrientedBox:
     for key in ("center", "half_extents"):
         if key not in d:
             raise SceneFormatError(f"{where}.{key}", "missing field")
+    _require_finite(d, ("center", "half_extents", "rotation", "yaw_deg"), where)
     if "rotation" in d:
         rot = np.asarray(d["rotation"], dtype=float).reshape(3, 3)
     else:
@@ -300,6 +316,7 @@ def _joint_from_json(d: dict, where: str) -> JointModel:
         raise SceneFormatError(f"{where}.kind", f"must be '{REVOLUTE}' or '{PRISMATIC}'")
     if "axis" not in d:
         raise SceneFormatError(f"{where}.axis", "missing field")
+    _require_finite(d, ("axis", "pivot", "limits_deg", "limits_m"), where)
     if kind == REVOLUTE:
         if "pivot" not in d:
             raise SceneFormatError(f"{where}.pivot", "revolute joints require a pivot")
@@ -349,6 +366,7 @@ def scene_from_json(doc: dict) -> KinematicScene:
     fb = base_doc.get("floor_bounds")
     if not fb or "min" not in fb or "max" not in fb:
         raise SceneFormatError("base.floor_bounds", "missing min/max")
+    _require_finite(fb, ("min", "max"), "base.floor_bounds")
     obstacles = [_box_from_json(b, f"base.obstacles[{i}]")
                  for i, b in enumerate(base_doc.get("obstacles", []))]
     base = StaticBaseMap(obstacles, fb["min"], fb["max"])
@@ -360,6 +378,7 @@ def scene_from_json(doc: dict) -> KinematicScene:
         for key in ("shape", "joint", "handle"):
             if key not in pd:
                 raise SceneFormatError(f"{where}.{key}", "missing field")
+        _require_finite(pd, ("handle",), where)
         parts.append(MobilePart(
             id=str(pd["id"]),
             shape=_box_from_json(pd["shape"], f"{where}.shape"),

@@ -1,10 +1,14 @@
-"""The shipped scenes under scenes/, read the way the command-line tool reads them."""
+"""The shipped scenes under scenes/, read the way the command-line tool reads
+them, and the boxes and parts the tests build their own scenes from."""
 
 import json
 import math
 from pathlib import Path
 
-from artiscene.scene import RobotState, load_scene_extras
+import numpy as np
+
+from artiscene.geometry import OrientedBox
+from artiscene.scene import MobilePart, RobotState, load_scene_extras
 
 SCENES = Path(__file__).resolve().parents[1] / "scenes"
 
@@ -24,3 +28,13 @@ def plan_inputs(name, where=SCENES):
     goal = {pid: math.radians(v) if scene.part(pid).joint.kind == "revolute" else float(v)
             for pid, v in raw.items()}
     return scene, robot, goal
+
+
+def aligned_box(center, half_extents):
+    """OrientedBox with the world axes as its orientation."""
+    return OrientedBox(center, half_extents, np.eye(3))
+
+
+def handle_part(joint, p):
+    """A part on joint whose handle p lies inside its small box."""
+    return MobilePart("p", aligned_box(p, (0.05, 0.05, 0.05)), joint, p)

@@ -11,18 +11,17 @@ import time
 import numpy as np
 
 from artiscene.cli import main as cli_main
-from artiscene.errors import EstimationFailedError
+from artiscene.errors import EstimationFailedError, LimitViolationError
 from artiscene.estimation import fit_screw
 from artiscene.exploration import ExplorationConfig, explore_scene
 from artiscene.geometry import (OrientedBox, PointCloud, obb_intersects,
                                 obb_separation, rodrigues_rotation)
 from artiscene.planner import (PlannerConfig, evaluate_candidate_order,
-                               plan_scene, prismatic_trajectory,
-                               revolute_trajectory, validate_plan)
+                               part_trajectory, plan_scene, validate_plan)
 from artiscene.scene import JointModel, RobotState
 from artiscene.sim import SimConfig
 from oracles import boxes_overlap_oracle, flood_fill_reachable, order_feasible_oracle
-from shipped import SCENES, load, plan_inputs
+from shipped import SCENES, handle_part, load, plan_inputs
 
 KIND_TRUTH = {"door_1": "revolute-left", "door_2": "revolute-right",
               "door_3": "revolute-left", "door_4": "revolute-right",
@@ -73,17 +72,19 @@ def test_criterion_1_rotation_group():
 def test_criterion_2_trajectory_suite():
     rng = np.random.default_rng(202)
     worst = 0.0
-    for _ in range(1000):
+    for case in range(1000):
         p = rng.normal(size=3)
         axis = rand_unit(rng)
+        k = int(rng.integers(1, 15))
         if rng.random() < 0.5:
             pivot = rng.normal(size=3)
             joint = JointModel("revolute", axis, pivot, 0.0, math.pi / 2)
             g = rng.uniform(0.05, math.pi / 2)
-            k = int(rng.integers(1, 15))
-            traj = revolute_trajectory(p, joint, g, k)
+            s = rng.uniform(0.0, g) if case % 2 else 0.0  # odd cases start opened
+            traj = part_trajectory(handle_part(joint, p), s, g, k)
+            start = rodrigues_rotation(axis, s) @ (p - pivot) + pivot
             end = rodrigues_rotation(axis, g) @ (p - pivot) + pivot
-            worst = max(worst, float(np.abs(traj.waypoints[0] - p).max()),
+            worst = max(worst, float(np.abs(traj.waypoints[0] - start).max()),
                         float(np.abs(traj.waypoints[-1] - end).max()))
             rel = traj.waypoints - pivot
             radial = rel - np.outer(rel @ axis, axis)
@@ -92,19 +93,26 @@ def test_criterion_2_trajectory_suite():
         else:
             joint = JointModel("prismatic", axis, None, 0.0, 0.15)
             g = rng.uniform(0.01, 0.15)
-            k = int(rng.integers(1, 15))
-            traj = prismatic_trajectory(p, joint, g, k)
-            worst = max(worst, float(np.abs(traj.waypoints[0] - p).max()),
+            s = rng.uniform(0.0, g) if case % 2 else 0.0
+            traj = part_trajectory(handle_part(joint, p), s, g, k)
+            worst = max(worst, float(np.abs(traj.waypoints[0] - (p + s * axis)).max()),
                         float(np.abs(traj.waypoints[-1] - (p + g * axis)).max()))
             diffs = np.diff(traj.waypoints, axis=0)
             worst = max(worst, float(np.abs(diffs - diffs[0]).max()))
-    quarter = revolute_trajectory(
-        (1.0, 0.0, 0.0), JointModel("revolute", (0, 0, 1.0), (0, 0, 0), 0, math.pi / 2),
-        math.pi / 2, 2)
+        if s == 0.0:
+            worst = max(worst, float(np.abs(traj.waypoints[0] - p).max()))
+    door = JointModel("revolute", (0, 0, 1.0), (0, 0, 0), 0, math.pi / 2)
+    quarter = part_trajectory(handle_part(door, (1.0, 0.0, 0.0)), 0.0, math.pi / 2, 2)
     expected = np.array([[1, 0, 0], [math.sqrt(2) / 2, math.sqrt(2) / 2, 0], [0, 1, 0]])
     worst = max(worst, float(np.abs(quarter.waypoints - expected).max()))
-    ok = worst < 1e-9
-    report(2, ok, f"1000 random joints + quarter circle, worst deviation {worst:.2e}")
+    try:
+        part_trajectory(handle_part(door, (1.0, 0.0, 0.0)), 0.0, math.pi, 2)
+        past_limit = "accepted"
+    except LimitViolationError:
+        past_limit = "rejected"
+    ok = worst < 1e-9 and past_limit == "rejected"
+    report(2, ok, f"1000 random parts + quarter circle, worst deviation {worst:.2e}, "
+                  f"goal past the limit {past_limit}")
 
 
 def test_criterion_3_screw_estimator_oracle():

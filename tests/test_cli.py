@@ -158,17 +158,97 @@ def test_noise_sigma_flag_overrides(tmp_path, drawer_scene):
     assert doc["displacement"] > 0.05
 
 
-def test_estimate_runtime_error_exits_3(tmp_path, drawer_scene):
+def _drop_pre(doc):
+    del doc["pre"]
+    return doc
+
+
+def _drop_pre_hotspot(doc):
+    del doc["pre"]["hotspot"]
+    return doc
+
+
+def _drop_part_id(doc):
+    del doc["part_id"]
+    return doc
+
+
+def _missing_cloud(doc):
+    doc["pre"]["cloud"] = "missing.xyz"
+    return doc
+
+
+@pytest.mark.parametrize("breakage", [
+    pytest.param(_missing_cloud, id="missing-cloud"),
+    pytest.param(_drop_pre, id="no-pre"),
+    pytest.param(_drop_part_id, id="no-part-id"),
+    pytest.param(_drop_pre_hotspot, id="no-pre-hotspot"),
+    pytest.param(lambda doc: [1, 2], id="not-an-object"),
+])
+def test_estimate_runtime_error_exits_3(tmp_path, drawer_scene, capsys, breakage):
     exp = tmp_path / "exp"
     assert main(["explore", "--scene", str(drawer_scene), "--out", str(exp),
                  "--seed", "0"]) == 0
-    # break a record's cloud reference: reading it is a runtime failure
+    # a malformed record is a runtime failure of estimate, named by its file
     rec = next((exp / "records").glob("*.json"))
-    doc = json.loads(rec.read_text())
-    doc["pre"]["cloud"] = "missing.xyz"
-    rec.write_text(json.dumps(doc))
+    rec.write_text(json.dumps(breakage(json.loads(rec.read_text()))))
+    capsys.readouterr()
     rc = main(["estimate", "--records", str(exp), "--out", str(tmp_path / "est")])
     assert rc == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+KITCHEN = SCENES / "kitchen.json"
+
+
+@pytest.mark.parametrize("command,scene,goal,code", [
+    # not a number: a config value of the wrong type
+    pytest.param("plan", KITCHEN, {"door_1": True}, 1, id="bool"),
+    pytest.param("plan", KITCHEN, {"door_1": None}, 1, id="null"),
+    pytest.param("plan", KITCHEN, {"door_1": [1]}, 1, id="list"),
+    pytest.param("plan", KITCHEN, {"door_1": {}}, 1, id="object"),
+    pytest.param("plan", KITCHEN, {"door_1": "45"}, 1, id="string"),
+    # not finite, or past the upper limit after the unit conversion
+    pytest.param("plan", KITCHEN, {"door_1": 200}, 2, id="past-limit"),
+    pytest.param("plan", KITCHEN, {"door_1": 90.0000001}, 2, id="just-past-limit"),
+    pytest.param("plan", KITCHEN, {"door_1": float("nan")}, 2, id="nan"),
+    pytest.param("plan", KITCHEN, {"door_1": float("inf")}, 2, id="infinity"),
+    pytest.param("plan", KITCHEN, {"door_1": float("-inf")}, 2, id="minus-infinity"),
+    pytest.param("plan", KITCHEN, {"drawer_1": 0.15 + 1e-8}, 2, id="prismatic-past-limit"),
+    pytest.param("run-all", KITCHEN, {"door_1": 200}, 2, id="run-all-past-limit"),
+    pytest.param("run-all", KITCHEN, {"door_1": False}, 1, id="run-all-bool"),
+])
+def test_bad_goal_values_exit_before_out(tmp_path, capsys, command, scene, goal, code):
+    out = tmp_path / "out"
+    rc = main([command, "--scene", str(scene), "--goal", str(write_goal(tmp_path, goal)),
+               "--out", str(out)])
+    assert rc == code
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and "Traceback" not in err
+    assert not out.exists()
+
+
+def test_goal_at_limit_or_below_closed_plans(tmp_path):
+    # at the limit within 1e-9, or below the closed state (already met)
+    goal = write_goal(tmp_path, {"door_1": 90.0, "drawer_1": -0.1})
+    rc = main(["plan", "--scene", str(KITCHEN), "--goal", str(goal),
+               "--out", str(tmp_path / "out")])
+    assert rc == 0
+    plan = json.loads((tmp_path / "out" / "plan.json").read_text())
+    assert plan["feasible"] and [s["part_id"] for s in plan["steps"]] == ["door_1"]
+
+
+def test_non_finite_scene_number_exits_2(tmp_path):
+    doc = json.loads((SCENES / "minimal_drawer.json").read_text())
+    doc["parts"][0]["shape"]["yaw_deg"] = float("nan")
+    scene = tmp_path / "scene.json"
+    scene.write_text(json.dumps(doc))
+    rc = main(["plan", "--scene", str(scene),
+               "--goal", str(write_goal(tmp_path, {"drawer_1": 0.1})),
+               "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize("command,extra", [
@@ -187,6 +267,8 @@ def test_estimate_runtime_error_exits_3(tmp_path, drawer_scene):
     pytest.param("run-all", ["--out", "TMP/file"], id="run-all-file-out"),
     pytest.param("explore", ["--config", '{"robot": {"start": 5}}'],
                  id="explore-robot-start-not-3-numbers"),
+    pytest.param("plan", ["--config", '{"robot": {"start": [NaN, 1.0, 90.0]}}'],
+                 id="plan-nan-robot-start"),
     pytest.param("explore", ["--config", '{"sim": 5}'], id="explore-sim-not-an-object"),
     pytest.param("explore", ["--config", '{"sim": {"noise_sigma": "x"}}'],
                  id="explore-float-field-given-a-string"),

@@ -17,7 +17,7 @@ from artiscene.geometry import OrientedBox, PointCloud, rodrigues_rotation
 from artiscene.scene import (KinematicScene, RobotState, SceneState,
                              StaticBaseMap, part_pose_at)
 from artiscene.sim import Observation, SimConfig, nav_grid
-from shipped import SCENES, load
+from shipped import SCENES, aligned_box, load
 
 
 def noiseless_sim(seed=0):
@@ -481,7 +481,7 @@ def _edge_boxes(scene):
                (hi[0] - 0.1, mid[1]),       # touching the east edge
                (lo[0] + 0.1, lo[1] + 0.15),  # touching the south-west corner
                (mid[0], mid[1])]            # well inside
-    return [OrientedBox.axis_aligned((x, y, 0.5), (0.1, 0.15, 0.5)) for x, y in centers]
+    return [aligned_box((x, y, 0.5), (0.1, 0.15, 0.5)) for x, y in centers]
 
 
 def test_cached_nav_grid_equals_fresh_rasterization():

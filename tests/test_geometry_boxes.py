@@ -7,6 +7,7 @@ from artiscene import geometry
 from artiscene.geometry import (SAT_TIE, OrientedBox, obb_intersects, obb_overlaps,
                                 obb_separation, rodrigues_rotation)
 from oracles import boxes_overlap_oracle
+from shipped import aligned_box
 
 
 def random_box(rng, center_scale=1.0):
@@ -18,25 +19,25 @@ def random_box(rng, center_scale=1.0):
 
 
 def test_identical_boxes_intersect():
-    box = OrientedBox.axis_aligned((0, 0, 0), (1, 1, 1))
+    box = aligned_box((0, 0, 0), (1, 1, 1))
     assert obb_intersects(box, box, margin=0.0)
 
 
 def test_distant_cubes_disjoint():
-    a = OrientedBox.axis_aligned((0, 0, 0), (0.5, 0.5, 0.5))
-    b = OrientedBox.axis_aligned((5, 0, 0), (0.5, 0.5, 0.5))
+    a = aligned_box((0, 0, 0), (0.5, 0.5, 0.5))
+    b = aligned_box((5, 0, 0), (0.5, 0.5, 0.5))
     assert not obb_intersects(a, b, margin=0.0)
 
 
 def test_margin_inflates_both_boxes():
-    a = OrientedBox.axis_aligned((0, 0, 0), (0.5, 0.5, 0.5))
-    b = OrientedBox.axis_aligned((1.1, 0, 0), (0.5, 0.5, 0.5))
+    a = aligned_box((0, 0, 0), (0.5, 0.5, 0.5))
+    b = aligned_box((1.1, 0, 0), (0.5, 0.5, 0.5))
     assert not obb_intersects(a, b, margin=0.0)
     assert obb_intersects(a, b, margin=0.06)  # gap 0.1 closed by 2 * 0.06
 
 
 def test_negative_margin_rejected():
-    box = OrientedBox.axis_aligned((0, 0, 0), (1, 1, 1))
+    box = aligned_box((0, 0, 0), (1, 1, 1))
     with pytest.raises(ValueError):
         obb_intersects(box, box, margin=-0.1)
 
@@ -68,8 +69,8 @@ def test_agrees_with_point_sampling_oracle():
 
 
 def test_touching_faces_count_as_overlap():
-    a = OrientedBox.axis_aligned((0, 0, 0), (0.5, 0.5, 0.5))
-    b = OrientedBox.axis_aligned((1.0, 0, 0), (0.5, 0.5, 0.5))
+    a = aligned_box((0, 0, 0), (0.5, 0.5, 0.5))
+    b = aligned_box((1.0, 0, 0), (0.5, 0.5, 0.5))
     assert obb_separation(a, b) == pytest.approx(0.0, abs=1e-12)
     assert obb_intersects(a, b, margin=0.0)
 
@@ -158,8 +159,8 @@ def test_obb_overlaps_matches_pairwise_obb_intersects(monkeypatch):
         pairs += got.size
     assert pairs > 2500
     # touching faces tie at separation 0: the fallback decides them
-    a = OrientedBox.axis_aligned((0, 0, 0), (0.5, 0.5, 0.5))
-    b = OrientedBox.axis_aligned((1.0, 0, 0), (0.5, 0.5, 0.5))
+    a = aligned_box((0, 0, 0), (0.5, 0.5, 0.5))
+    b = aligned_box((1.0, 0, 0), (0.5, 0.5, 0.5))
     fallbacks.clear()
     assert obb_overlaps([a], [b], 0.0).tolist() == [[True]]
     assert fallbacks == [(a, b, 0.0)]

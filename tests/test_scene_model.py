@@ -6,22 +6,21 @@ import pytest
 
 from artiscene.errors import (LimitViolationError, SceneFormatError,
                               SceneValidationError, UnknownPartError)
-from artiscene.geometry import OrientedBox
 from artiscene.scene import (JointModel, KinematicScene, MobilePart, RobotState,
                              SceneState, StaticBaseMap, goal_satisfied, handle_at,
                              load_scene, part_pose_at, part_shape_at, save_scene,
                              scene_from_json, scene_to_json)
-from shipped import load
+from shipped import aligned_box, load
 
 
 def drawer_part(part_id="d", axis=(1.0, 0.0, 0.0)):
-    shape = OrientedBox.axis_aligned((0.0, 0.0, 0.5), (0.2, 0.02, 0.15))
+    shape = aligned_box((0.0, 0.0, 0.5), (0.2, 0.02, 0.15))
     joint = JointModel("prismatic", axis, None, 0.0, 0.15)
     return MobilePart(part_id, shape, joint, (0.0, -0.02, 0.5))
 
 
 def door_part(part_id="door"):
-    shape = OrientedBox.axis_aligned((1.15, 0.0, 0.5), (0.15, 0.02, 0.3))
+    shape = aligned_box((1.15, 0.0, 0.5), (0.15, 0.02, 0.3))
     joint = JointModel("revolute", (0.0, 0.0, 1.0), (1.0, 0.0, 0.5), 0.0, math.pi / 2)
     return MobilePart(part_id, shape, joint, (1.28, -0.02, 0.5))
 
@@ -38,7 +37,7 @@ def test_joint_invariants():
 
 
 def test_handle_must_touch_shape():
-    shape = OrientedBox.axis_aligned((0, 0, 0.5), (0.2, 0.02, 0.15))
+    shape = aligned_box((0, 0, 0.5), (0.2, 0.02, 0.15))
     joint = JointModel("prismatic", (1.0, 0, 0), None, 0.0, 0.15)
     with pytest.raises(SceneValidationError):
         MobilePart("bad", shape, joint, (0.0, -0.5, 0.5))
@@ -90,9 +89,11 @@ def test_prismatic_pose_composition():
     part = drawer_part()
     t1 = part_pose_at(part, 0.05)
     t2 = part_pose_at(part, 0.07)
-    both = t1.compose(t2)
+    # t1 after t2: x -> R1 (R2 x + t2) + t1
+    both = t1.rotation @ t2.translation + t1.translation
     t12 = part_pose_at(part, 0.12)
-    assert np.allclose(both.translation, t12.translation, atol=1e-12)
+    assert np.allclose(t1.rotation @ t2.rotation, t12.rotation, atol=1e-12)
+    assert np.allclose(both, t12.translation, atol=1e-12)
 
 
 def test_handle_tracks_revolute_motion():
@@ -205,6 +206,46 @@ def test_schema_violations_name_the_field(tmp_path):
     with pytest.raises(SceneFormatError) as exc:
         load_scene(path)
     assert "axis" in str(exc.value)
+
+
+NAN, INF = float("nan"), float("inf")
+
+
+NON_FINITE_FIELDS = [
+    (("parts", 0, "shape", "center"), [1.5, NAN, 0.5], "parts[0].shape.center"),
+    (("parts", 0, "shape", "half_extents"), [0.2, 0.015, NAN], "parts[0].shape.half_extents"),
+    (("parts", 0, "shape", "yaw_deg"), NAN, "parts[0].shape.yaw_deg"),
+    (("parts", 0, "shape", "rotation"), [1, 0, 0, 0, 1, 0, 0, 0, INF],
+     "parts[0].shape.rotation"),
+    (("parts", 0, "joint", "axis"), [0.0, NAN, 0.0], "parts[0].joint.axis"),
+    (("parts", 0, "joint", "limits_m"), [0.0, INF], "parts[0].joint.limits_m"),
+    (("parts", 0, "joint"), {"kind": "revolute", "axis": [0, 0, 1],
+                             "pivot": [1.3, NAN, 0.5], "limits_deg": [0, 90]},
+     "parts[0].joint.pivot"),
+    (("parts", 0, "joint"), {"kind": "revolute", "axis": [0, 0, 1],
+                             "pivot": [1.3, 2.42, 0.5], "limits_deg": [0, -INF]},
+     "parts[0].joint.limits_deg"),
+    (("parts", 0, "handle"), [1.5, NAN, 0.5], "parts[0].handle"),
+    (("base", "floor_bounds", "max"), [INF, 3.0], "base.floor_bounds.max"),
+    (("base", "floor_bounds", "min"), [0.0, -INF], "base.floor_bounds.min"),
+    (("base", "obstacles"), [{"center": [0.5, 0.5, NAN], "half_extents": [0.1, 0.1, 0.1]}],
+     "base.obstacles[0].center"),
+]
+
+
+@pytest.mark.parametrize("path,value,field", NON_FINITE_FIELDS,
+                         ids=[field for _, _, field in NON_FINITE_FIELDS])
+def test_non_finite_scene_numbers_name_the_field(path, value, field):
+    # json reads NaN and Infinity, so the scene checks refuse them by field
+    scene, _ = load("minimal_drawer")
+    doc = scene_to_json(scene)
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    with pytest.raises(SceneFormatError) as exc:
+        scene_from_json(json.loads(json.dumps(doc)))
+    assert exc.value.field == field
 
 
 def test_overlapping_parts_rejected_at_load(tmp_path):

@@ -16,12 +16,12 @@ from artiscene.sim import (ROBOT_RADIUS, Observation, SimConfig, _crop_windows,
                            _edge_table, _near_edges, _near_polygon, _node_hash,
                            _visible_faces, _window_nodes, arm_blocked, attempt_pull,
                            motion_direction, nav_grid, render_observation)
-from shipped import load
+from shipped import aligned_box, load
 
 
 def slab_scene():
     """Single 1x1 m wall slab facing +x, for clean render statistics."""
-    slab = OrientedBox.axis_aligned((0.0, 0.0, 1.0), (0.01, 0.5, 0.5))
+    slab = aligned_box((0.0, 0.0, 1.0), (0.01, 0.5, 0.5))
     base = StaticBaseMap((slab,), (-3, -3), (3, 3))
     return KinematicScene(base, ())
 
@@ -349,8 +349,8 @@ def test_explore_computes_each_face_grid_once():
 
 
 def test_viewpoint_inside_a_part_rejected_after_obstacles_without_drawing():
-    wall = OrientedBox.axis_aligned((0.0, 0.0, 1.0), (0.01, 0.5, 0.5))
-    drawer = MobilePart("drawer", OrientedBox.axis_aligned((0.0, 0.2, 1.0), (0.05, 0.1, 0.1)),
+    wall = aligned_box((0.0, 0.0, 1.0), (0.01, 0.5, 0.5))
+    drawer = MobilePart("drawer", aligned_box((0.0, 0.2, 1.0), (0.05, 0.1, 0.1)),
                         JointModel(PRISMATIC, (1.0, 0.0, 0.0), limit_max=0.3),
                         handle=(0.05, 0.2, 1.0))
     scene = KinematicScene(StaticBaseMap((wall,), (-3, -3), (3, 3)), (drawer,))
@@ -457,7 +457,7 @@ def test_empty_scene_all_free():
 def test_inflation_cell_count_arithmetic():
     # axis-aligned obstacle width w across x: ceil((w + 2r) / res) cells occupied
     w, r, res = 0.5, 0.3, 0.05
-    box = OrientedBox.axis_aligned((2.012 + w / 2, 2.0, 0.5), (w / 2, 0.2, 0.5))
+    box = aligned_box((2.012 + w / 2, 2.0, 0.5), (w / 2, 0.2, 0.5))
     base = StaticBaseMap((box,), (0, 0), (4.5, 4.0))
     scene = KinematicScene(base, ())
     grid = nav_grid(scene, SceneState({}), res, r)
@@ -491,7 +491,7 @@ def test_inflation_monotone_in_radius():
 
 
 def test_nearest_free_keeps_a_free_point_and_snaps_an_occupied_one():
-    box = OrientedBox.axis_aligned((2.0, 2.0, 0.5), (0.4, 0.3, 0.5))
+    box = aligned_box((2.0, 2.0, 0.5), (0.4, 0.3, 0.5))
     scene = KinematicScene(StaticBaseMap((box,), (0, 0), (4, 4)), ())
     grid = nav_grid(scene, SceneState({}), 0.05, 0.3)
     free_xy = np.array([0.512, 0.437])
