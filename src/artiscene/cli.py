@@ -100,7 +100,7 @@ def _build_configs(extras: dict, args):
     sim_kwargs.update(overrides.get("sim", {}))
     if args.noise_sigma is not None:
         sim_kwargs["noise_sigma"] = args.noise_sigma
-    sim = _dataclass_with(SimConfig, sim_kwargs, rng_seed=args.seed)
+    sim = _dataclass_with(SimConfig, sim_kwargs)
 
     expl = _dataclass_with(ExplorationConfig, overrides.get("exploration", {}))
 
@@ -149,9 +149,10 @@ def _write_observation(obs: Observation, stem: Path) -> dict:
 
 
 def run_explore(scene: KinematicScene, extras: dict, sim: SimConfig,
-                expl: ExplorationConfig, robot: RobotState, out: Path) -> dict:
-    """Discovery stage; writes records, log, base map and breakdown to out."""
-    rng = np.random.default_rng(sim.rng_seed)
+                expl: ExplorationConfig, robot: RobotState,
+                rng: np.random.Generator, out: Path) -> dict:
+    """Discovery stage, drawing its sensor noise from rng; writes records,
+    log, base map and breakdown to out."""
     t0 = time.perf_counter()
     result = explore_scene(scene, sim, expl, robot=robot, rng=rng)
     elapsed = time.perf_counter() - t0
@@ -201,7 +202,8 @@ def run_explore(scene: KinematicScene, extras: dict, sim: SimConfig,
 def cmd_explore(args):
     scene, extras = load_scene_extras(args.scene)
     sim, expl, _, robot = _build_configs(extras, args)
-    return lambda out: run_explore(scene, extras, sim, expl, robot, out)
+    return lambda out: run_explore(scene, extras, sim, expl, robot,
+                                   np.random.default_rng(args.seed), out)
 
 
 # --- estimate ----------------------------------------------------------------
@@ -330,7 +332,8 @@ def cmd_run_all(args):
         explore_out = out / "explore"
         explore_out.mkdir(exist_ok=True)
         t0 = time.perf_counter()
-        breakdown = run_explore(scene, extras, sim, expl, robot, explore_out)
+        breakdown = run_explore(scene, extras, sim, expl, robot,
+                                np.random.default_rng(args.seed), explore_out)
         manifest["stages"]["explore"] = {"out": str(explore_out),
                                          "seconds": round(time.perf_counter() - t0, 3)}
         manifest["exploration_opening_degrees"] = breakdown["opening_degrees"]

@@ -232,8 +232,8 @@ class _EventLog:
 
 def explore_scene(scene: KinematicScene, sim_config: SimConfig,
                   config: ExplorationConfig | None = None, handles=None,
-                  robot: RobotState | None = None,
-                  rng: np.random.Generator | None = None) -> ExplorationResult:
+                  robot: RobotState | None = None, *,
+                  rng: np.random.Generator) -> ExplorationResult:
     """Run the discovery stage over every handle and collect observation pairs.
 
     Per handle: stand in front of it, take a pre observation, pull along the
@@ -243,7 +243,6 @@ def explore_scene(scene: KinematicScene, sim_config: SimConfig,
     """
     config = config or ExplorationConfig()
     robot = robot or RobotState()
-    rng = rng or np.random.default_rng(sim_config.rng_seed)
     if handles is None:
         handles = [Handle(p.id, p.handle) for p in scene.parts]
     state = scene.initial_state()
@@ -307,7 +306,6 @@ def _explore_handle(scene, state, hd: Handle, sim_config, config, robot, rng, lo
     classified = UNKNOWN
     completed = None  # the last observation of a completed attempt
     attempts = 0
-    failed_out = False
     while True:
         attempts += 1
         attempt_pre = _observe(scene, state, viewpoint,
@@ -322,7 +320,6 @@ def _explore_handle(scene, state, hd: Handle, sim_config, config, robot, rng, lo
         if completed is not None:
             break
         if attempts >= config.max_attempts:
-            failed_out = True
             log.add("attempts-exhausted", handle=hd.label, attempts=attempts)
             break
         # reposition and retry
@@ -332,7 +329,6 @@ def _explore_handle(scene, state, hd: Handle, sim_config, config, robot, rng, lo
             pose = reposition_base(classified, hotspot, robot, REPOSITION_DISTANCE, grid)
         except RepositionFailedError:
             log.add("reposition-failed", handle=hd.label)
-            failed_out = True
             attempts = config.max_attempts
             break
         log.add("reposition", handle=hd.label, kind=classified, base=_pose_to_list(pose))
@@ -365,7 +361,7 @@ def _explore_handle(scene, state, hd: Handle, sim_config, config, robot, rng, lo
         # a completed attempt is classified only when the record falls back on it
         final_kind = classified if completed is None \
             else _maybe_classify(pre, completed, classified)
-    succeeded = (not failed_out) and displacement >= FAILURE_THRESHOLD
+    succeeded = completed is not None and displacement >= FAILURE_THRESHOLD
     record = ExplorationRecord(
         part_id=hd.label, pre=pre, post=post, attempts_used=attempts,
         classified_kind=final_kind, succeeded=succeeded,

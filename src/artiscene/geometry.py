@@ -186,58 +186,21 @@ def _convex_hull_2d(points: np.ndarray) -> np.ndarray:
     return np.asarray(lower[:-1] + upper[:-1], dtype=float)
 
 
-def obb_separation(a: OrientedBox, b: OrientedBox) -> float:
-    """Largest separation over the 15 SAT axes (negative when none separates)."""
-    axes = []
-    for i in range(3):
-        axes.append(a.orientation[:, i])
-        axes.append(b.orientation[:, i])
-    for i in range(3):
-        for j in range(3):
-            c = np.cross(a.orientation[:, i], b.orientation[:, j])
-            n = np.linalg.norm(c)
-            if n > 1e-12:
-                axes.append(c / n)
-    d = b.center - a.center
-    best = -np.inf
-    for ax in axes:
-        ra = float(np.abs(ax @ a.orientation) @ a.half_extents)
-        rb = float(np.abs(ax @ b.orientation) @ b.half_extents)
-        sep = abs(float(ax @ d)) - (ra + rb)
-        if sep > best:
-            best = sep
-    return best
-
-
-def obb_intersects(a: OrientedBox, b: OrientedBox, margin: float = 0.02) -> bool:
-    """Separating-axis overlap test with both boxes inflated by the margin."""
-    if margin < 0.0:
-        raise ValueError("margin must be >= 0")
-    if margin > 0.0:
-        a = a.inflated(margin)
-        b = b.inflated(margin)
-    return obb_separation(a, b) <= 0.0
-
-
-SAT_TIE = 1e-9  # array separations this close to 0 are re-decided by obb_intersects
-
-
 def _box_arrays(boxes: list, margin: float):
-    """Stacked centers, half extents (inflated as obb_intersects inflates
-    them) and orientations."""
-    half = np.array([b.half_extents for b in boxes])
-    return (np.array([b.center for b in boxes]), half + margin if margin > 0.0 else half,
+    """Stacked centers, half extents inflated by the margin, and orientations."""
+    return (np.array([b.center for b in boxes]),
+            np.array([b.half_extents for b in boxes]) + margin,
             np.array([b.orientation for b in boxes]))
 
 
 def obb_overlaps(first, second, margin: float = 0.02) -> np.ndarray:
-    """obb_intersects(a, b, margin) for every a in first and b in second,
-    as a (len(first), len(second)) bool array computed in one array pass.
+    """Separating-axis overlap test, with every box inflated by the margin,
+    for every a in first and b in second, as a (len(first), len(second))
+    bool array computed in one array pass.
 
-    The array arithmetic may round differently from obb_separation, so a
-    pair whose best separation lies within SAT_TIE of 0, or whose cross
-    axis norm lies within 2x of the 1e-12 skip cutoff, is re-decided by
-    obb_intersects itself: every entry equals the scalar verdict.
+    The 15 candidate axes are each box's 3 axes and their 9 cross products;
+    a cross product with norm <= 1e-12 (parallel axes) is skipped. A pair
+    overlaps when no axis separates it; touching counts as overlap.
     """
     if margin < 0.0:
         raise ValueError("margin must be >= 0")
@@ -259,14 +222,8 @@ def obb_overlaps(first, second, margin: float = 0.02) -> np.ndarray:
     rad_b = np.abs(axes @ rb) @ hb[None, :, :, None]
     d = (cb[None] - ca[:, None])[..., None]
     sep = (np.abs(axes @ d) - (rad_a + rad_b))[..., 0]
-    sep[..., 6:][~kept] = -np.inf                         # skipped, as in the scalar loop
-    best = sep.max(axis=-1)
-    out = best <= 0.0
-    cutoff = ((norm > 0.5e-12) & (norm <= 2e-12)).any(axis=-1)
-    unsure = ~(np.abs(best) > SAT_TIE) | cutoff  # a NaN separation is unsure too
-    for i, j in np.argwhere(unsure):
-        out[i, j] = obb_intersects(first[i], second[j], margin)
-    return out
+    sep[..., 6:][~kept] = -np.inf                         # skipped axes separate nothing
+    return sep.max(axis=-1) <= 0.0
 
 
 def kd_tree(points) -> cKDTree:

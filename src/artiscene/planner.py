@@ -67,11 +67,9 @@ def sample_part_sweep(part: MobilePart, n_configs: int = N_CONFIGS) -> list:
 
 def check_part_collision(candidate_sweep, environment, margin: float = MARGIN):
     """First (sweep, environment) box pair that overlaps, in row-major
-    order, or (False, None)."""
+    order, or None."""
     hits = np.argwhere(obb_overlaps(candidate_sweep, environment, margin))
-    if len(hits) == 0:
-        return False, None
-    return True, (int(hits[0, 0]), int(hits[0, 1]))
+    return (int(hits[0, 0]), int(hits[0, 1])) if len(hits) else None
 
 
 def check_path(grid: OccupancyGrid, from_pose, to_pose) -> bool:
@@ -117,11 +115,7 @@ def select_base(trajectory: EndEffectorTrajectory, scene: KinematicScene,
         raise NoBaseFoundError("no collision-free base sample in range")
     score = arm.reach_mask(trajectory.waypoints, bases=xy).sum(axis=1)
     top = np.flatnonzero(score == score.max())
-    # the array norm can differ from the scalar one in the last bit, so the
-    # candidates within 1e-12 of the nearest are re-decided by the scalar rule
-    dist = np.linalg.norm(xy[top] - cxy, axis=1)
-    near = top[dist <= dist.min() + 1e-12]
-    i = min(near, key=lambda k: float(np.linalg.norm(xy[k] - cxy)))
+    i = top[np.argmin(np.linalg.norm(xy[top] - cxy, axis=1))]
     x, y = float(xy[i, 0]), float(xy[i, 1])
     return (x, y, math.atan2(cxy[1] - y, cxy[0] - x)), int(score[i])
 
@@ -197,8 +191,8 @@ def _step_world(scene: KinematicScene, committed: dict, part: MobilePart,
     """
     sweep = sample_part_sweep(part)
     env = _environment_boxes(scene, committed, part.id, obstacles=obstacles)
-    hit, pair = check_part_collision(sweep, env)
-    if hit:
+    pair = check_part_collision(sweep, env)
+    if pair is not None:
         return pair, None
     standing = [_standing_box(b) for b in sweep]
     return None, nav_grid(scene, SceneState(committed), extra_boxes=standing)

@@ -124,8 +124,11 @@ class RobotState:
     z_max: float = 1.20
 
     def __post_init__(self):
-        if not (0.0 < self.r_min < self.r_max):
-            raise ValueError("require 0 < r_min < r_max")
+        # comparisons with NaN are false, so each test is written to fail on it
+        if not 0.0 < self.r_min < self.r_max < math.inf:
+            raise ValueError("require 0 < r_min < r_max, all finite")
+        if not -math.inf < self.z_min < self.z_max < math.inf:
+            raise ValueError("require z_min < z_max, both finite")
 
     def can_reach(self, point) -> bool:
         """reach_mask's verdict for one point: it uses math.hypot within 1e-9

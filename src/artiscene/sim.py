@@ -34,7 +34,6 @@ class SimConfig:
     slip_angle: float = math.radians(60.0)
     step_revolute: float = 0.05            # radians per micro-action
     step_prismatic: float = 0.01           # meters per micro-action
-    rng_seed: int = 0
     eye_height: float = 1.0
 
     def __post_init__(self):
@@ -243,7 +242,7 @@ def discard_pending_draw() -> None:
 
 
 def render_observation(scene: KinematicScene, state: SceneState, viewpoint,
-                       config: SimConfig, rng: np.random.Generator | None = None,
+                       config: SimConfig, rng: np.random.Generator,
                        hotspot=None, crop=None) -> Observation:
     """Render a noisy observation of the scene from a free-space viewpoint,
     keeping the points inside the sphere crop=(center, radius), or all of
@@ -265,19 +264,19 @@ def render_observation(scene: KinematicScene, state: SceneState, viewpoint,
     index, size and node counts, never on its pose; its window points are
     the per-node formula center + du * axis_u + dv * axis_v, element for
     element, so they match a per-node build bit for bit. Deterministic given
-    the generator (or config.rng_seed when none is passed).
+    the generator.
 
     The draw (_draw) takes, in this order, one uniform per visible node for
     dropout and three standard normals per kept node, scaled by sigma. After
-    drawing from a passed generator, the render has the next draw with the
-    same node count, dropout and sigma made ahead on a worker thread kept
-    off the render thread's CPU (where the process has another), from a
-    copy of the generator at its current state. The next render takes that
-    draw only if it is passed the same generator object, the generator is
-    still in the copy's start state and the node count, dropout and sigma
-    are equal; it then sets the generator to the copy's end state. Otherwise
-    it discards the draw and draws itself, so both ways give the same points
-    and leave the generator in the same state.
+    drawing, the render has the next draw with the same node count, dropout
+    and sigma made ahead on a worker thread kept off the render thread's CPU
+    (where the process has another), from a copy of the generator at its
+    current state. The next render takes that draw only if it is passed the
+    same generator object, the generator is still in the copy's start state
+    and the node count, dropout and sigma are equal; it then sets the
+    generator to the copy's end state. Otherwise it discards the draw and
+    draws itself, so both ways give the same points and leave the generator
+    in the same state.
     """
     vp = as_vec3(viewpoint)
     pitch = 1.0 / math.sqrt(config.surface_point_density)
@@ -298,8 +297,7 @@ def render_observation(scene: KinematicScene, state: SceneState, viewpoint,
     if n_nodes == 0:
         raise ValueError("nothing visible from this viewpoint")
     args = (n_nodes, config.dropout_prob, config.noise_sigma)
-    keep, row, noise, margin = (_draw(np.random.default_rng(config.rng_seed), *args)
-                                if rng is None else _take_draw(rng, args))
+    keep, row, noise, margin = _take_draw(rng, args)
     if crop is None:
         center, reach = None, math.inf
     else:

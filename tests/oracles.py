@@ -3,6 +3,29 @@
 import numpy as np
 
 
+def obb_separation(a, b):
+    """Largest separation of two boxes over the 15 SAT axes (negative when
+    none separates), one axis at a time: a scalar reference for
+    geometry.obb_overlaps and a measure of how far a pair is from contact."""
+    axes = []
+    for i in range(3):
+        axes.append(a.orientation[:, i])
+        axes.append(b.orientation[:, i])
+    for i in range(3):
+        for j in range(3):
+            c = np.cross(a.orientation[:, i], b.orientation[:, j])
+            n = np.linalg.norm(c)
+            if n > 1e-12:
+                axes.append(c / n)
+    d = b.center - a.center
+    best = -np.inf
+    for ax in axes:
+        ra = float(np.abs(ax @ a.orientation) @ a.half_extents)
+        rb = float(np.abs(ax @ b.orientation) @ b.half_extents)
+        best = max(best, abs(float(ax @ d)) - (ra + rb))
+    return best
+
+
 def box_contains(box, pts):
     local = (np.atleast_2d(pts) - box.center) @ box.orientation
     return np.all(np.abs(local) <= box.half_extents + 1e-12, axis=1)

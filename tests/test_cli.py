@@ -269,6 +269,13 @@ def test_non_finite_scene_number_exits_2(tmp_path):
                  id="explore-robot-start-not-3-numbers"),
     pytest.param("plan", ["--config", '{"robot": {"start": [NaN, 1.0, 90.0]}}'],
                  id="plan-nan-robot-start"),
+    # reach limits must be finite and in order, checked before --out is made
+    pytest.param("run-all", ["--config", '{"robot": {"z_min": NaN}}'],
+                 id="run-all-nan-robot-z-min"),
+    pytest.param("run-all", ["--config", '{"robot": {"z_min": 2.0}}'],
+                 id="run-all-robot-z-min-above-z-max"),
+    pytest.param("run-all", ["--config", '{"robot": {"r_max": Infinity}}'],
+                 id="run-all-infinite-robot-r-max"),
     pytest.param("explore", ["--config", '{"sim": 5}'], id="explore-sim-not-an-object"),
     pytest.param("explore", ["--config", '{"sim": {"noise_sigma": "x"}}'],
                  id="explore-float-field-given-a-string"),

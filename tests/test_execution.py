@@ -10,7 +10,7 @@ from shipped import load, plan_inputs
 
 
 def noiseless():
-    return SimConfig(noise_sigma=0.0, dropout_prob=0.0, rng_seed=0)
+    return SimConfig(noise_sigma=0.0, dropout_prob=0.0)
 
 
 def test_opening_degree_ratio():

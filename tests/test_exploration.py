@@ -20,8 +20,8 @@ from artiscene.sim import Observation, SimConfig, nav_grid
 from shipped import SCENES, aligned_box, load
 
 
-def noiseless_sim(seed=0):
-    return SimConfig(noise_sigma=0.0, dropout_prob=0.0, rng_seed=seed)
+def noiseless_sim():
+    return SimConfig(noise_sigma=0.0, dropout_prob=0.0)
 
 
 def face_observation(rng, normal_angle=0.0, offset=(0.0, 0.0, 0.0), n=400,
@@ -214,7 +214,7 @@ def test_explore_succeeded_record_invariant():
     from artiscene.geometry import cloud_displacement
 
     scene, _ = load("minimal_drawer")
-    result = explore_scene(scene, SimConfig(rng_seed=5), ExplorationConfig(),
+    result = explore_scene(scene, SimConfig(), ExplorationConfig(),
                            rng=np.random.default_rng(5))
     for rec in result.records:
         if rec.succeeded:
@@ -324,7 +324,7 @@ def test_explore_reuses_poses_footprint_masks_and_kd_trees(monkeypatch):
     monkeypatch.setattr(scene_module, "part_pose_at", counting_pose)
     monkeypatch.setattr(sim, "_near_polygon", counting_near_polygon)
     monkeypatch.setattr(geometry, "kd_tree", counting_tree)
-    result = explore_scene(scene, SimConfig(rng_seed=0), rng=np.random.default_rng(0))
+    result = explore_scene(scene, SimConfig(), rng=np.random.default_rng(0))
     assert all(r.succeeded for r in result.records)
 
     assert len(poses) > len(scene.parts) and max(poses.values()) == 1
@@ -363,7 +363,7 @@ def test_explore_builds_each_crop_window_once_per_viewpoint_and_site(monkeypatch
     scene, _ = load("kitchen")
     monkeypatch.setattr(exploration, "render_observation", locating_render)
     monkeypatch.setattr(sim, "_window_nodes", counting_window_nodes)
-    result = explore_scene(scene, SimConfig(rng_seed=0), rng=np.random.default_rng(0))
+    result = explore_scene(scene, SimConfig(), rng=np.random.default_rng(0))
     assert all(r.succeeded for r in result.records)
 
     n_boxes = len(scene.base.obstacles) + len(scene.parts)
@@ -384,10 +384,6 @@ def test_explore_keeps_no_pending_draw():
     gone = weakref.ref(rng)
     del rng
     assert gone() is None and sim._pending is None
-    # a render without a generator makes no draw ahead
-    kitchen, _ = load("kitchen")
-    sim.render_observation(kitchen, kitchen.initial_state(), (3.0, 1.5, 1.0), SimConfig())
-    assert sim._pending is None
 
 
 def _counting(monkeypatch, module, name, counts):
@@ -437,7 +433,7 @@ def test_a_deferred_classification_equals_the_completed_attempts_own(monkeypatch
     scene, _ = load("kitchen")
     monkeypatch.setattr(exploration, "_observe", recording_observe)
     monkeypatch.setattr(exploration, "classify_joint", post_unknown_classify)
-    result = explore_scene(scene, SimConfig(rng_seed=0), rng=np.random.default_rng(0))
+    result = explore_scene(scene, SimConfig(), rng=np.random.default_rng(0))
     assert not any(e["event"] == "failure" for e in result.events)
 
     kinds = Counter()

@@ -1,13 +1,17 @@
+import itertools
 import math
 
 import numpy as np
 import pytest
 
-from artiscene import geometry
-from artiscene.geometry import (SAT_TIE, OrientedBox, obb_intersects, obb_overlaps,
-                                obb_separation, rodrigues_rotation)
-from oracles import boxes_overlap_oracle
+from artiscene.geometry import OrientedBox, obb_overlaps, rodrigues_rotation
+from oracles import boxes_overlap_oracle, obb_separation
 from shipped import aligned_box
+
+
+def overlaps(a, b, margin=0.02) -> bool:
+    """obb_overlaps' verdict for the single pair (a, b)."""
+    return bool(obb_overlaps([a], [b], margin)[0, 0])
 
 
 def random_box(rng, center_scale=1.0):
@@ -20,26 +24,26 @@ def random_box(rng, center_scale=1.0):
 
 def test_identical_boxes_intersect():
     box = aligned_box((0, 0, 0), (1, 1, 1))
-    assert obb_intersects(box, box, margin=0.0)
+    assert overlaps(box, box, margin=0.0)
 
 
 def test_distant_cubes_disjoint():
     a = aligned_box((0, 0, 0), (0.5, 0.5, 0.5))
     b = aligned_box((5, 0, 0), (0.5, 0.5, 0.5))
-    assert not obb_intersects(a, b, margin=0.0)
+    assert not overlaps(a, b, margin=0.0)
 
 
 def test_margin_inflates_both_boxes():
     a = aligned_box((0, 0, 0), (0.5, 0.5, 0.5))
     b = aligned_box((1.1, 0, 0), (0.5, 0.5, 0.5))
-    assert not obb_intersects(a, b, margin=0.0)
-    assert obb_intersects(a, b, margin=0.06)  # gap 0.1 closed by 2 * 0.06
+    assert not overlaps(a, b, margin=0.0)
+    assert overlaps(a, b, margin=0.06)  # gap 0.1 closed by 2 * 0.06
 
 
 def test_negative_margin_rejected():
     box = aligned_box((0, 0, 0), (1, 1, 1))
     with pytest.raises(ValueError):
-        obb_intersects(box, box, margin=-0.1)
+        overlaps(box, box, margin=-0.1)
 
 
 def test_symmetry_random_pairs():
@@ -48,7 +52,7 @@ def test_symmetry_random_pairs():
         a = random_box(rng)
         b = random_box(rng)
         m = rng.uniform(0.0, 0.1)
-        assert obb_intersects(a, b, m) == obb_intersects(b, a, m)
+        assert overlaps(a, b, m) == overlaps(b, a, m)
 
 
 def test_agrees_with_point_sampling_oracle():
@@ -58,7 +62,7 @@ def test_agrees_with_point_sampling_oracle():
     for _ in range(1000):
         a = random_box(rng)
         b = random_box(rng)
-        sat = obb_intersects(a, b, margin=0.0)
+        sat = overlaps(a, b, margin=0.0)
         oracle = boxes_overlap_oracle(a, b, rng, volume_samples=4000)
         if sat != oracle:
             disagreements += 1
@@ -72,7 +76,7 @@ def test_touching_faces_count_as_overlap():
     a = aligned_box((0, 0, 0), (0.5, 0.5, 0.5))
     b = aligned_box((1.0, 0, 0), (0.5, 0.5, 0.5))
     assert obb_separation(a, b) == pytest.approx(0.0, abs=1e-12)
-    assert obb_intersects(a, b, margin=0.0)
+    assert overlaps(a, b, margin=0.0)
 
 
 def test_footprint_of_yawed_box():
@@ -113,27 +117,20 @@ def near_parallel_pair(rng):
     return a, b
 
 
-def _unsure(a, b, margin):
-    """A pair the array pass may not decide: a tie or a cutoff cross axis."""
-    if margin > 0.0:
-        a, b = a.inflated(margin), b.inflated(margin)
+def _off_tie(a, b, margin):
+    """A pair the scalar reference decides by more than rounding: its best
+    separation is farther than 1e-9 from contact and no cross axis norm lies
+    within 2x of the 1e-12 skip cutoff."""
+    a, b = a.inflated(margin), b.inflated(margin)
     norms = [np.linalg.norm(np.cross(a.orientation[:, i], b.orientation[:, j]))
              for i in range(3) for j in range(3)]
-    return abs(obb_separation(a, b)) <= 2 * SAT_TIE or any(
+    return abs(obb_separation(a, b)) > 1e-9 and not any(
         0.5e-12 < n <= 2e-12 for n in norms)
 
 
-def test_obb_overlaps_matches_pairwise_obb_intersects(monkeypatch):
-    scalar = obb_intersects
-    fallbacks = []
-
-    def recording(a, b, margin=0.02):
-        fallbacks.append((a, b, margin))
-        return scalar(a, b, margin)
-
-    monkeypatch.setattr(geometry, "obb_intersects", recording)
+def test_obb_overlaps_batched_matches_single_pairs():
     rng = np.random.default_rng(12)
-    pairs = 0
+    pairs = off_tie = 0
     for case in range(240):
         margin = (0.0, 0.02, 0.05)[case % 3]
         first = [random_box(rng) if case % 4 == 0 else grid_box(rng)
@@ -147,31 +144,25 @@ def test_obb_overlaps_matches_pairwise_obb_intersects(monkeypatch):
             first = []
         elif case % 16 == 2:
             second = []
-        fallbacks.clear()
         got = obb_overlaps(first, second, margin)
-        expected = np.array([[scalar(a, b, margin) for b in second] for a in first],
-                            dtype=bool).reshape(len(first), len(second))
-        assert got.dtype == bool and got.shape == expected.shape, case
-        assert np.array_equal(got, expected), case
-        # the scalar test re-decides only pairs the array pass may not decide,
-        # in the same argument order
-        assert all(_unsure(a, b, m) and m == margin for a, b, m in fallbacks), case
+        assert got.dtype == bool and got.shape == (len(first), len(second)), case
+        for (i, a), (j, b) in itertools.product(enumerate(first), enumerate(second)):
+            # one pass per pair gives the batch's verdict, ties included
+            assert got[i, j] == overlaps(a, b, margin), (case, i, j)
+            # away from ties, the scalar reference's verdict
+            if _off_tie(a, b, margin):
+                off_tie += 1
+                sep = obb_separation(a.inflated(margin), b.inflated(margin))
+                assert got[i, j] == (sep <= 0.0), (case, i, j)
         pairs += got.size
-    assert pairs > 2500
-    # touching faces tie at separation 0: the fallback decides them
+    assert pairs > 2500 and off_tie > pairs // 2
+    # touching faces count as overlap
     a = aligned_box((0, 0, 0), (0.5, 0.5, 0.5))
     b = aligned_box((1.0, 0, 0), (0.5, 0.5, 0.5))
-    fallbacks.clear()
     assert obb_overlaps([a], [b], 0.0).tolist() == [[True]]
-    assert fallbacks == [(a, b, 0.0)]
-    # a cross axis whose norm sits at the 1e-12 skip cutoff: the fallback too
+    # a cross axis whose norm sits at the 1e-12 skip cutoff
     c = OrientedBox((3.0, 0, 0), (0.5, 0.5, 0.5), rodrigues_rotation((0, 0, 1), 1e-12))
-    fallbacks.clear()
     assert obb_overlaps([a], [c], 0.0).tolist() == [[False]]
-    assert fallbacks == [(a, c, 0.0)]
-    # a NaN coordinate leaves every scalar axis unscored: the scalar verdict
-    nan_box = OrientedBox((np.nan, 0, 0), (0.5, 0.5, 0.5), np.eye(3))
-    assert obb_overlaps([nan_box], [a]).tolist() == [[obb_intersects(nan_box, a)]]
     assert obb_overlaps([], [a, b]).shape == (0, 2)
     assert obb_overlaps([a, b], ()).shape == (2, 0)
     with pytest.raises(ValueError):

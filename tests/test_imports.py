@@ -1,12 +1,16 @@
-"""Every name a module under src/artiscene imports is used in that module.
+"""Every name a module under src/artiscene imports is used in that module,
+and every function, class and method it defines is named somewhere in
+src/artiscene outside its own body.
 
-Deleting code tends to leave its imports behind; this guard reads each
-module's syntax tree, so it needs no linter. A name counts as used when it
-appears as a name anywhere in the module, annotations included, or inside a
-string annotation (the form TYPE_CHECKING imports are used in).
+Deleting code tends to leave its imports, and the helpers only it called,
+behind; these guards read each module's syntax tree, so they need no
+linter. A name counts as used when it appears as a name anywhere in the
+module, annotations included, or inside a string annotation (the form
+TYPE_CHECKING imports are used in).
 """
 
 import ast
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -69,3 +73,62 @@ def test_module_uses_every_import(path):
     unused = {name: line for name, line in imported_names(tree).items()
               if name not in used}
     assert not unused, f"{path.name}: unused imports (name: line) {unused}"
+
+
+# defined in src but called from outside it, each with the reason
+CALLED_FROM_OUTSIDE = {
+    "validate_plan": "the benchmark's set-up check calls it, and it is to become "
+                     "pipeline code (ROADMAP item 2)",
+}
+
+
+def references(node):
+    """How often each name is named under node: as a name, an attribute or
+    inside a string annotation."""
+    found = Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            found[n.id] += 1
+        elif isinstance(n, ast.Attribute):
+            found[n.attr] += 1
+    for annotation in annotations(node):
+        for n in ast.walk(annotation):
+            if isinstance(n, ast.Constant) and isinstance(n.value, str):
+                found.update(references(ast.parse(n.value, mode="eval")))
+    return found
+
+
+def definitions(tree):
+    """Module-level functions and classes, and non-dunder methods."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node
+        if isinstance(node, ast.ClassDef):
+            yield from (m for m in node.body if isinstance(m, ast.FunctionDef)
+                        and not (m.name.startswith("__") and m.name.endswith("__")))
+
+
+def uncalled(trees):
+    """Definitions named nowhere in trees outside their own body."""
+    everywhere = sum((references(t) for t in trees.values()), Counter())
+    return sorted(f"{name}.{d.name}" for name, tree in trees.items()
+                  for d in definitions(tree)
+                  if everywhere[d.name] == references(d)[d.name])
+
+
+def test_definition_guard_sees_uncalled_and_self_only_names():
+    tree = ast.parse("class A:\n"
+                     "    def m(self): return self.m()\n"
+                     "    def n(self): return A()\n"
+                     "    def __len__(self): return 0\n"
+                     "class B:\n"
+                     "    def k(self) -> 'B': return B()\n"
+                     "def f(): return f()\n"
+                     "def g(): return A().n()\n")
+    assert uncalled({"mod": tree}) == ["mod.B", "mod.f", "mod.g", "mod.k", "mod.m"]
+
+
+def test_every_definition_has_a_caller_in_src():
+    trees = {p.stem: ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
+    found = [d for d in uncalled(trees) if d.split(".")[1] not in CALLED_FROM_OUTSIDE]
+    assert not found, f"defined in src/artiscene but called only from outside it: {found}"

@@ -8,7 +8,7 @@ import pytest
 
 from artiscene.errors import LimitViolationError, NoBaseFoundError, UnknownPartError
 from artiscene import geometry
-from artiscene.geometry import obb_intersects, rodrigues_rotation
+from artiscene.geometry import obb_overlaps, rodrigues_rotation
 from artiscene import planner
 from artiscene.planner import (EndEffectorTrajectory, InteractionPlan, PlannerConfig,
                                check_part_collision, check_path,
@@ -142,11 +142,8 @@ def test_revolute_sweep_last_box_rotated_90():
 def test_collision_check_reports_pair():
     a = aligned_box((0, 0, 0), (0.5, 0.5, 0.5))
     far = aligned_box((5, 0, 0), (0.5, 0.5, 0.5))
-    hit, pair = check_part_collision([a], [], margin=0.02)
-    assert not hit and pair is None
-    hit, pair = check_part_collision([a, far], [far], margin=0.02)
-    assert hit
-    assert pair == (1, 0)
+    assert check_part_collision([a], [], margin=0.02) is None
+    assert check_part_collision([a, far], [far], margin=0.02) == (1, 0)
 
 
 def test_collision_check_reports_the_loops_first_pair():
@@ -157,10 +154,10 @@ def test_collision_check_reports_the_loops_first_pair():
            box((3, 0.3, 0), (0.2, 0.2, 0.2)), box((3, -0.3, 0), (0.2, 0.2, 0.2))]
     # (1, 2), (1, 3) and (2, 0) overlap; column-first order would give (2, 0)
     loop = [(i, j) for i, a in enumerate(sweep) for j, b in enumerate(env)
-            if obb_intersects(a, b, 0.02)]
+            if obb_overlaps([a], [b], 0.02)[0, 0]]
     assert loop == [(1, 2), (1, 3), (2, 0)]
-    hit, pair = check_part_collision(sweep, env, margin=0.02)
-    assert hit and pair == (1, 2)
+    pair = check_part_collision(sweep, env, margin=0.02)
+    assert pair == (1, 2)
     assert all(type(k) is int for k in pair)  # the pair goes into plan.json
 
 
@@ -501,24 +498,14 @@ def test_plan_scene_builds_each_step_world_once(monkeypatch):
 
 def test_plan_scene_makes_one_sat_pass_per_step_world(monkeypatch):
     """galley_block: each step world is collision-checked in one array pass,
-    each part's mount obstacles are dropped in one pass per plan, and the
-    scalar SAT runs only as the tie fallback inside a pass."""
+    and each part's mount obstacles are dropped in one pass per plan; there
+    is no per-pair SAT to call."""
     scene, robot, goal = plan_inputs("galley_block")
     passes = Counter()
-    scalar = geometry.obb_intersects
-    inside = []  # the pass in progress, if any
 
     def counting_overlaps(first, second, margin=0.02):
         passes["mounts" if first is scene.base.obstacles else "sweep"] += 1
-        inside.append(True)
-        try:
-            return geometry.obb_overlaps(first, second, margin)
-        finally:
-            inside.pop()
-
-    def fallback(a, b, margin=0.02):
-        assert inside, "scalar SAT outside an array pass"
-        return scalar(a, b, margin)
+        return geometry.obb_overlaps(first, second, margin)
 
     worlds = []
     real_step_world = planner._step_world
@@ -528,8 +515,8 @@ def test_plan_scene_makes_one_sat_pass_per_step_world(monkeypatch):
         return real_step_world(scene, committed, part, obstacles)
 
     monkeypatch.setattr(planner, "obb_overlaps", counting_overlaps, raising=False)
-    assert not hasattr(planner, "obb_intersects")  # no per-pair SAT binding to call
-    monkeypatch.setattr(geometry, "obb_intersects", fallback)
+    assert not hasattr(planner, "obb_intersects")  # no per-pair SAT to call
+    assert not hasattr(geometry, "obb_intersects")
     monkeypatch.setattr(planner, "_step_world", counting_step_world)
     plan = plan_scene(scene, scene.initial_state(), robot, goal, PlannerConfig(seed=0))
     assert plan.feasible and len(plan.diagnostics) == 3

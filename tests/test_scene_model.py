@@ -280,6 +280,16 @@ def test_robot_reach_annulus():
     assert not robot.can_reach((0.5, 0.0, 1.5))    # above the height band
 
 
+@pytest.mark.parametrize("name, value", [
+    ("r_min", 0.0), ("r_min", 0.95), ("r_max", math.inf), ("r_min", math.nan),
+    ("r_max", math.nan), ("z_min", 1.2), ("z_min", 2.0), ("z_min", -math.inf),
+    ("z_min", math.nan), ("z_max", math.inf), ("z_max", math.nan),
+])
+def test_robot_rejects_reach_limits_that_are_not_finite_and_ordered(name, value):
+    with pytest.raises(ValueError):
+        RobotState(**{name: value})
+
+
 def test_reach_mask_boundary_matches_math_hypot():
     # offsets where np.hypot and math.hypot differ in the last bit; an annulus
     # edge placed exactly on the math.hypot distance must still count as reached

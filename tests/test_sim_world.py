@@ -28,12 +28,13 @@ def slab_scene():
 
 def noiseless(density=1000.0):
     return SimConfig(surface_point_density=density, noise_sigma=0.0,
-                     dropout_prob=0.0, rng_seed=1)
+                     dropout_prob=0.0)
 
 
 def test_face_sampling_density_and_planarity():
     scene = slab_scene()
-    obs = render_observation(scene, SceneState({}), (2.0, 0.0, 1.0), noiseless())
+    obs = render_observation(scene, SceneState({}), (2.0, 0.0, 1.0), noiseless(),
+                             np.random.default_rng(1))
     front = obs.cloud.points[obs.cloud.points[:, 0] > 0.0]
     # the 1 m^2 front face yields ~density points, all exactly on its plane
     assert 900 <= front.shape[0] <= 1100
@@ -42,16 +43,18 @@ def test_face_sampling_density_and_planarity():
 
 def test_render_deterministic_for_seed():
     scene, _ = load("minimal_drawer")
-    cfg = SimConfig(rng_seed=7)
-    a = render_observation(scene, scene.initial_state(), (1.5, 1.0, 1.0), cfg)
-    b = render_observation(scene, scene.initial_state(), (1.5, 1.0, 1.0), cfg)
+    cfg = SimConfig()
+    a = render_observation(scene, scene.initial_state(), (1.5, 1.0, 1.0), cfg,
+                           np.random.default_rng(7))
+    b = render_observation(scene, scene.initial_state(), (1.5, 1.0, 1.0), cfg,
+                           np.random.default_rng(7))
     assert np.array_equal(a.cloud.points, b.cloud.points)
 
 
 def test_noise_sigma_matches_plane_residual():
     scene = slab_scene()
     cfg = SimConfig(surface_point_density=1000.0, noise_sigma=0.005,
-                    dropout_prob=0.0, rng_seed=3)
+                    dropout_prob=0.0)
     rms = []
     for seed in range(20):
         rng = np.random.default_rng(seed)
@@ -64,12 +67,14 @@ def test_noise_sigma_matches_plane_residual():
 def test_viewpoint_inside_obstacle_rejected():
     scene = slab_scene()
     with pytest.raises(InvalidViewpointError):
-        render_observation(scene, SceneState({}), (0.0, 0.0, 1.0), noiseless())
+        render_observation(scene, SceneState({}), (0.0, 0.0, 1.0), noiseless(),
+                           np.random.default_rng(1))
 
 
 def test_back_faces_culled():
     scene = slab_scene()
-    obs = render_observation(scene, SceneState({}), (2.0, 0.0, 1.0), noiseless())
+    obs = render_observation(scene, SceneState({}), (2.0, 0.0, 1.0), noiseless(),
+                             np.random.default_rng(1))
     assert not np.any(obs.cloud.points[:, 0] < 0.0)  # rear face invisible
 
 
@@ -217,7 +222,8 @@ def test_speculative_draws_equal_serial_draws(monkeypatch):
     moved = at + np.array([0.3, 0.0, 0.0])
     crop, far = (site, OBSERVATION_RADIUS), (site + 5.0, OBSERVATION_RADIUS)
     door = scene.initial_state().with_theta
-    renders = [  # (door angle, viewpoint, config, crop, shared generator, hit)
+    renders = [  # (door angle, viewpoint, config, crop, shared generator, hit);
+        # a render not on the shared generator draws from a new default_rng(0)
         (0.0, at, SimConfig(), crop, True, False),
         (0.02, at, SimConfig(), crop, True, True),  # the grasped part moved
         (0.05, at, SimConfig(), crop, True, True),
@@ -231,7 +237,8 @@ def test_speculative_draws_equal_serial_draws(monkeypatch):
         (0.1, moved, SimConfig(dropout_prob=0.05), crop, True, True),
         (0.1, moved, SimConfig(dropout_prob=0.05), crop, False, False),
         (0.1, at, SimConfig(), crop, False, False),
-        (0.1, moved, SimConfig(dropout_prob=0.05), crop, True, True),
+        # the draw made ahead is the last render's, on another generator
+        (0.1, moved, SimConfig(dropout_prob=0.05), crop, True, False),
     ]
     serial_draw = sim._draw
     drawn_here = []
@@ -260,9 +267,9 @@ def test_speculative_draws_equal_serial_draws(monkeypatch):
         *args, shared, _ = step
         with monkeypatch.context() as serial:
             serial.setattr(sim, "_take_draw", lambda g, a: serial_draw(g, *a))
-            expected = render(*args, ref if shared else None)
+            expected = render(*args, ref if shared else np.random.default_rng(0))
         drawn_here.clear()
-        assert render(*args, rng if shared else None) == expected
+        assert render(*args, rng if shared else np.random.default_rng(0)) == expected
         assert rng.bit_generator.state == ref.bit_generator.state
         hits.append(not drawn_here)
     apart = bool(sim._cpus_apart())  # else no worker: every render draws itself
@@ -342,7 +349,7 @@ def test_explore_computes_each_face_grid_once():
     scene, _ = load("kitchen")
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sim, "_node_hash", counting_hash)
-        explore_scene(scene, SimConfig(rng_seed=0), rng=np.random.default_rng(0))
+        explore_scene(scene, SimConfig(), rng=np.random.default_rng(0))
     info = sim._face_grid.cache_info()
     assert info.misses == info.currsize and info.hits > 10 * info.misses
     assert len(hashed) == 2 * info.misses  # two hashes per grid, none per window
@@ -658,7 +665,7 @@ def test_sim_config_validation():
 def test_noiseless_render_points_lie_on_surfaces():
     scene, _ = load("kitchen")
     obs = render_observation(scene, scene.initial_state(), (3.0, 1.5, 1.0),
-                             noiseless(density=400))
+                             noiseless(density=400), np.random.default_rng(1))
     boxes = list(scene.base.obstacles) + [p.shape for p in scene.parts]
     for p in obs.cloud.points[::7]:
         dists = []
