@@ -11,9 +11,8 @@ import numpy as np
 
 from .errors import (GraspFailureError, InvalidViewpointError, NoActionError,
                      RepositionFailedError)
-from .geometry import (DegenerateGeometryError, cloud_displacement,
-                       consensus_plane_normal, erode_isolated, plane_normal,
-                       unit)
+from .geometry import (DegenerateGeometryError, consensus_plane_normal,
+                       erode_isolated, plane_normal, unit)
 from .scene import KinematicScene, RobotState, SceneState, handle_at
 from .sim import (GRASP_TOLERANCE, Observation, OccupancyGrid, SimConfig,
                   arm_blocked, attempt_pull, discard_pending_draw, nav_grid,
@@ -98,13 +97,14 @@ def _compliance_action(obs: Observation, grasp) -> np.ndarray:
 def detect_failure(pre: Observation, current: Observation,
                    threshold: float = FAILURE_THRESHOLD) -> bool:
     """Failure iff the clouds moved less than the threshold (strict): exactly
-    cloud_displacement(pre.cloud, current.cloud) < threshold.
+    0.5 * (m_pre + m_cur) < threshold, the symmetric chamfer distance of the
+    mean _nearest_distances of the pre and current clouds.
 
     The current cloud is first queried against the pre cloud's tree, which
-    every check of an attempt shares. The displacement is 0.5 * (m_pre +
-    m_cur) with both means >= 0, and rounding is monotone, so 0.5 * m_cur >=
-    threshold already proves no failure; only otherwise is the current cloud
-    given a tree and the pre cloud queried against it."""
+    every check of an attempt shares. Both means are >= 0 and rounding is
+    monotone, so 0.5 * m_cur >= threshold already proves no failure; only
+    otherwise is the current cloud given a tree and the pre cloud queried
+    against it."""
     m_cur = float(pre.cloud.kdtree.query(current.cloud.points)[0].mean())
     if 0.5 * m_cur >= threshold:
         return False
@@ -112,12 +112,10 @@ def detect_failure(pre: Observation, current: Observation,
     return 0.5 * (m_pre + m_cur) < threshold
 
 
-def _displaced_subset(a: Observation, b: Observation, tau: float) -> np.ndarray:
-    """Points of a that moved relative to b, eroded to drop isolated flicker
-    (dropout re-sampling and crop-boundary noise)."""
-    pts = a.cloud.points
-    d, _ = b.cloud.kdtree.query(pts)
-    return pts[erode_isolated(a.cloud, d > tau)]
+def _nearest_distances(pre: Observation, current: Observation) -> tuple:
+    """Each cloud's per-point distances to the other: (pre's, current's)."""
+    return (current.cloud.kdtree.query(pre.cloud.points)[0],
+            pre.cloud.kdtree.query(current.cloud.points)[0])
 
 
 def classify_joint(pre: Observation, current: Observation,
@@ -127,8 +125,15 @@ def classify_joint(pre: Observation, current: Observation,
     Counterclockwise rotation seen from above (about world +z) is 'left'.
     Returns 'unknown' when either displaced subset is too small or degenerate.
     """
-    moved_pre = _displaced_subset(pre, current, DISPLACED_TAU)
-    moved_cur = _displaced_subset(current, pre, DISPLACED_TAU)
+    return _classify(pre, current, _nearest_distances(pre, current), threshold)
+
+
+def _classify(pre: Observation, current: Observation, distances: tuple,
+              threshold: float = CLASSIFY_THRESHOLD) -> str:
+    """classify_joint on the pair's _nearest_distances; the displaced subsets
+    are eroded to drop isolated flicker (dropout and crop-boundary noise)."""
+    moved_pre, moved_cur = (o.cloud.points[erode_isolated(o.cloud, d > DISPLACED_TAU)]
+                            for o, d in zip((pre, current), distances))
     if moved_pre.shape[0] < 3 or moved_cur.shape[0] < 3:
         return UNKNOWN
     try:
@@ -352,8 +357,10 @@ def _explore_handle(scene, state, hd: Handle, sim_config, config, robot, rng, lo
             points=len(post.cloud) if post else 0)
 
     if pre is not None and post is not None:
-        displacement = cloud_displacement(pre.cloud, post.cloud)
-        final_kind = classify_joint(pre, post)
+        # the symmetric chamfer distance, and the kind, from one query each way
+        distances = _nearest_distances(pre, post)
+        displacement = 0.5 * (float(distances[0].mean()) + float(distances[1].mean()))
+        final_kind = _classify(pre, post, distances)
     else:
         displacement = 0.0
         final_kind = UNKNOWN

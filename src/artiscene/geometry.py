@@ -213,7 +213,10 @@ def obb_overlaps(first, second, margin: float = 0.02) -> np.ndarray:
     ra, rb = ra[:, None], rb[None, :]                     # (n, 1, 3, 3), (1, m, 3, 3)
     fa = np.broadcast_to(ra.swapaxes(-1, -2), (n, m, 3, 3))  # rows: box axes
     fb = np.broadcast_to(rb.swapaxes(-1, -2), (n, m, 3, 3))
-    cross = np.cross(fa[:, :, :, None], fb[:, :, None, :]).reshape(n, m, 9, 3)
+    # each axis of a crossed with each of b, by np.cross's own formulas
+    a, b = np.moveaxis(fa[:, :, :, None], -1, 0), np.moveaxis(fb[:, :, None, :], -1, 0)
+    cross = np.stack([a[1] * b[2] - a[2] * b[1], a[2] * b[0] - a[0] * b[2],
+                      a[0] * b[1] - a[1] * b[0]], axis=-1).reshape(n, m, 9, 3)
     norm = np.linalg.norm(cross, axis=-1)
     kept = norm > 1e-12
     cross /= np.where(kept, norm, 1.0)[..., None]
@@ -363,11 +366,3 @@ def erode_isolated(cloud: PointCloud, mask: np.ndarray) -> np.ndarray:
     out[np.flatnonzero(mask)[support >= 3]] = True
     return out
 
-
-def cloud_displacement(a: PointCloud, b: PointCloud) -> float:
-    """Symmetric chamfer distance between two clouds."""
-    if len(a) == 0 or len(b) == 0:
-        raise ValueError("both clouds must be non-empty")
-    d_ab, _ = b.kdtree.query(a.points)
-    d_ba, _ = a.kdtree.query(b.points)
-    return 0.5 * (float(d_ab.mean()) + float(d_ba.mean()))

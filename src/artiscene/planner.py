@@ -80,8 +80,7 @@ def check_path(grid: OccupancyGrid, from_pose, to_pose) -> bool:
 
 def select_base(trajectory: EndEffectorTrajectory, scene: KinematicScene,
                 grid: OccupancyGrid, arm: RobotState, n_samples: int = N_SAMPLES,
-                sample_range: float = SAMPLE_RANGE,
-                rng: np.random.Generator | None = None):
+                sample_range: float = SAMPLE_RANGE, *, rng: np.random.Generator):
     """Sampled base pose reaching the most trajectory waypoints.
 
     Draws poses uniformly in the disc around the trajectory centroid, keeps
@@ -90,34 +89,43 @@ def select_base(trajectory: EndEffectorTrajectory, scene: KinematicScene,
     returns the argmax (ties: nearest the centroid, then lowest sample
     index). Raises NoBaseFoundError when no valid sample appears.
 
-    The whole budget is drawn at once, (radius, angle) pairs from one
-    rng.random(40 * n_samples) call, and tested for collision in two blocks:
-    the first 8 * n_samples draws, then the rest only while fewer than
-    n_samples were free. No caller reads the generator afterwards. The
+    The (radius, angle) draws are rng.random(16 * n_samples), then, only
+    while fewer than n_samples were free, rng.random(24 * n_samples): one
+    rng.random(40 * n_samples) call's numbers, a float64 taking one word of
+    the stream; no caller reads the generator afterwards. Each block is
+    tested for free floor in one pass. Samples are scored nearest first, and
+    one of the 16 nearest that reaches every waypoint ends the scoring. The
     reach test is RobotState.reach_mask, whose math.hypot fallback keeps the
     verdict at the annulus edges equal to the scalar can_reach.
     """
     if n_samples < 1:
         raise ValueError("n_samples must be >= 1")
-    rng = rng or np.random.default_rng(0)
     cxy = trajectory.centroid()[:2]
-    draws = rng.random(40 * n_samples).reshape(-1, 2)  # radius, angle
+    lo, hi = scene.base.floor_min - 1e-12, scene.base.floor_max + 1e-12
     blocks = []
-    for u in np.split(draws, [8 * n_samples]):
-        r = sample_range * np.sqrt(u[:, 0])
-        phi = u[:, 1] * 2.0 * math.pi
-        xy = cxy + r[:, None] * np.column_stack([np.cos(phi), np.sin(phi)])
-        blocks.append(xy[scene.base.in_bounds(xy) & grid.is_free(xy)])
-        if len(blocks[0]) >= n_samples:
+    for n_draws in (16 * n_samples, 24 * n_samples):
+        u = rng.random(n_draws)
+        r = sample_range * np.sqrt(u[0::2])
+        phi = u[1::2] * 2.0 * math.pi
+        x = cxy[0] + r * np.cos(phi)
+        y = cxy[1] + r * np.sin(phi)
+        ok = grid.free_at(x, y) & (lo[0] <= x) & (x <= hi[0]) & (lo[1] <= y) & (y <= hi[1])
+        blocks.append((x[ok], y[ok]))
+        if len(blocks[0][0]) >= n_samples:
             break
-    xy = np.concatenate(blocks)[:n_samples]
-    if len(xy) == 0:
+    x, y = (np.concatenate(v)[:n_samples] for v in zip(*blocks))
+    if len(x) == 0:
         raise NoBaseFoundError("no collision-free base sample in range")
-    score = arm.reach_mask(trajectory.waypoints, bases=xy).sum(axis=1)
-    top = np.flatnonzero(score == score.max())
-    i = top[np.argmin(np.linalg.norm(xy[top] - cxy, axis=1))]
-    x, y = float(xy[i, 0]), float(xy[i, 1])
-    return (x, y, math.atan2(cxy[1] - y, cxy[0] - x)), int(score[i])
+    dx, dy = x - cxy[0], y - cxy[1]
+    near = np.argsort(np.sqrt(dx * dx + dy * dy), kind="stable")  # np.linalg.norm's arithmetic
+    w = trajectory.waypoints
+    for idx in (near[:16], near):
+        score = arm.reach_mask(w, bases=np.column_stack((x[idx], y[idx]))).sum(axis=1)
+        j = int(np.argmax(score))
+        if score[j] == len(w):
+            break
+    x, y = float(x[idx[j]]), float(y[idx[j]])
+    return (x, y, math.atan2(cxy[1] - y, cxy[0] - x)), int(score[j])
 
 
 @dataclass(frozen=True)
@@ -181,12 +189,13 @@ def _standing_box(box):
 
 
 def _step_world(scene: KinematicScene, committed: dict, part: MobilePart,
-                obstacles=None):
+                travel: dict, obstacles=None):
     """Collision-check one step's sweep, then build its standing grid.
 
     Returns (colliding pair, None) when the sweep hits the committed
-    environment, so a rejected step builds no grid; otherwise (None,
-    standing grid), the grid keeping the base clear of the sweep. obstacles
+    environment, so a rejected step builds no grid; otherwise (None, the
+    committed state's travel grid, from travel by sorted committed states or
+    built and kept there, with the inflated sweep boxes added). obstacles
     are the part's unmounted obstacles, found here unless given.
     """
     sweep = sample_part_sweep(part)
@@ -194,8 +203,10 @@ def _step_world(scene: KinematicScene, committed: dict, part: MobilePart,
     pair = check_part_collision(sweep, env)
     if pair is not None:
         return pair, None
-    standing = [_standing_box(b) for b in sweep]
-    return None, nav_grid(scene, SceneState(committed), extra_boxes=standing)
+    states = tuple(sorted(committed.items()))
+    if states not in travel:
+        travel[states] = nav_grid(scene, SceneState(committed))
+    return None, travel[states].with_boxes([_standing_box(b) for b in sweep])
 
 
 def evaluate_candidate_order(scene: KinematicScene, state: SceneState,
@@ -211,11 +222,11 @@ def evaluate_candidate_order(scene: KinematicScene, state: SceneState,
 
     worlds holds what the orders of one plan share, so each is built once
     per plan: a part id maps to its unmounted obstacles, the sorted committed
-    states to their travel grid, (committed states, part id) to the step's
-    _step_world result, and (part id, start, goal) to the part's trajectory,
-    its waypoints read-only. None shares nothing. Base selection is not
-    shared: its generator is keyed on candidate_idx, and sharing it would
-    re-roll bases and change every pinned digest.
+    states to their travel grid (built when a sweep clears), (states, part
+    id) to the step's _step_world result, and (part id, start, goal) to the
+    part's trajectory, its waypoints read-only. None shares nothing. Base
+    selection is not shared: its generator is keyed on candidate_idx, and
+    sharing it would re-roll bases and change every pinned digest.
     """
     worlds = {} if worlds is None else worlds
     committed = dict(state.joint_states)
@@ -231,7 +242,7 @@ def evaluate_candidate_order(scene: KinematicScene, state: SceneState,
         if (states, part_id) not in worlds:
             if part_id not in worlds:
                 worlds[part_id] = _unmounted_obstacles(scene, part_id)
-            worlds[states, part_id] = _step_world(scene, committed, part,
+            worlds[states, part_id] = _step_world(scene, committed, part, worlds,
                                                   worlds[part_id])
         pair, standing_grid = worlds[states, part_id]
         if pair is not None:
@@ -249,8 +260,6 @@ def evaluate_candidate_order(scene: KinematicScene, state: SceneState,
         except NoBaseFoundError:
             return None, {"order": list(order), "step": part_id,
                           "reason": "unreachable"}
-        if states not in worlds:
-            worlds[states] = nav_grid(scene, SceneState(committed))
         if not check_path(worlds[states], prev_pose, base_pose):
             return None, {"order": list(order), "step": part_id,
                           "reason": "path-blocked",
@@ -305,15 +314,15 @@ def validate_plan(scene: KinematicScene, state: SceneState, robot: RobotState,
     The checks use no planner setting; config is accepted and ignored."""
     committed = dict(state.joint_states)
     prev_pose = robot.base_pose
+    travel = {}
     for step in plan.steps:
-        pair, standing_grid = _step_world(scene, committed, scene.part(step.part_id))
+        pair, standing_grid = _step_world(scene, committed, scene.part(step.part_id), travel)
         if pair is not None or not standing_grid.is_free(step.base_pose[:2]):
             return False
         reach = robot.at(step.base_pose).reach_mask(step.trajectory.waypoints)
         if int(reach.sum()) != step.reach_count:
             return False
-        travel_grid = nav_grid(scene, SceneState(committed))
-        if not check_path(travel_grid, prev_pose, step.base_pose):
+        if not check_path(travel[tuple(sorted(committed.items()))], prev_pose, step.base_pose):
             return False
         committed[step.part_id] = step.goal
         prev_pose = step.base_pose

@@ -107,11 +107,6 @@ class StaticBaseMap:
             if np.any(fp < lo - 1e-9) or np.any(fp > hi + 1e-9):
                 raise SceneValidationError(f"obstacle {i} extends outside the floor bounds")
 
-    def in_bounds(self, xy):
-        """Whether a point lies on the floor; a bool array for an (n, 2) array."""
-        p = np.asarray(xy, dtype=float)
-        return np.all((p >= self.floor_min - 1e-12) & (p <= self.floor_max + 1e-12), axis=-1)
-
 
 @dataclass(frozen=True)
 class RobotState:

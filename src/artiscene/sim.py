@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import math
 import os
-from array import array
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 
@@ -408,49 +407,61 @@ class OccupancyGrid:
         return xs, ys
 
     def cell_of(self, xy) -> tuple:
-        """(ix, iy) of a point's cell; index arrays for an (n, 2) array."""
-        i = np.floor((np.asarray(xy, dtype=float) - self.origin) / self.resolution).astype(int)
-        return (i[:, 0], i[:, 1]) if i.ndim > 1 else (int(i[0]), int(i[1]))
-
-    def in_grid(self, ix, iy):
-        ny, nx = self.occupied.shape
-        return (0 <= ix) & (ix < nx) & (0 <= iy) & (iy < ny)
+        """(ix, iy) of a point's cell."""
+        i = np.floor((np.asarray(xy, dtype=float) - self.origin) / self.resolution)
+        return tuple(i.astype(int).tolist())
 
     def is_free(self, xy):
-        """Whether a point's cell is in the grid and free; a bool array for an (n, 2) array."""
-        ix, iy = self.cell_of(xy)
+        """Whether a point's cell is in the grid and free."""
+        return self.free_at(*np.asarray(xy, dtype=float))
+
+    def free_at(self, x, y):
+        """is_free for points given as x and y arrays, in one lookup of cell
+        indices clipped to [-1, n] in the mask padded by one occupied cell."""
         ny, nx = self.occupied.shape
-        return self.in_grid(ix, iy) & ~self.occupied[np.clip(iy, 0, ny - 1), np.clip(ix, 0, nx - 1)]
+        ix = np.clip(np.floor((x - self.origin[0]) / self.resolution), -1, nx)
+        iy = np.clip(np.floor((y - self.origin[1]) / self.resolution), -1, ny)
+        return self._free[(iy * (nx + 2) + ix + (nx + 3)).astype(np.intp)]
+
+    @cached_property
+    def _free(self) -> np.ndarray:
+        free = np.zeros((self.occupied.shape[0] + 2, self.occupied.shape[1] + 2), dtype=bool)
+        np.logical_not(self.occupied, out=free[1:-1, 1:-1])
+        free.flags.writeable = False
+        return free.ravel()
 
     def component(self, cell):
         """Label of the 4-connected free region holding cell (ix, iy), or
         None when the cell is off the grid or occupied: two free cells are
-        connected iff their labels are equal. Each region is flooded once, on
-        first use, and labelled with the flat index of the cell it was
-        flooded from on the grid padded by one occupied cell."""
-        ix, iy = cell
-        if not self.in_grid(ix, iy) or self.occupied[iy, ix]:
-            return None
-        seed = (iy + 1) * (self.occupied.shape[1] + 2) + ix + 1
-        if self._labels[seed] < 0:
-            self._flood(seed)
-        return self._labels[seed]
+        connected iff their labels are equal. The first call labels them all."""
+        (ix, iy), (ny, nx) = cell, self.occupied.shape
+        label = int(self._labels[iy, ix]) if 0 <= ix < nx and 0 <= iy < ny else -1
+        return None if label < 0 else label
 
-    @cached_property
-    def _labels(self) -> array:
-        """Per cell of the padded grid, flat: 0 on occupied cells, -1 on free
-        cells whose region is not flooded yet, else the region's label."""
-        return array("i", np.pad(-(~self.occupied).astype(np.intc), 1).tobytes())
+    _labels = cached_property(lambda self: _region_labels(self.occupied))
 
-    def _flood(self, seed: int) -> None:
-        labels, width = self._labels, self.occupied.shape[1] + 2
-        labels[seed] = seed
-        region = [seed]
-        for c in region:  # grows while it is read: breadth first
-            for n in (c + 1, c - 1, c + width, c - width):
-                if labels[n] < 0:
-                    labels[n] = seed
-                    region.append(n)
+    def with_boxes(self, boxes, robot_radius: float = ROBOT_RADIUS) -> "OccupancyGrid":
+        """This grid with every cell within robot_radius of a box's footprint
+        occupied. A box's mask is rasterized once per grid geometry, over the
+        cells within robot_radius + resolution of its bounding box (no other
+        is that near), and kept on the box as (rows, cols, read-only mask).
+        OR is exact and order-free: boxes added later give the same grid."""
+        xs, ys = self.cell_centers()
+        occ = self.occupied.copy()
+        key = ("nav_grid", *self.origin.tolist(), len(xs), len(ys), self.resolution, robot_radius)
+        pad = robot_radius + self.resolution
+        for box in boxes:
+            window = box.memo.get(key)
+            if window is None:
+                fp = box.footprint()
+                cols = slice(*np.searchsorted(xs, (fp[:, 0].min() - pad, fp[:, 0].max() + pad)))
+                rows = slice(*np.searchsorted(ys, (fp[:, 1].min() - pad, fp[:, 1].max() + pad)))
+                mask = _near_polygon(xs[None, cols], ys[rows, None], fp, robot_radius)
+                mask.flags.writeable = False
+                window = box.memo[key] = (rows, cols, mask)
+            rows, cols, mask = window
+            occ[rows, cols] |= mask
+        return OccupancyGrid(self.origin, self.resolution, occ)
 
     def nearest_free(self, xy, max_dist: float):
         """xy itself when its cell is free, else the closest free cell center
@@ -470,6 +481,31 @@ class OccupancyGrid:
         return np.array([xs[ix], ys[iy]])
 
 
+def _region_labels(occupied: np.ndarray) -> np.ndarray:
+    """Per cell, a label of its 4-connected free region (-1 when occupied):
+    runs of free cells along rows are numbered, and runs in adjacent rows
+    are merged by union-find once, in the column where the later of the two
+    starts (He, Chao and Suzuki, "A run-based two-scan labeling algorithm",
+    IEEE TIP 2008)."""
+    free = ~occupied
+    start = free.copy()
+    start[:, 1:] &= occupied[:, :-1]
+    run = np.cumsum(start).reshape(free.shape) - 1
+    touch = free[:-1] & free[1:] & (start[:-1] | start[1:])
+    parent = list(range(int(run[-1, -1]) + 1))
+
+    def root(i):
+        while parent[i] != i:
+            parent[i] = i = parent[parent[i]]
+        return i
+
+    for a, b in zip(run[:-1][touch].tolist(), run[1:][touch].tolist()):
+        a, b = root(a), root(b)
+        parent[max(a, b)] = min(a, b)
+    roots = np.array([root(i) for i in range(len(parent))] + [-1], dtype=np.intc)
+    return roots[np.where(free, run, -1)]
+
+
 def _edge_table(poly: np.ndarray) -> list:
     """Per edge of a polygon, from each vertex a to the next b, the floats
     (a0, a1, e0, e1, e @ e) with e = b - a."""
@@ -480,17 +516,14 @@ def _edge_table(poly: np.ndarray) -> list:
 
 def _near_polygon(px, py, poly: np.ndarray, radius: float):
     """Whether each point (px, py) of two broadcasting arrays lies inside or
-    within radius of a convex counterclockwise polygon."""
-    inside, best = True, np.inf
-    for a0, a1, e0, e1, ee in _edge_table(poly):
-        inside &= e0 * (py - a1) - e1 * (px - a0) >= 0.0
-        if ee == 0.0:
-            d2 = (px - a0) ** 2 + (py - a1) ** 2
-        else:
-            t = np.clip(((px - a0) * e0 + (py - a1) * e1) / ee, 0.0, 1.0)
-            d2 = (px - (a0 + t * e0)) ** 2 + (py - (a1 + t * e1)) ** 2
-        best = np.minimum(best, d2)
-    return inside | (best <= radius * radius)
+    within radius of a convex counterclockwise polygon. Every edge is tested
+    in one pass over a leading edge axis; a zero-length edge gets t = 0, so
+    its distance is the distance to its vertex."""
+    a0, a1, e0, e1, ee = (c[:, None, None] for c in np.array(_edge_table(poly)).T)
+    inside = np.all(e0 * (py - a1) - e1 * (px - a0) >= 0.0, axis=0)
+    t = np.clip(((px - a0) * e0 + (py - a1) * e1) / np.where(ee == 0.0, 1.0, ee), 0.0, 1.0)
+    d2 = (px - (a0 + t * e0)) ** 2 + (py - (a1 + t * e1)) ** 2
+    return inside | (d2.min(axis=0) <= radius * radius)
 
 
 def _near_edges(x: float, y: float, edges: list, radius: float) -> bool:
@@ -521,27 +554,8 @@ def nav_grid(scene: KinematicScene, state: SceneState,
     hi = scene.base.floor_max
     nx = max(1, int(math.ceil((hi[0] - lo[0]) / resolution)))
     ny = max(1, int(math.ceil((hi[1] - lo[1]) / resolution)))
-    xs = lo[0] + (np.arange(nx) + 0.5) * resolution
-    ys = lo[1] + (np.arange(ny) + 0.5) * resolution
-    occ = np.zeros((ny, nx), dtype=bool)
     boxes = list(scene.base.obstacles)
     boxes.extend(part_shape_at(p, state.theta(p.id)) for p in scene.parts)
     boxes.extend(extra_boxes)
-    # each box's inflated footprint is rasterized once per grid geometry, over
-    # the cells within robot_radius + resolution of its bounding box (every
-    # other cell is farther than robot_radius from it, so free), and kept on
-    # the box as (rows, cols, read-only mask); OR is exact, so the grid is the same
-    key = ("nav_grid", float(lo[0]), float(lo[1]), nx, ny, resolution, robot_radius)
-    pad = robot_radius + resolution
-    for box in boxes:
-        window = box.memo.get(key)
-        if window is None:
-            fp = box.footprint()
-            cols = slice(*np.searchsorted(xs, (fp[:, 0].min() - pad, fp[:, 0].max() + pad)))
-            rows = slice(*np.searchsorted(ys, (fp[:, 1].min() - pad, fp[:, 1].max() + pad)))
-            mask = _near_polygon(xs[None, cols], ys[rows, None], fp, robot_radius)
-            mask.flags.writeable = False
-            window = box.memo[key] = (rows, cols, mask)
-        rows, cols, mask = window
-        occ[rows, cols] |= mask
-    return OccupancyGrid(np.asarray(lo, dtype=float).copy(), resolution, occ)
+    empty = OccupancyGrid(np.array(lo, dtype=float), resolution, np.zeros((ny, nx), dtype=bool))
+    return empty.with_boxes(boxes, robot_radius)

@@ -26,6 +26,15 @@ def obb_separation(a, b):
     return best
 
 
+def cloud_displacement(a, b):
+    """Symmetric chamfer distance between two point clouds: the mean of each
+    cloud's nearest-neighbour distances to the other, averaged; a reference
+    for the failure check and the record displacement of exploration."""
+    d_ab, _ = b.kdtree.query(a.points)
+    d_ba, _ = a.kdtree.query(b.points)
+    return 0.5 * (float(d_ab.mean()) + float(d_ba.mean()))
+
+
 def box_contains(box, pts):
     local = (np.atleast_2d(pts) - box.center) @ box.orientation
     return np.all(np.abs(local) <= box.half_extents + 1e-12, axis=1)
@@ -116,7 +125,8 @@ def order_feasible_oracle(scene, state, robot, order, goal, cfg):
             return False
         reach = flood_fill_reachable(travel.occupied, travel.cell_of(prev[:2]))
         gx, gy = travel.cell_of(pose[:2])
-        if not (travel.in_grid(gx, gy) and reach[gy, gx]):
+        ny, nx = reach.shape
+        if not (0 <= gx < nx and 0 <= gy < ny and reach[gy, gx]):
             return False
         committed[pid] = goal[pid]
         prev = pose

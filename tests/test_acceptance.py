@@ -280,7 +280,8 @@ def test_criterion_7_path_blocking_fixture():
         grid = nav_grid(scene, committed)
         reach = flood_fill_reachable(grid.occupied, grid.cell_of(rej["from"]))
         gx, gy = grid.cell_of(rej["to"])
-        if grid.in_grid(gx, gy) and reach[gy, gx]:
+        ny, nx = reach.shape
+        if 0 <= gx < nx and 0 <= gy < ny and reach[gy, gx]:
             rejected_confirmed = False
     ok = blocker_last and rejected_confirmed
     report(7, ok, "aisle-blocking part planned last on 5 seeds; "

@@ -17,6 +17,7 @@ from artiscene.geometry import OrientedBox, PointCloud, rodrigues_rotation
 from artiscene.scene import (KinematicScene, RobotState, SceneState,
                              StaticBaseMap, part_pose_at)
 from artiscene.sim import Observation, SimConfig, nav_grid
+from oracles import cloud_displacement
 from shipped import SCENES, aligned_box, load
 
 
@@ -89,7 +90,7 @@ def test_detect_failure_equals_thresholded_chamfer():
         pairs.append((pre, cur))
     decided = Counter()
     for pre, cur in pairs:
-        chamfer = geometry.cloud_displacement(pre.cloud, cur.cloud)
+        chamfer = cloud_displacement(pre.cloud, cur.cloud)
         half_cur = 0.5 * float(pre.cloud.kdtree.query(cur.cloud.points)[0].mean())
         for t in (chamfer, half_cur, 0.02, 0.03125):
             for threshold in (np.nextafter(t, 0.0), t, np.nextafter(t, 1.0)):
@@ -211,12 +212,12 @@ def test_explore_minimal_drawer_noiseless():
 
 
 def test_explore_succeeded_record_invariant():
-    from artiscene.geometry import cloud_displacement
-
     scene, _ = load("minimal_drawer")
     result = explore_scene(scene, SimConfig(), ExplorationConfig(),
                            rng=np.random.default_rng(5))
     for rec in result.records:
+        # the record's displacement is the chamfer distance, to the bit
+        assert rec.displacement == cloud_displacement(rec.pre.cloud, rec.post.cloud)
         if rec.succeeded:
             assert cloud_displacement(rec.pre.cloud, rec.post.cloud) \
                 >= FAILURE_THRESHOLD
@@ -401,13 +402,13 @@ def test_run_all_classifies_each_record_once_and_reuses_scored_pairs(tmp_path, m
     falls back on it, so each record classifies its pre/post pair once, and
     each refinement starts from the mutual pairs its candidate was scored on."""
     counts = Counter()
-    _counting(monkeypatch, exploration, "classify_joint", counts)
+    _counting(monkeypatch, exploration, "_classify", counts)
     _counting(monkeypatch, exploration, "render_observation", counts)
     _counting(monkeypatch, estimation, "_mutual_pairs", counts)
     assert main(["run-all", "--scene", str(SCENES / "kitchen.json"),
                  "--goal", str(SCENES / "kitchen_goal.json"),
                  "--out", str(tmp_path), "--seed", "0"]) == 0
-    assert counts == {"render_observation": 219, "classify_joint": 9, "_mutual_pairs": 186}
+    assert counts == {"render_observation": 219, "_classify": 9, "_mutual_pairs": 186}
 
 
 def test_a_deferred_classification_equals_the_completed_attempts_own(monkeypatch):
@@ -424,15 +425,21 @@ def test_a_deferred_classification_equals_the_completed_attempts_own(monkeypatch
 
     calls = []
 
-    def post_unknown_classify(pre, current):
+    real_classify = exploration._classify
+
+    def post_unknown_classify(pre, current, *args):
         # the record classifies its pre/post pair itself; an attempt's
-        # classification goes through _maybe_classify
-        calls.append(sys._getframe(1).f_code.co_name)
-        return UNKNOWN if calls[-1] == "_explore_handle" else classify_joint(pre, current)
+        # classification goes through _maybe_classify and classify_joint
+        caller = sys._getframe(1).f_code.co_name
+        if caller == "classify_joint":
+            caller = sys._getframe(2).f_code.co_name
+        if caller in ("_explore_handle", "_maybe_classify"):
+            calls.append(caller)
+        return UNKNOWN if caller == "_explore_handle" else real_classify(pre, current, *args)
 
     scene, _ = load("kitchen")
     monkeypatch.setattr(exploration, "_observe", recording_observe)
-    monkeypatch.setattr(exploration, "classify_joint", post_unknown_classify)
+    monkeypatch.setattr(exploration, "_classify", post_unknown_classify)
     result = explore_scene(scene, SimConfig(), rng=np.random.default_rng(0))
     assert not any(e["event"] == "failure" for e in result.events)
 

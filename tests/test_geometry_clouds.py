@@ -6,10 +6,10 @@ import pytest
 from scipy.spatial import cKDTree
 
 from artiscene.errors import DegenerateGeometryError
-from artiscene.geometry import (PointCloud, cloud_displacement,
-                                consensus_plane_normal, fit_rigid_transform,
-                                load_xyz, plane_normal, rodrigues_rotation,
-                                save_xyz)
+from artiscene.geometry import (PointCloud, consensus_plane_normal,
+                                fit_rigid_transform, load_xyz, plane_normal,
+                                rodrigues_rotation, save_xyz)
+from oracles import cloud_displacement
 
 
 def rand_rotation(rng, max_angle=math.pi):

@@ -175,3 +175,27 @@ def test_feasible_plan_matches_golden_digest(tmp_path):
     assert plan["feasible"] and [s["part_id"] for s in plan["steps"]] == ["north_panel"]
     mismatches = _mismatches(tmp_path, {"plan.json": FEASIBLE_PLAN})
     assert not mismatches, "feasible plan digest changed:\n" + "\n".join(mismatches)
+
+
+# data/order_search_<i>.json: the generated galleys that the benchmark's
+# order_search workload plans at seed 0, one per pool slot (slot 0 is
+# facing_panels above). Each plan rejects all 24 orders, among them orders
+# rejected as path-blocked with their sampled base, so the digests pin the
+# base sampling bit for bit.
+ORDER_SEARCH_PLANS = {
+    1: "c7194bb909de7c890483c75a1a0c1d61fa835741f5e6d47e2fa368a2abd15024",
+    2: "d57e625690f266e07f670d0fc537ecb663940dba17c8fb71230714dbf8e5fe40",
+    3: "847d32ce74f806e4e54af2ee5d55215674ae06556c19ca58f9fd61d5b55879db",
+}
+
+
+@pytest.mark.parametrize("index", sorted(ORDER_SEARCH_PLANS))
+def test_order_search_plan_matches_golden_digest(tmp_path, index):
+    assert main(["plan", "--scene", str(DATA / f"order_search_{index}.json"),
+                 "--goal", str(DATA / f"order_search_{index}_goal.json"),
+                 "--out", str(tmp_path), "--seed", "0"]) == 0
+    plan = json.loads((tmp_path / "plan.json").read_text())
+    assert not plan["feasible"] and len(plan["diagnostics"]) == 24
+    assert Counter(d["reason"] for d in plan["diagnostics"])["path-blocked"] > 0
+    mismatches = _mismatches(tmp_path, {"plan.json": ORDER_SEARCH_PLANS[index]})
+    assert not mismatches, "order_search plan digest changed:\n" + "\n".join(mismatches)

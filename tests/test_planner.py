@@ -9,7 +9,7 @@ import pytest
 from artiscene.errors import LimitViolationError, NoBaseFoundError, UnknownPartError
 from artiscene import geometry
 from artiscene.geometry import obb_overlaps, rodrigues_rotation
-from artiscene import planner
+from artiscene import planner, sim
 from artiscene.planner import (EndEffectorTrajectory, InteractionPlan, PlannerConfig,
                                check_part_collision, check_path,
                                evaluate_candidate_order, part_trajectory, plan_scene,
@@ -203,10 +203,10 @@ def reference_check_path(grid, from_pose, to_pose):
     """check_path as a breadth-first search from the start cell."""
     start = grid.cell_of(from_pose[:2])
     goal = grid.cell_of(to_pose[:2])
-    for ix, iy in (start, goal):
-        if not grid.in_grid(ix, iy) or grid.occupied[iy, ix]:
-            return False
     ny, nx = grid.occupied.shape
+    for ix, iy in (start, goal):
+        if not (0 <= ix < nx and 0 <= iy < ny) or grid.occupied[iy, ix]:
+            return False
     seen = np.zeros((ny, nx), dtype=bool)
     seen[start[1], start[0]] = True
     queue = deque([start])
@@ -252,19 +252,20 @@ def _random_pose(rng, grid):
 
 
 def test_check_path_matches_bfs_reference(monkeypatch):
-    floods = []
-    real_flood = OccupancyGrid._flood
+    labelled = []
+    real_labels = sim._region_labels
 
-    def counting_flood(grid, seed):
-        floods.append(seed)
-        return real_flood(grid, seed)
+    def counting_labels(occupied):
+        labelled.append(occupied)
+        return real_labels(occupied)
 
-    monkeypatch.setattr(OccupancyGrid, "_flood", counting_flood)
+    monkeypatch.setattr(sim, "_region_labels", counting_labels)
     rng = np.random.default_rng(13)
     verdicts = Counter()
+    compared = 0
     for case in range(200):
         grid = _walled_grid(rng)
-        floods.clear()
+        labelled.clear()
         for _ in range(40):
             a = _random_pose(rng, grid)
             kind = int(rng.integers(4))
@@ -281,16 +282,27 @@ def test_check_path_matches_bfs_reference(monkeypatch):
             same_cell = grid.cell_of(a[:2]) == grid.cell_of(b[:2])
             free = grid.is_free(a[:2]) and grid.is_free(b[:2])
             verdicts[bool(expected), same_cell, bool(free)] += 1
-        # every region is flooded at most once, from the cell it is labelled by
-        assert len(floods) == len(set(floods)), case
-        width = grid.occupied.shape[1] + 2
-        for seed in floods:
-            py, px = divmod(seed, width)
-            assert grid.component((px - 1, py - 1)) == seed, case
+        # the grid is labelled once, on its first in-grid query
+        assert len(labelled) <= 1 and all(o is grid.occupied for o in labelled), case
+        # on small grids, every pair of free cells shares a label exactly
+        # when the breadth-first search connects them
+        ny, nx = grid.occupied.shape
+        if nx * ny <= 120:
+            cells = [(ix, iy) for iy in range(ny) for ix in range(nx)]
+            labels = {c: grid.component(c) for c in cells}
+            assert len(labelled) == 1, case
+            for c in cells:
+                reach = flood_fill_reachable(grid.occupied, c)
+                assert (labels[c] is None) == bool(grid.occupied[c[1], c[0]]), (case, c)
+                for d in cells:
+                    if labels[c] is not None and labels[d] is not None:
+                        assert (labels[c] == labels[d]) == bool(reach[d[1], d[0]]), (case, c, d)
+                        compared += 1
     # (connected, same cell, both free): each kind of verdict occurs
     assert verdicts[True, True, True] > 0 and verdicts[True, False, True] > 0
     assert verdicts[False, False, True] > 0 and verdicts[False, True, False] > 0
     assert verdicts[False, False, False] > 0
+    assert compared > 10_000
 
 
 # --- base selection ----------------------------------------------------------
@@ -347,7 +359,9 @@ def reference_select_base(trajectory, scene, grid, arm, n_samples, sample_range,
         r = sample_range * math.sqrt(rng.random())
         phi = rng.random() * 2.0 * math.pi
         xy = cxy + r * np.array([math.cos(phi), math.sin(phi)])
-        if not scene.base.in_bounds(xy) or not grid.is_free(xy):
+        on_floor = np.all((xy >= scene.base.floor_min - 1e-12)
+                          & (xy <= scene.base.floor_max + 1e-12))
+        if not on_floor or not grid.is_free(xy):
             continue
         heading = math.atan2(cxy[1] - xy[1], cxy[0] - xy[0])
         pose = (float(xy[0]), float(xy[1]), heading)
@@ -415,6 +429,56 @@ def test_select_base_matches_loop_reference():
     assert set(regimes) == {"first block", "second block", "budget spent"}, regimes
 
 
+class _Scripted:
+    """Generator stand-in whose random() returns a fixed stream in order: one
+    number per scalar call, size numbers per array call."""
+
+    def __init__(self, stream):
+        self.stream, self.used = list(stream), 0
+
+    def random(self, size=None):
+        n = 1 if size is None else size
+        out = self.stream[self.used:self.used + n]
+        self.used += n
+        return out[0] if size is None else np.array(out)
+
+
+def test_select_base_matches_loop_reference_on_cell_edges_and_floor_slack():
+    """Samples exactly on cell edges, exactly at floor_min - 1e-12 and
+    floor_max + 1e-12, and one float past them, on a grid that reaches past
+    the floor on every side."""
+    lo, hi = np.zeros(2), np.ones(2)
+    scene = KinematicScene(StaticBaseMap((), lo, hi), ())
+    occupied = np.arange(64).reshape(8, 8) % 5 == 0
+    grid = OccupancyGrid(np.full(2, -0.5), 0.25, occupied)
+    arm = RobotState()
+    # (radius, angle) draws for sample_range 1: radii 0, 0.25, 0.5 and 0.75
+    # exactly, angle 0, so every sample sits a whole number of cells east of
+    # the centroid, and on its row
+    pairs = [(0.0, 0.0), (0.0625, 0.0), (0.25, 0.0), (0.5625, 0.0)]
+    slack = [lo[0] - 1e-12, hi[0] + 1e-12]
+    past = [np.nextafter(slack[0], -np.inf), np.nextafter(slack[1], np.inf)]
+    coords = [-0.25, 0.0, 0.25, 0.5, 0.75, 1.0] + slack + past
+    chosen = Counter()
+    for cx, cy, n_samples, first in itertools.product(coords, coords, (1, 3), range(4)):
+        stream = [u for k in range(20 * n_samples) for u in pairs[(first + k) % 4]]
+        traj = EndEffectorTrajectory("p", [[cx, cy, 0.6]] * 2, 0.1, 1)
+        assert tuple(traj.centroid()[:2]) == (cx, cy)
+        try:
+            expected = reference_select_base(traj, scene, grid, arm, n_samples, 1.0,
+                                             _Scripted(stream))
+        except NoBaseFoundError:
+            with pytest.raises(NoBaseFoundError):
+                select_base(traj, scene, grid, arm, n_samples, 1.0, rng=_Scripted(stream))
+            continue
+        assert select_base(traj, scene, grid, arm, n_samples, 1.0,
+                           rng=_Scripted(stream)) == expected, (cx, cy, n_samples, first)
+        for v in expected[0][:2]:
+            chosen["slack" if v in slack else "past" if v in past else "edge"] += 1
+    # bases are chosen on the slack itself but never past it
+    assert chosen["slack"] > 0 and chosen["edge"] > 0 and chosen["past"] == 0, chosen
+
+
 # --- plan_scene --------------------------------------------------------------
 
 def test_single_part_goal_trivial_plan():
@@ -459,24 +523,36 @@ def test_plan_scene_builds_each_step_world_once(monkeypatch):
     scene, robot, goal = plan_inputs("galley_block")
     state = scene.initial_state()
     cfg = PlannerConfig(seed=0)
-    builds = []  # (committed states, standing sweep boxes) per nav_grid call
-    real_nav_grid = planner.nav_grid
+    # (committed states, ()) per travel grid build (nav_grid), and (committed
+    # states, sweep boxes) per standing grid build (with_boxes on a travel grid)
+    builds = []
+    travel_grids = {}  # id of a travel grid -> its committed states
+    real_nav_grid, real_with_boxes = planner.nav_grid, OccupancyGrid.with_boxes
 
-    def counting_nav_grid(scene, state, extra_boxes=()):
-        builds.append((tuple(sorted(state.joint_states.items())), tuple(extra_boxes)))
-        return real_nav_grid(scene, state, extra_boxes=extra_boxes)
+    def counting_nav_grid(scene, state):
+        grid = real_nav_grid(scene, state)
+        travel_grids[id(grid)] = tuple(sorted(state.joint_states.items()))
+        builds.append((travel_grids[id(grid)], ()))
+        return grid
+
+    def counting_with_boxes(grid, boxes, *args):
+        if id(grid) in travel_grids:
+            builds.append((travel_grids[id(grid)], tuple(boxes)))
+        return real_with_boxes(grid, boxes, *args)
 
     monkeypatch.setattr(planner, "nav_grid", counting_nav_grid)
+    monkeypatch.setattr(OccupancyGrid, "with_boxes", counting_with_boxes)
     plan = plan_scene(scene, state, robot, goal, cfg)
     shared = len(builds)
     # a standing grid's sweep boxes name the part, so each standing build is
     # one (committed, part) world; the travel grid depends on the committed
-    # states alone, and is built once for each that reaches a path check
+    # states alone, and is built once for each whose sweep clears, before
+    # the standing grid that is layered on it
     standing = [(states, tuple(map(id, boxes))) for states, boxes in builds if boxes]
     travel = [states for states, boxes in builds if not boxes]
     assert len(standing) == len(set(standing)) == 6
     assert len(travel) == len(set(travel)) == 4
-    assert set(travel) <= {states for states, _ in standing}
+    assert set(travel) == {states for states, _ in standing}
     # a part's inflated sweep boxes are the same read-only objects in every
     # world, so their footprint masks are rasterized once per part
     sweeps = {boxes for _, boxes in standing}
@@ -494,6 +570,19 @@ def test_plan_scene_builds_each_step_world_once(monkeypatch):
     assert plan_to_json(plan, scene) == plan_to_json(
         InteractionPlan(True, steps, diagnostics), scene)
     assert shared < len(builds) - shared
+    # each standing grid equals the grid nav_grid builds from every box at once
+    worlds = {}
+    for idx, order in enumerate(itertools.permutations(sorted(goal))):
+        if evaluate_candidate_order(scene, state, robot, order, goal, cfg, idx, worlds)[1] is None:
+            break
+    stepped = [(k, v) for k, v in worlds.items() if len(k) == 2 and isinstance(k[1], str)]
+    assert sum(pair is None for _, (pair, _) in stepped) == 6
+    for (states, part_id), (pair, grid) in stepped:
+        if pair is None:
+            boxes = [planner._standing_box(b)
+                     for b in planner.sample_part_sweep(scene.part(part_id))]
+            full = real_nav_grid(scene, SceneState(dict(states)), extra_boxes=boxes)
+            assert np.array_equal(grid.occupied, full.occupied), (states, part_id)
 
 
 def test_plan_scene_makes_one_sat_pass_per_step_world(monkeypatch):
@@ -510,9 +599,9 @@ def test_plan_scene_makes_one_sat_pass_per_step_world(monkeypatch):
     worlds = []
     real_step_world = planner._step_world
 
-    def counting_step_world(scene, committed, part, obstacles=None):
+    def counting_step_world(scene, committed, part, travel, obstacles=None):
         worlds.append((tuple(sorted(committed.items())), part.id))
-        return real_step_world(scene, committed, part, obstacles)
+        return real_step_world(scene, committed, part, travel, obstacles)
 
     monkeypatch.setattr(planner, "obb_overlaps", counting_overlaps, raising=False)
     assert not hasattr(planner, "obb_intersects")  # no per-pair SAT to call
