@@ -16,7 +16,6 @@ import json
 import math
 import sys
 import time
-import typing
 from pathlib import Path
 
 import numpy as np
@@ -25,7 +24,7 @@ from .errors import (ArtisceneError, LimitViolationError, SceneFormatError,
                      SceneValidationError, UnknownPartError)
 from .estimation import articulation_errors, estimate_record, estimated_part
 from .execution import execute_plan, opening_degree
-from .exploration import ExplorationConfig, explore_scene
+from .exploration import explore_scene
 from .geometry import load_xyz, save_xyz
 from .planner import PlannerConfig, plan_scene, write_plan
 from .scene import (REVOLUTE, KinematicScene, RobotState, goal_satisfied,
@@ -74,16 +73,14 @@ def _is_a(value, kind) -> bool:
 
 def _dataclass_with(cls, overrides: dict, **flags):
     """cls from JSON overrides. The fields in flags are set by a command-line flag
-    or robot.start, so the JSON may not name them."""
+    or robot.start, so the JSON may not name them; every other field is a float."""
     fields = {f.name for f in dataclasses.fields(cls)} - set(flags)
     unknown = set(overrides) - fields
     if unknown:
         raise ValueError(f"unknown {cls.__name__} fields: {sorted(unknown)}")
-    hints = typing.get_type_hints(cls)
     for name, value in overrides.items():
-        if hints[name] in (int, float) and not _is_a(value, hints[name]):
-            raise ValueError(f"{cls.__name__}.{name}: expected {hints[name].__name__}, "
-                             f"got {value!r}")
+        if not _is_a(value, float):
+            raise ValueError(f"{cls.__name__}.{name}: expected float, got {value!r}")
     return cls(**overrides, **flags)
 
 
@@ -92,8 +89,11 @@ def _build_configs(extras: dict, args):
     if args.seed < 0:
         raise ValueError(f"--seed: expected a non-negative integer, got {args.seed}")
     overrides = _load_overrides(args.config)
+    unknown = set(overrides) - {"sim", "robot"}
+    if unknown:
+        raise ValueError(f"--config: unknown sections {sorted(unknown)}")
     for doc in (extras, overrides):
-        for name in ("sim", "exploration", "planner", "robot"):
+        for name in ("sim", "robot"):
             if not _is_a(doc.get(name, {}), dict):
                 raise ValueError(f"{name}: expected a JSON object")
     sim_kwargs = dict(extras.get("sim", {}))
@@ -101,13 +101,6 @@ def _build_configs(extras: dict, args):
     if args.noise_sigma is not None:
         sim_kwargs["noise_sigma"] = args.noise_sigma
     sim = _dataclass_with(SimConfig, sim_kwargs)
-
-    expl = _dataclass_with(ExplorationConfig, overrides.get("exploration", {}))
-
-    planner_kwargs = dict(overrides.get("planner", {}))
-    if args.max_candidates is not None:
-        planner_kwargs["max_candidates"] = args.max_candidates
-    planner = _dataclass_with(PlannerConfig, planner_kwargs, seed=args.seed)
 
     robot_kwargs = dict(extras.get("robot", {}))
     robot_kwargs.update(overrides.get("robot", {}))
@@ -117,7 +110,7 @@ def _build_configs(extras: dict, args):
         raise ValueError(f"robot.start: expected finite [x, y, heading_deg], got {start!r}")
     pose = (float(start[0]), float(start[1]), math.radians(start[2]))
     robot = _dataclass_with(RobotState, robot_kwargs, base_pose=pose)
-    return sim, expl, planner, robot
+    return sim, PlannerConfig(seed=args.seed), robot
 
 
 def _parse_goal(scene: KinematicScene, raw: dict) -> dict:
@@ -148,13 +141,12 @@ def _write_observation(obs: Observation, stem: Path) -> dict:
             "viewpoint": [float(v) for v in obs.viewpoint]}
 
 
-def run_explore(scene: KinematicScene, extras: dict, sim: SimConfig,
-                expl: ExplorationConfig, robot: RobotState,
+def run_explore(scene: KinematicScene, extras: dict, sim: SimConfig, robot: RobotState,
                 rng: np.random.Generator, out: Path) -> dict:
     """Discovery stage, drawing its sensor noise from rng; writes records,
     log, base map and breakdown to out."""
     t0 = time.perf_counter()
-    result = explore_scene(scene, sim, expl, robot=robot, rng=rng)
+    result = explore_scene(scene, sim, robot=robot, rng=rng)
     elapsed = time.perf_counter() - t0
 
     with open(out / "exploration_log.jsonl", "w") as f:
@@ -201,8 +193,8 @@ def run_explore(scene: KinematicScene, extras: dict, sim: SimConfig,
 
 def cmd_explore(args):
     scene, extras = load_scene_extras(args.scene)
-    sim, expl, _, robot = _build_configs(extras, args)
-    return lambda out: run_explore(scene, extras, sim, expl, robot,
+    sim, _, robot = _build_configs(extras, args)
+    return lambda out: run_explore(scene, extras, sim, robot,
                                    np.random.default_rng(args.seed), out)
 
 
@@ -312,7 +304,7 @@ def run_plan(scene: KinematicScene, goal: dict, planner_cfg: PlannerConfig,
 
 def cmd_plan(args):
     scene, extras = load_scene_extras(args.scene)
-    _, _, planner_cfg, robot = _build_configs(extras, args)
+    _, planner_cfg, robot = _build_configs(extras, args)
     goal = _parse_goal(scene, _read_json(args.goal))
     return lambda out: run_plan(scene, goal, planner_cfg, robot, out)
 
@@ -321,7 +313,7 @@ def cmd_plan(args):
 
 def cmd_run_all(args):
     scene, extras = load_scene_extras(args.scene)
-    sim, expl, planner_cfg, robot = _build_configs(extras, args)
+    sim, planner_cfg, robot = _build_configs(extras, args)
     raw_goal = _read_json(args.goal)
     goal = _parse_goal(scene, raw_goal)
 
@@ -332,7 +324,7 @@ def cmd_run_all(args):
         explore_out = out / "explore"
         explore_out.mkdir(exist_ok=True)
         t0 = time.perf_counter()
-        breakdown = run_explore(scene, extras, sim, expl, robot,
+        breakdown = run_explore(scene, extras, sim, robot,
                                 np.random.default_rng(args.seed), explore_out)
         manifest["stages"]["explore"] = {"out": str(explore_out),
                                          "seconds": round(time.perf_counter() - t0, 3)}
@@ -365,7 +357,7 @@ def cmd_run_all(args):
         rows = []
         openings = {}
         if plan.feasible:
-            result = execute_plan(scene, state, plan, est_scene, sim, robot)
+            result = execute_plan(scene, state, plan, est_scene, robot)
             for o in result.outcomes:
                 openings[o.part_id] = o.opening_degree
                 rows.append([o.part_id, f"{o.achieved:.9g}",
@@ -404,9 +396,6 @@ def _add_common(p, scene=True):
     p.add_argument("--seed", type=int, default=0)
     p.add_argument("--config", help="JSON overrides (path or inline)")
     p.add_argument("--noise-sigma", dest="noise_sigma", type=float, default=None)
-    p.add_argument("--max-candidates", dest="max_candidates", type=int, default=None,
-                   help="orders sampled when the goal has more than 6 parts "
-                        "(smaller goals try every permutation)")
 
 
 def build_parser() -> argparse.ArgumentParser:

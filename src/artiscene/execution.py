@@ -16,7 +16,7 @@ from .errors import GraspFailureError
 from .geometry import unit
 from .planner import InteractionPlan
 from .scene import KinematicScene, RobotState, SceneState, handle_at
-from .sim import SimConfig, arm_blocked, attempt_pull
+from .sim import STEP_SIZE, arm_blocked, attempt_pull
 
 STALL_LIMIT = 8
 
@@ -43,8 +43,7 @@ def opening_degree(scene: KinematicScene, part_id: str, theta: float) -> float:
 
 
 def execute_plan(scene: KinematicScene, state: SceneState, plan: InteractionPlan,
-                 est_scene: KinematicScene, sim_config: SimConfig,
-                 robot: RobotState) -> ExecutionResult:
+                 est_scene: KinematicScene, robot: RobotState) -> ExecutionResult:
     """Drive each planned step with micro-pulls along its trajectory."""
     outcomes = []
     for step in plan.steps:
@@ -52,8 +51,7 @@ def execute_plan(scene: KinematicScene, state: SceneState, plan: InteractionPlan
         est_part = est_scene.part(step.part_id)
         delta = step.trajectory.goal_delta
         start_est = step.goal - delta
-        step_size = sim_config.step_size(est_part.joint.kind)
-        max_pulls = int(math.ceil(abs(delta) / step_size)) * 3 + 30
+        max_pulls = int(math.ceil(abs(delta) / STEP_SIZE[est_part.joint.kind])) * 3 + 30
 
         progress = 0.0
         stalls = 0
@@ -70,8 +68,7 @@ def execute_plan(scene: KinematicScene, state: SceneState, plan: InteractionPlan
                 stalls += 1
                 continue
             try:
-                result = attempt_pull(scene, state, step.part_id, grasp,
-                                      direction, sim_config)
+                result = attempt_pull(scene, state, step.part_id, grasp, direction)
             except GraspFailureError:
                 stalls += 1
                 continue

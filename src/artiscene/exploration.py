@@ -14,9 +14,9 @@ from .errors import (GraspFailureError, InvalidViewpointError, NoActionError,
 from .geometry import (DegenerateGeometryError, consensus_plane_normal,
                        erode_isolated, plane_normal, unit)
 from .scene import KinematicScene, RobotState, SceneState, handle_at
-from .sim import (GRASP_TOLERANCE, Observation, OccupancyGrid, SimConfig,
-                  arm_blocked, attempt_pull, discard_pending_draw, nav_grid,
-                  render_observation)
+from .sim import (EYE_HEIGHT, GRASP_TOLERANCE, Observation, OccupancyGrid,
+                  SimConfig, arm_blocked, attempt_pull, discard_pending_draw,
+                  nav_grid, render_observation)
 
 REVOLUTE_LEFT = "revolute-left"
 REVOLUTE_RIGHT = "revolute-right"
@@ -35,18 +35,8 @@ MIN_LOCAL_POINTS = 20          # fewest neighborhood points for a compliance nor
 GRACE_STEPS = 12               # pulls before the displacement check applies
 STALL_BREAK = 6                # consecutive no-advance pulls ending an attempt
 CLASSIFY_THRESHOLD = math.radians(5.0)  # normal rotation above which a joint is revolute
-
-
-@dataclass(frozen=True)
-class ExplorationConfig:
-    max_steps: int = 25                 # micro-interactions per attempt
-    max_attempts: int = 3
-
-    def __post_init__(self):
-        if self.max_steps < 1:
-            raise ValueError("max_steps must be >= 1")
-        if self.max_attempts < 1:
-            raise ValueError("max_attempts must be >= 1")
+MAX_STEPS = 25                 # micro-interactions per attempt
+MAX_ATTEMPTS = 3               # attempts per handle
 
 
 @dataclass(frozen=True)
@@ -235,18 +225,16 @@ class _EventLog:
         self.t += 1
 
 
-def explore_scene(scene: KinematicScene, sim_config: SimConfig,
-                  config: ExplorationConfig | None = None, handles=None,
+def explore_scene(scene: KinematicScene, sim_config: SimConfig, handles=None,
                   robot: RobotState | None = None, *,
                   rng: np.random.Generator) -> ExplorationResult:
     """Run the discovery stage over every handle and collect observation pairs.
 
     Per handle: stand in front of it, take a pre observation, pull along the
-    estimated surface normal up to max_steps times, reposition and retry on
-    detected failures (up to max_attempts), then retreat and take the post
+    estimated surface normal up to MAX_STEPS times, reposition and retry on
+    detected failures (up to MAX_ATTEMPTS), then retreat and take the post
     observation. Joint parameters are never touched, only joint states.
     """
-    config = config or ExplorationConfig()
     robot = robot or RobotState()
     if handles is None:
         handles = [Handle(p.id, p.handle) for p in scene.parts]
@@ -256,8 +244,7 @@ def explore_scene(scene: KinematicScene, sim_config: SimConfig,
 
     try:
         for hd in handles:
-            record, state = _explore_handle(scene, state, hd, sim_config, config,
-                                            robot, rng, log)
+            record, state = _explore_handle(scene, state, hd, sim_config, robot, rng, log)
             records.append(record)
     finally:  # no generator or noise array outlives the run
         discard_pending_draw()
@@ -287,7 +274,7 @@ def _pose_to_list(pose) -> list:
     return [round(float(v), 6) for v in pose]
 
 
-def _explore_handle(scene, state, hd: Handle, sim_config, config, robot, rng, log):
+def _explore_handle(scene, state, hd: Handle, sim_config, robot, rng, log):
     grid = nav_grid(scene, state)
     part_id = resolve_grasped_part(scene, state, hd.position)
     hotspot0 = _current_hotspot(scene, state, part_id, hd)
@@ -301,7 +288,7 @@ def _explore_handle(scene, state, hd: Handle, sim_config, config, robot, rng, lo
     log.add("grasp", handle=hd.label, part=part_id,
             hotspot=[round(float(v), 6) for v in hotspot0])
     robot = robot.at(pose)
-    viewpoint = np.array([pose[0], pose[1], sim_config.eye_height])
+    viewpoint = np.array([pose[0], pose[1], EYE_HEIGHT])
 
     site = hotspot0.copy()
     pre = _observe(scene, state, viewpoint, hotspot0, site, sim_config, rng)
@@ -321,10 +308,10 @@ def _explore_handle(scene, state, hd: Handle, sim_config, config, robot, rng, lo
         else:
             state, completed, classified = _run_attempt(
                 scene, state, hd, part_id, attempt_pre, pre, site, robot,
-                viewpoint, sim_config, config, rng, log, classified)
+                viewpoint, sim_config, rng, log, classified)
         if completed is not None:
             break
-        if attempts >= config.max_attempts:
+        if attempts >= MAX_ATTEMPTS:
             log.add("attempts-exhausted", handle=hd.label, attempts=attempts)
             break
         # reposition and retry
@@ -334,11 +321,11 @@ def _explore_handle(scene, state, hd: Handle, sim_config, config, robot, rng, lo
             pose = reposition_base(classified, hotspot, robot, REPOSITION_DISTANCE, grid)
         except RepositionFailedError:
             log.add("reposition-failed", handle=hd.label)
-            attempts = config.max_attempts
+            attempts = MAX_ATTEMPTS
             break
         log.add("reposition", handle=hd.label, kind=classified, base=_pose_to_list(pose))
         robot = robot.at(pose)
-        viewpoint = np.array([pose[0], pose[1], sim_config.eye_height])
+        viewpoint = np.array([pose[0], pose[1], EYE_HEIGHT])
 
     # retreat, then the post observation
     hotspot = _current_hotspot(scene, state, part_id, hd)
@@ -350,7 +337,7 @@ def _explore_handle(scene, state, hd: Handle, sim_config, config, robot, rng, lo
     target = grid.nearest_free(np.array([bx, by]) + away * RETREAT_DISTANCE, 1.0)
     if target is None:
         target = np.array([bx, by])
-    viewpoint = np.array([target[0], target[1], sim_config.eye_height])
+    viewpoint = np.array([target[0], target[1], EYE_HEIGHT])
     log.add("retreat", handle=hd.label, base=_pose_to_list((target[0], target[1], heading)))
     post = _observe(scene, state, viewpoint, hotspot, site, sim_config, rng)
     log.add("observe", handle=hd.label, phase="post",
@@ -386,18 +373,18 @@ def _current_hotspot(scene, state, part_id, hd: Handle):
 
 
 def _run_attempt(scene, state, hd, part_id, attempt_pre, first_pre, site, robot,
-                 viewpoint, sim_config, config, rng, log, classified):
-    """One attempt: up to max_steps micro-interactions, then a final check.
+                 viewpoint, sim_config, rng, log, classified):
+    """One attempt: up to MAX_STEPS micro-interactions, then a final check.
 
     Returns (state, completed, classified). completed is the last observation
     of a completed attempt, left for the caller to classify when it needs to,
     and None when the attempt failed.
     """
     no_advance = 0
-    for i in range(1, config.max_steps + 2):
-        # pass max_steps + 1 is the final check: observe, never pull
-        final = i > config.max_steps
-        step = min(i, config.max_steps)
+    for i in range(1, MAX_STEPS + 2):
+        # pass MAX_STEPS + 1 is the final check: observe, never pull
+        final = i > MAX_STEPS
+        step = min(i, MAX_STEPS)
         hotspot = _current_hotspot(scene, state, part_id, hd)
         obs = _observe(scene, state, viewpoint, hotspot, site, sim_config, rng)
         if obs is None:
@@ -427,8 +414,7 @@ def _run_attempt(scene, state, hd, part_id, attempt_pre, first_pre, site, robot,
             elif part_id is None:
                 raise GraspFailureError("no part at the annotated handle")
             else:
-                result = attempt_pull(scene, state, part_id, hotspot, direction,
-                                      sim_config)
+                result = attempt_pull(scene, state, part_id, hotspot, direction)
                 state = result.state
                 advanced = result.advanced
                 log.add("pull", handle=hd.label, step=step,

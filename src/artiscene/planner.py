@@ -22,6 +22,7 @@ N_SAMPLES = 200         # valid base samples drawn per step
 SAMPLE_RANGE = 1.2      # base sampling disc radius around the trajectory, meters
 MARGIN = 0.02           # box clearance in the sweep collision check, meters
 STANDING_MARGIN = 0.05  # extra sweep clearance for base placement, meters
+MAX_CANDIDATES = 120    # orders sampled when a goal has more than 6 parts
 
 
 @dataclass(frozen=True)
@@ -56,19 +57,17 @@ def part_trajectory(part: MobilePart, theta_start: float, theta_goal: float,
     return EndEffectorTrajectory(part.id, np.asarray(wps), delta, K)
 
 
-def sample_part_sweep(part: MobilePart, n_configs: int = N_CONFIGS) -> list:
-    """Part boxes at n_configs states interpolated from zero to the maximum."""
-    if n_configs < 2:
-        raise ValueError("n_configs must be >= 2")
+def sample_part_sweep(part: MobilePart) -> list:
+    """Part boxes at N_CONFIGS states interpolated from zero to the maximum."""
     theta_max = part.joint.max_state()
-    return [part_shape_at(part, j * theta_max / (n_configs - 1))
-            for j in range(n_configs)]
+    return [part_shape_at(part, j * theta_max / (N_CONFIGS - 1))
+            for j in range(N_CONFIGS)]
 
 
-def check_part_collision(candidate_sweep, environment, margin: float = MARGIN):
-    """First (sweep, environment) box pair that overlaps, in row-major
-    order, or None."""
-    hits = np.argwhere(obb_overlaps(candidate_sweep, environment, margin))
+def check_part_collision(candidate_sweep, environment):
+    """First (sweep, environment) box pair that overlaps with MARGIN, in
+    row-major order, or None."""
+    hits = np.argwhere(obb_overlaps(candidate_sweep, environment, MARGIN))
     return (int(hits[0, 0]), int(hits[0, 1])) if len(hits) else None
 
 
@@ -130,12 +129,7 @@ def select_base(trajectory: EndEffectorTrajectory, scene: KinematicScene,
 
 @dataclass(frozen=True)
 class PlannerConfig:
-    max_candidates: int = 120  # orders sampled when a goal has more than 6 parts
     seed: int = 0
-
-    def __post_init__(self):
-        if self.max_candidates < 1:
-            raise ValueError("max_candidates must be >= 1")
 
 
 @dataclass
@@ -157,21 +151,20 @@ class InteractionPlan:
         return [s.part_id for s in self.steps]
 
 
-def _unmounted_obstacles(scene: KinematicScene, active_id: str,
-                         margin: float = MARGIN) -> list:
+def _unmounted_obstacles(scene: KinematicScene, active_id: str) -> list:
     """The base obstacles except the cabinet the part is mounted on (its
-    closed shape touches it); they depend on the part alone."""
+    closed shape touches it within MARGIN); they depend on the part alone."""
     closed = scene.part(active_id).shape
-    mounts = obb_overlaps(scene.base.obstacles, [closed], margin)[:, 0]
+    mounts = obb_overlaps(scene.base.obstacles, [closed], MARGIN)[:, 0]
     return [b for b, mount in zip(scene.base.obstacles, mounts) if not mount]
 
 
 def _environment_boxes(scene: KinematicScene, committed: dict, active_id: str,
-                       margin: float = MARGIN, obstacles=None) -> list:
+                       obstacles=None) -> list:
     """Collision environment for one part's sweep: its unmounted obstacles
     (found here unless given), plus every other part at its committed state."""
     if obstacles is None:
-        obstacles = _unmounted_obstacles(scene, active_id, margin)
+        obstacles = _unmounted_obstacles(scene, active_id)
     return list(obstacles) + [part_shape_at(p, committed[p.id])
                               for p in scene.parts if p.id != active_id]
 
@@ -270,14 +263,15 @@ def evaluate_candidate_order(scene: KinematicScene, state: SceneState,
     return steps, None
 
 
-def _candidate_orders(part_ids, config: PlannerConfig,
-                      rng: np.random.Generator):
+def _candidate_orders(part_ids, rng: np.random.Generator):
+    """Every permutation of the sorted ids when there are at most 6, else the
+    distinct ones among MAX_CANDIDATES drawn from rng."""
     ids = sorted(part_ids)
     if len(ids) <= 6:
         yield from itertools.permutations(ids)
         return
     seen = set()
-    for _ in range(config.max_candidates):
+    for _ in range(MAX_CANDIDATES):
         order = tuple(rng.permutation(ids).tolist())
         if order not in seen:
             seen.add(order)
@@ -298,7 +292,7 @@ def plan_scene(scene: KinematicScene, state: SceneState, robot: RobotState,
     rng = np.random.default_rng([config.seed, 0xC0FFEE])
     diagnostics = []
     worlds = {}
-    for idx, order in enumerate(_candidate_orders(goal.keys(), config, rng)):
+    for idx, order in enumerate(_candidate_orders(goal.keys(), rng)):
         steps, rejection = evaluate_candidate_order(scene, state, robot, order,
                                                     goal, config, idx, worlds)
         if rejection is None:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -26,6 +26,11 @@ PRISMATIC = "prismatic"
 
 # planner maximum states: 90 degrees for revolute joints, 15 cm for prismatic
 MAX_STATE = {REVOLUTE: math.pi / 2.0, PRISMATIC: 0.15}
+
+# the arm's reach: a grasp point lies R_MIN to R_MAX from the base axis and
+# Z_MIN to Z_MAX above the floor, meters
+R_MIN, R_MAX = 0.20, 0.95
+Z_MIN, Z_MAX = 0.10, 1.20
 
 
 @dataclass(frozen=True)
@@ -110,20 +115,10 @@ class StaticBaseMap:
 
 @dataclass(frozen=True)
 class RobotState:
-    """SE(2) base pose plus the reach-annulus arm abstraction."""
+    """SE(2) base pose of the arm whose reach is the R_MIN to R_MAX annulus
+    and Z_MIN to Z_MAX height band."""
 
     base_pose: tuple = (0.0, 0.0, 0.0)  # x, y, heading (rad)
-    r_min: float = 0.20
-    r_max: float = 0.95
-    z_min: float = 0.10
-    z_max: float = 1.20
-
-    def __post_init__(self):
-        # comparisons with NaN are false, so each test is written to fail on it
-        if not 0.0 < self.r_min < self.r_max < math.inf:
-            raise ValueError("require 0 < r_min < r_max, all finite")
-        if not -math.inf < self.z_min < self.z_max < math.inf:
-            raise ValueError("require z_min < z_max, both finite")
 
     def can_reach(self, point) -> bool:
         """reach_mask's verdict for one point: it uses math.hypot within 1e-9
@@ -131,27 +126,27 @@ class RobotState:
         math.hypot in the last bit at most, cannot cross a radius."""
         x, y, z = as_vec3(point).tolist()
         d = math.hypot(x - self.base_pose[0], y - self.base_pose[1])
-        return self.r_min <= d <= self.r_max and self.z_min <= z <= self.z_max
+        return R_MIN <= d <= R_MAX and Z_MIN <= z <= Z_MAX
 
     def reach_mask(self, points, bases=None) -> np.ndarray:
         """(bases, points) bool array: each point inside the reach annulus
         and height band of the arm at each base xy (default: its own).
 
         np.hypot can differ from math.hypot in the last bit, so distances
-        within 1e-9 of r_min or r_max are recomputed with math.hypot."""
+        within 1e-9 of R_MIN or R_MAX are recomputed with math.hypot."""
         p = np.asarray(points, dtype=float).reshape(-1, 3)
         xy = np.reshape(self.base_pose[:2] if bases is None else bases, (-1, 2))
         dx = p[None, :, 0] - xy[:, None, 0]
         dy = p[None, :, 1] - xy[:, None, 1]
         d = np.hypot(dx, dy)
-        near = (np.abs(d - self.r_min) <= 1e-9) | (np.abs(d - self.r_max) <= 1e-9)
+        near = (np.abs(d - R_MIN) <= 1e-9) | (np.abs(d - R_MAX) <= 1e-9)
         for i, j in zip(*np.nonzero(near)):
             d[i, j] = math.hypot(dx[i, j], dy[i, j])
-        in_band = (self.z_min <= p[:, 2]) & (p[:, 2] <= self.z_max)
-        return (self.r_min <= d) & (d <= self.r_max) & in_band
+        in_band = (Z_MIN <= p[:, 2]) & (p[:, 2] <= Z_MAX)
+        return (R_MIN <= d) & (d <= R_MAX) & in_band
 
     def at(self, pose) -> "RobotState":
-        return replace(self, base_pose=(float(pose[0]), float(pose[1]), float(pose[2])))
+        return RobotState((float(pose[0]), float(pose[1]), float(pose[2])))
 
 
 @dataclass(frozen=True)
@@ -429,6 +424,6 @@ def _validate_handles_reachable(scene: KinematicScene) -> None:
     if grid.occupied.all():
         raise SceneValidationError("no free floor space in the scene")
     for part in scene.parts:
-        if grid.nearest_free(part.handle[:2], RobotState.r_max) is None:
+        if grid.nearest_free(part.handle[:2], R_MAX) is None:
             raise SceneValidationError(
                 f"part {part.id!r}: handle unreachable from free floor space")

@@ -17,42 +17,29 @@ import numpy as np
 
 from .errors import GraspFailureError, InvalidViewpointError
 from .geometry import PointCloud, as_vec3, require_unit, unit
-from .scene import (REVOLUTE, KinematicScene, MobilePart, RobotState, SceneState,
-                    handle_at, part_shape_at)
+from .scene import (PRISMATIC, REVOLUTE, KinematicScene, MobilePart, RobotState,
+                    SceneState, handle_at, part_shape_at)
 
 GRASP_TOLERANCE = 0.05  # max grasp-to-handle distance, meters
 ROBOT_RADIUS = 0.30     # robot body (footprint) radius, meters
 GRID_RESOLUTION = 0.05  # navigation grid cell size, meters
+SURFACE_POINT_DENSITY = 1200.0  # rendered surface points per square meter
+SLIP_ANGLE = math.radians(60.0)  # widest pull-to-motion angle that does not slip
+STEP_SIZE = {REVOLUTE: 0.05, PRISMATIC: 0.01}  # joint advance per pull: rad, m
+EYE_HEIGHT = 1.0        # camera height above the floor, meters
 
 
 @dataclass(frozen=True)
 class SimConfig:
-    surface_point_density: float = 1200.0  # points per square meter
     noise_sigma: float = 0.003             # per-axis Gaussian noise, meters
     dropout_prob: float = 0.02
-    slip_angle: float = math.radians(60.0)
-    step_revolute: float = 0.05            # radians per micro-action
-    step_prismatic: float = 0.01           # meters per micro-action
-    eye_height: float = 1.0
 
     def __post_init__(self):
         # comparisons with NaN are false, so each test is written to fail on it
-        if not 0.0 < self.surface_point_density < math.inf:
-            raise ValueError("surface_point_density must be positive and finite")
         if not 0.0 <= self.noise_sigma < math.inf:
             raise ValueError("noise_sigma must be finite and >= 0")
-        for name in ("step_revolute", "step_prismatic"):
-            if not 0.0 < getattr(self, name) < math.inf:
-                raise ValueError(f"{name} must be positive and finite")
-        if not math.isfinite(self.eye_height):
-            raise ValueError("eye_height must be finite")
         if not 0.0 <= self.dropout_prob < 1.0:
             raise ValueError("dropout_prob must lie in [0, 1)")
-        if not 0.0 < self.slip_angle < math.pi / 2.0:
-            raise ValueError("slip_angle must lie in (0, pi/2)")
-
-    def step_size(self, kind: str) -> float:
-        return self.step_revolute if kind == REVOLUTE else self.step_prismatic
 
 
 @dataclass(frozen=True)
@@ -278,7 +265,7 @@ def render_observation(scene: KinematicScene, state: SceneState, viewpoint,
     in the same state.
     """
     vp = as_vec3(viewpoint)
-    pitch = 1.0 / math.sqrt(config.surface_point_density)
+    pitch = 1.0 / math.sqrt(SURFACE_POINT_DENSITY)
     key = ("render", *vp.tolist(), pitch)
     boxes = [(box, "a base obstacle") for box in scene.base.obstacles]
     boxes += [(part_shape_at(p, state.theta(p.id)), f"part {p.id!r}") for p in scene.parts]
@@ -347,12 +334,12 @@ def motion_direction(part: MobilePart, theta: float) -> np.ndarray:
 
 
 def attempt_pull(scene: KinematicScene, state: SceneState, part_id: str, grasp,
-                 direction, config: SimConfig) -> PullResult:
+                 direction) -> PullResult:
     """Advance the hidden joint if the pull direction falls inside the slip cone.
 
-    The joint advances by step * cos(angle) clamped to its limits when the
-    angle between the pull and the true motion direction is at most
-    config.slip_angle; otherwise the grasp slips and nothing moves.
+    The joint advances by its kind's STEP_SIZE * cos(angle) clamped to its
+    limits when the angle between the pull and the true motion direction is
+    at most SLIP_ANGLE; otherwise the grasp slips and nothing moves.
     """
     part = scene.part(part_id)
     d = require_unit(direction, "pull direction")
@@ -364,10 +351,9 @@ def attempt_pull(scene: KinematicScene, state: SceneState, part_id: str, grasp,
     t = motion_direction(part, theta)
     cos_a = float(np.clip(d @ t, -1.0, 1.0))
     angle = math.acos(cos_a)
-    if angle > config.slip_angle:
+    if angle > SLIP_ANGLE:
         return PullResult(0.0, True, state)
-    step = config.step_size(part.joint.kind)
-    new_theta = part.joint.clamp(theta + step * cos_a)
+    new_theta = part.joint.clamp(theta + STEP_SIZE[part.joint.kind] * cos_a)
     return PullResult(new_theta - theta, False, state.with_theta(part_id, new_theta))
 
 

@@ -105,7 +105,7 @@ def order_feasible_oracle(scene, state, robot, order, goal, cfg):
     for step_idx, pid in enumerate(order):
         part = scene.part(pid)
         sweep = sample_part_sweep(part)
-        env = _environment_boxes(scene, committed, pid, MARGIN)
+        env = _environment_boxes(scene, committed, pid)
         for box in sweep:
             for other in env:
                 if boxes_overlap_oracle(box.inflated(MARGIN),

@@ -13,7 +13,7 @@ import numpy as np
 from artiscene.cli import main as cli_main
 from artiscene.errors import EstimationFailedError, LimitViolationError
 from artiscene.estimation import fit_screw
-from artiscene.exploration import ExplorationConfig, explore_scene
+from artiscene.exploration import explore_scene
 from artiscene.geometry import OrientedBox, PointCloud, obb_overlaps, rodrigues_rotation
 from artiscene.planner import (PlannerConfig, evaluate_candidate_order,
                                part_trajectory, plan_scene, validate_plan)
@@ -190,8 +190,8 @@ def test_criterion_4_exploration_end_to_end():
     times = []
     for seed in range(5):
         t0 = time.perf_counter()
-        res = explore_scene(scene, SimConfig(), ExplorationConfig(),
-                            robot=robot, rng=np.random.default_rng(seed))
+        res = explore_scene(scene, SimConfig(), robot=robot,
+                            rng=np.random.default_rng(seed))
         times.append(time.perf_counter() - t0)
         good = sum(1 for r in res.records
                    if r.succeeded and r.classified_kind == KIND_TRUTH[r.part_id])

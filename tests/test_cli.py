@@ -1,4 +1,5 @@
 import builtins
+import dataclasses
 import json
 import shutil
 import subprocess
@@ -10,7 +11,8 @@ import pytest
 
 from artiscene import sim
 from artiscene.cli import main
-from artiscene.scene import load_scene, load_scene_extras, save_scene
+from artiscene.planner import PlannerConfig
+from artiscene.scene import RobotState, load_scene, load_scene_extras, save_scene
 from shipped import SCENES
 
 NOISELESS = '{"sim": {"noise_sigma": 0.0, "dropout_prob": 0.0}}'
@@ -269,13 +271,20 @@ def test_non_finite_scene_number_exits_2(tmp_path):
                  id="explore-robot-start-not-3-numbers"),
     pytest.param("plan", ["--config", '{"robot": {"start": [NaN, 1.0, 90.0]}}'],
                  id="plan-nan-robot-start"),
-    # reach limits must be finite and in order, checked before --out is made
+    # the reach limits are constants: a robot section takes only start
     pytest.param("run-all", ["--config", '{"robot": {"z_min": NaN}}'],
                  id="run-all-nan-robot-z-min"),
     pytest.param("run-all", ["--config", '{"robot": {"z_min": 2.0}}'],
                  id="run-all-robot-z-min-above-z-max"),
     pytest.param("run-all", ["--config", '{"robot": {"r_max": Infinity}}'],
                  id="run-all-infinite-robot-r-max"),
+    # a section other than sim and robot is unknown, the removed ones too
+    pytest.param("plan", ["--config", '{"simm": {"noise_sigma": 5}, '
+                                      '"planer": {"max_candidates": 0}}'],
+                 id="plan-misspelled-sections"),
+    pytest.param("explore", ["--config", '{"exploration": {}}'],
+                 id="explore-exploration-section"),
+    pytest.param("plan", ["--config", '{"planner": {}}'], id="plan-planner-section"),
     pytest.param("explore", ["--config", '{"sim": 5}'], id="explore-sim-not-an-object"),
     pytest.param("explore", ["--config", '{"sim": {"noise_sigma": "x"}}'],
                  id="explore-float-field-given-a-string"),
@@ -284,10 +293,12 @@ def test_non_finite_scene_number_exits_2(tmp_path):
     pytest.param("plan", ["--config", '{"planner": []}'], id="plan-planner-not-an-object"),
     pytest.param("explore", ["--config", '{"exploration": {"max_attempts": true}}'],
                  id="explore-int-field-given-a-bool"),
-    pytest.param("plan", ["--max-candidates", "0"], id="plan-zero-max-candidates"),
-    pytest.param("plan", ["--max-candidates", "-5"], id="plan-negative-max-candidates"),
     pytest.param("explore", ["--noise-sigma", "-1"], id="explore-negative-noise-sigma"),
     pytest.param("explore", ["--noise-sigma", "nan"], id="explore-nan-noise-sigma"),
+    # the order sample size is a constant: --max-candidates is no flag
+    pytest.param("plan", ["--max-candidates", "0"], id="plan-zero-max-candidates"),
+    pytest.param("plan", ["--max-candidates", "-5"], id="plan-negative-max-candidates"),
+    # sim takes only noise_sigma and dropout_prob; the rest are constants
     pytest.param("explore", ["--config", '{"sim": {"surface_point_density": Infinity}}'],
                  id="explore-infinite-point-density"),
     pytest.param("explore", ["--config", '{"sim": {"eye_height": NaN}}'],
@@ -330,6 +341,17 @@ def test_unreadable_inputs_exit_1(tmp_path, drawer_scene, capsys, command, extra
     err = capsys.readouterr().err
     assert err.startswith("error: ") and "Traceback" not in err
     assert not (tmp_path / "out").exists()
+
+
+def test_config_dataclasses_hold_only_the_settable_values():
+    # --config sets sim's fields and robot.start, --seed the planner's; a new
+    # field would be a new knob, so it takes a deliberate edit here
+    def names(cls):
+        return tuple(f.name for f in dataclasses.fields(cls))
+
+    assert names(sim.SimConfig) == ("noise_sigma", "dropout_prob")
+    assert names(PlannerConfig) == ("seed",)
+    assert names(RobotState) == ("base_pose",)
 
 
 @pytest.fixture()

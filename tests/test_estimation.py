@@ -12,7 +12,7 @@ from artiscene.estimation import (ContactHeatmap, EstimatedArticulation,
 from artiscene.exploration import OBSERVATION_RADIUS
 from artiscene.geometry import PointCloud, rodrigues_rotation
 from artiscene.scene import JointModel, handle_at
-from artiscene.sim import Observation, SimConfig, render_observation
+from artiscene.sim import EYE_HEIGHT, Observation, SimConfig, render_observation
 from shipped import load
 
 
@@ -310,7 +310,7 @@ def test_estimate_record_on_rendered_kitchen_doors():
                 continue
             rng = np.random.default_rng(seed)
             viewpoint = part.handle + np.array([0.0, -0.8, 0.0])
-            viewpoint[2] = config.eye_height
+            viewpoint[2] = EYE_HEIGHT
             crop = (part.handle, OBSERVATION_RADIUS)
             pre = render_observation(scene, closed, viewpoint, config, rng,
                                      hotspot=part.handle, crop=crop)

@@ -5,12 +5,7 @@ import pytest
 from artiscene.execution import execute_plan, opening_degree
 from artiscene.planner import PlannerConfig, plan_scene
 from artiscene.scene import RobotState
-from artiscene.sim import SimConfig
 from shipped import load, plan_inputs
-
-
-def noiseless():
-    return SimConfig(noise_sigma=0.0, dropout_prob=0.0)
 
 
 def test_opening_degree_ratio():
@@ -25,7 +20,7 @@ def test_execute_drawer_to_goal():
     state = scene.initial_state()
     plan = plan_scene(scene, state, robot, {"drawer_1": 0.15}, PlannerConfig(seed=0))
     assert plan.feasible
-    result = execute_plan(scene, state, plan, scene, noiseless(), robot)
+    result = execute_plan(scene, state, plan, scene, robot)
     out = result.outcomes[0]
     assert out.completed
     assert out.opening_degree == pytest.approx(1.0, abs=1e-9)
@@ -38,7 +33,7 @@ def test_execute_kitchen_goal_with_true_model():
     state = scene.initial_state()
     plan = plan_scene(scene, state, robot, goal, PlannerConfig(seed=0))
     assert plan.feasible
-    result = execute_plan(scene, state, plan, scene, noiseless(), robot)
+    result = execute_plan(scene, state, plan, scene, robot)
     for out in result.outcomes:
         assert out.opening_degree >= 0.99, out
 
@@ -48,6 +43,6 @@ def test_execution_respects_joint_limits():
     robot = RobotState(base_pose=(1.5, 1.0, math.pi / 2))
     state = scene.initial_state()
     plan = plan_scene(scene, state, robot, {"drawer_1": 0.15}, PlannerConfig(seed=1))
-    result = execute_plan(scene, state, plan, scene, noiseless(), robot)
+    result = execute_plan(scene, state, plan, scene, robot)
     part = scene.part("drawer_1")
     assert result.final_state.theta("drawer_1") <= part.joint.limit_max + 1e-12

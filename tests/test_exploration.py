@@ -10,7 +10,7 @@ from artiscene import estimation, exploration, geometry, scene as scene_module, 
 from artiscene.cli import main
 from artiscene.errors import NoActionError, RepositionFailedError
 from artiscene.exploration import (FAILURE_THRESHOLD, PRISMATIC_KIND, REVOLUTE_LEFT,
-                                   REVOLUTE_RIGHT, UNKNOWN, ExplorationConfig, Handle,
+                                   REVOLUTE_RIGHT, UNKNOWN, Handle,
                                    _compliance_action, classify_joint,
                                    detect_failure, explore_scene, reposition_base)
 from artiscene.geometry import OrientedBox, PointCloud, rodrigues_rotation
@@ -213,8 +213,7 @@ def test_explore_minimal_drawer_noiseless():
 
 def test_explore_succeeded_record_invariant():
     scene, _ = load("minimal_drawer")
-    result = explore_scene(scene, SimConfig(), ExplorationConfig(),
-                           rng=np.random.default_rng(5))
+    result = explore_scene(scene, SimConfig(), rng=np.random.default_rng(5))
     for rec in result.records:
         # the record's displacement is the chamfer distance, to the bit
         assert rec.displacement == cloud_displacement(rec.pre.cloud, rec.post.cloud)
@@ -223,11 +222,11 @@ def test_explore_succeeded_record_invariant():
                 >= FAILURE_THRESHOLD
 
 
-def test_explore_empty_space_handle_fails_out():
+def test_explore_empty_space_handle_fails_out(monkeypatch):
     scene, _ = load("minimal_drawer")
-    cfg = ExplorationConfig(max_attempts=2)
+    monkeypatch.setattr(exploration, "MAX_ATTEMPTS", 2)
     handles = [Handle("ghost", np.array([0.5, 0.5, 0.5]))]
-    result = explore_scene(scene, noiseless_sim(), cfg, handles=handles,
+    result = explore_scene(scene, noiseless_sim(), handles=handles,
                            rng=np.random.default_rng(0))
     rec = result.records[0]
     assert not rec.succeeded
@@ -242,35 +241,29 @@ def test_explore_single_attempt_on_perfect_drawer():
     assert result.records[0].attempts_used == 1
 
 
-def test_explore_step_and_attempt_budgets_respected():
+def test_explore_step_and_attempt_budgets_respected(monkeypatch):
     scene, _ = load("minimal_drawer")
-    cfg = ExplorationConfig(max_steps=7, max_attempts=2)
+    monkeypatch.setattr(exploration, "MAX_STEPS", 7)
+    monkeypatch.setattr(exploration, "MAX_ATTEMPTS", 2)
     handles = [Handle("ghost", np.array([0.5, 0.5, 0.5]))]
-    result = explore_scene(scene, noiseless_sim(), cfg, handles=handles,
+    result = explore_scene(scene, noiseless_sim(), handles=handles,
                            rng=np.random.default_rng(3))
     assert result.records[0].attempts_used <= 2
     pulls = sum(1 for ev in result.events
                 if ev["event"] in ("pull", "pull-failed", "pull-blocked"))
-    assert pulls <= 2 * 7  # max_attempts * max_steps bounds all micro-interactions
+    assert pulls <= 2 * 7  # MAX_ATTEMPTS * MAX_STEPS bounds all micro-interactions
 
 
-def test_final_check_logs_the_last_step():
+def test_final_check_logs_the_last_step(monkeypatch):
     # one 1 cm pull stays under the 2 cm failure threshold, so the check after
-    # the step budget fails the attempt and logs it at step max_steps
+    # the step budget fails the attempt and logs it at step MAX_STEPS
     scene, _ = load("minimal_drawer")
-    result = explore_scene(scene, noiseless_sim(),
-                           ExplorationConfig(max_steps=1, max_attempts=1),
-                           rng=np.random.default_rng(3))
+    monkeypatch.setattr(exploration, "MAX_STEPS", 1)
+    monkeypatch.setattr(exploration, "MAX_ATTEMPTS", 1)
+    result = explore_scene(scene, noiseless_sim(), rng=np.random.default_rng(3))
     steps = [(ev["event"], ev["step"]) for ev in result.events if "step" in ev]
     assert steps == [("pull", 1), ("failure", 1)]
     assert not result.records[0].succeeded
-
-
-def test_exploration_config_validation():
-    with pytest.raises(ValueError):
-        ExplorationConfig(max_steps=0)
-    with pytest.raises(ValueError):
-        ExplorationConfig(max_attempts=0)
 
 
 def test_explore_survives_a_failed_pre_observation(monkeypatch):

@@ -9,7 +9,7 @@ import pytest
 from artiscene.errors import LimitViolationError, NoBaseFoundError, UnknownPartError
 from artiscene import geometry
 from artiscene.geometry import obb_overlaps, rodrigues_rotation
-from artiscene import planner, sim
+from artiscene import planner, scene as scene_module, sim
 from artiscene.planner import (EndEffectorTrajectory, InteractionPlan, PlannerConfig,
                                check_part_collision, check_path,
                                evaluate_candidate_order, part_trajectory, plan_scene,
@@ -113,14 +113,14 @@ def door_part():
 
 
 def test_sweep_has_n_configs_from_zero():
-    sweep = sample_part_sweep(drawer_part(), 6)
+    sweep = sample_part_sweep(drawer_part())
     assert len(sweep) == 6
     assert np.allclose(sweep[0].center, drawer_part().shape.center, atol=1e-12)
 
 
 def test_prismatic_sweep_congruent_colinear():
     part = drawer_part()
-    sweep = sample_part_sweep(part, 6)
+    sweep = sample_part_sweep(part)
     centers = np.array([b.center for b in sweep])
     diffs = np.diff(centers, axis=0)
     assert np.allclose(diffs, diffs[0], atol=1e-12)
@@ -133,7 +133,7 @@ def test_prismatic_sweep_congruent_colinear():
 
 def test_revolute_sweep_last_box_rotated_90():
     part = door_part()
-    sweep = sample_part_sweep(part, 6)
+    sweep = sample_part_sweep(part)
     rel = sweep[-1].orientation @ sweep[0].orientation.T
     angle = math.acos(np.clip((np.trace(rel) - 1.0) / 2.0, -1.0, 1.0))
     assert angle == pytest.approx(math.pi / 2, abs=1e-12)
@@ -142,8 +142,8 @@ def test_revolute_sweep_last_box_rotated_90():
 def test_collision_check_reports_pair():
     a = aligned_box((0, 0, 0), (0.5, 0.5, 0.5))
     far = aligned_box((5, 0, 0), (0.5, 0.5, 0.5))
-    assert check_part_collision([a], [], margin=0.02) is None
-    assert check_part_collision([a, far], [far], margin=0.02) == (1, 0)
+    assert check_part_collision([a], []) is None
+    assert check_part_collision([a, far], [far]) == (1, 0)
 
 
 def test_collision_check_reports_the_loops_first_pair():
@@ -156,7 +156,7 @@ def test_collision_check_reports_the_loops_first_pair():
     loop = [(i, j) for i, a in enumerate(sweep) for j, b in enumerate(env)
             if obb_overlaps([a], [b], 0.02)[0, 0]]
     assert loop == [(1, 2), (1, 3), (2, 0)]
-    pair = check_part_collision(sweep, env, margin=0.02)
+    pair = check_part_collision(sweep, env)
     assert pair == (1, 2)
     assert all(type(k) is int for k in pair)  # the pair goes into plan.json
 
@@ -368,7 +368,8 @@ def reference_select_base(trajectory, scene, grid, arm, n_samples, sample_range,
         score = 0
         for w in trajectory.waypoints:
             d = math.hypot(w[0] - pose[0], w[1] - pose[1])
-            score += arm.r_min <= d <= arm.r_max and arm.z_min <= w[2] <= arm.z_max
+            score += (scene_module.R_MIN <= d <= scene_module.R_MAX
+                      and scene_module.Z_MIN <= w[2] <= scene_module.Z_MAX)
         key = (-score, float(np.linalg.norm(xy - cxy)), valid)
         if best is None or key < best[0]:
             best = (key, pose, score)
@@ -380,7 +381,7 @@ def reference_select_base(trajectory, scene, grid, arm, n_samples, sample_range,
     return best[1], best[2]
 
 
-def test_select_base_matches_loop_reference():
+def test_select_base_matches_loop_reference(monkeypatch):
     rng = np.random.default_rng(2024)
     raised = 0
     regimes = Counter()
@@ -400,7 +401,9 @@ def test_select_base_matches_loop_reference():
                                rng.uniform(0.0, 1.4, n_wp)])
         traj = EndEffectorTrajectory("p", wps, 0.1, n_wp - 1)
         r_min = rng.uniform(0.05, 0.5)
-        arm = RobotState(r_min=r_min, r_max=r_min + rng.uniform(0.1, 1.0))
+        monkeypatch.setattr(scene_module, "R_MIN", r_min)
+        monkeypatch.setattr(scene_module, "R_MAX", r_min + rng.uniform(0.1, 1.0))
+        arm = RobotState()
         n_samples = int(rng.choice([1, 5, 50, 200]))
         sample_range = rng.uniform(0.2, 2.0)
         counts = {}
@@ -497,6 +500,25 @@ def test_unknown_goal_part_raises():
     with pytest.raises(UnknownPartError):
         plan_scene(scene, scene.initial_state(), RobotState(base_pose=(1.5, 1, 0)),
                    {"nope": 0.1})
+
+
+def test_candidate_orders_sample_goals_of_more_than_6_parts(monkeypatch):
+    ids = [f"part_{i}" for i in (3, 0, 6, 1, 5, 2, 4)]
+
+    def draw(seed):
+        return list(planner._candidate_orders(ids, np.random.default_rng([seed, 0xC0FFEE])))
+
+    orders = draw(0)
+    assert 100 < len(orders) <= planner.MAX_CANDIDATES
+    assert len(set(orders)) == len(orders)
+    assert all(type(o) is tuple and sorted(o) == sorted(ids) for o in orders)
+    assert draw(0) == orders and draw(1) != orders
+    monkeypatch.setattr(planner, "MAX_CANDIDATES", 3)
+    assert draw(0) == orders[:3]
+    # 6 ids or fewer: every permutation of the sorted ids, whatever the generator
+    for n in range(1, 7):
+        assert list(planner._candidate_orders(ids[:n], np.random.default_rng(n))) \
+            == list(itertools.permutations(sorted(ids[:n])))
 
 
 from oracles import order_feasible_oracle as oracle_order_feasible

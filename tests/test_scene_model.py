@@ -6,10 +6,10 @@ import pytest
 
 from artiscene.errors import (LimitViolationError, SceneFormatError,
                               SceneValidationError, UnknownPartError)
-from artiscene.scene import (JointModel, KinematicScene, MobilePart, RobotState,
-                             SceneState, StaticBaseMap, goal_satisfied, handle_at,
-                             load_scene, part_pose_at, part_shape_at, save_scene,
-                             scene_from_json, scene_to_json)
+from artiscene.scene import (R_MAX, R_MIN, Z_MAX, Z_MIN, JointModel, KinematicScene,
+                             MobilePart, RobotState, SceneState, StaticBaseMap,
+                             goal_satisfied, handle_at, load_scene, part_pose_at,
+                             part_shape_at, save_scene, scene_from_json, scene_to_json)
 from shipped import aligned_box, load
 
 
@@ -280,52 +280,47 @@ def test_robot_reach_annulus():
     assert not robot.can_reach((0.5, 0.0, 1.5))    # above the height band
 
 
-@pytest.mark.parametrize("name, value", [
-    ("r_min", 0.0), ("r_min", 0.95), ("r_max", math.inf), ("r_min", math.nan),
-    ("r_max", math.nan), ("z_min", 1.2), ("z_min", 2.0), ("z_min", -math.inf),
-    ("z_min", math.nan), ("z_max", math.inf), ("z_max", math.nan),
-])
-def test_robot_rejects_reach_limits_that_are_not_finite_and_ordered(name, value):
-    with pytest.raises(ValueError):
-        RobotState(**{name: value})
-
-
 def test_reach_mask_boundary_matches_math_hypot():
-    # offsets where np.hypot and math.hypot differ in the last bit; an annulus
-    # edge placed exactly on the math.hypot distance must still count as reached
+    # offsets at exactly R_MIN or R_MAX by math.hypot where np.hypot differs
+    # in the last bit: a point on an annulus edge must still count as reached
     rng = np.random.default_rng(4)
-    offsets = [(x, y) for x, y in rng.uniform(0.2, 0.7, (20000, 2))
-               if np.hypot(x, y) != math.hypot(x, y)][:40]
-    assert offsets
+    offsets = []
+    for radius in (R_MIN, R_MAX):
+        found = []
+        for x in rng.uniform(0.1, 0.9, 8000) * radius:
+            y0 = math.sqrt(radius * radius - x * x)
+            y = next((y for y in (y0 + k * math.ulp(y0) for k in range(-4, 5))
+                      if math.hypot(x, y) == radius), None)
+            if y is not None and np.hypot(x, y) != radius:
+                found.append((x, y))
+        assert found, radius
+        offsets += found[:20]
+    robot = RobotState(base_pose=(0.0, 0.0, 0.0))
     for x, y in offsets:
-        d = math.hypot(x, y)
-        for r_min, r_max in ((d, d + 0.5), (d / 2, d)):
-            robot = RobotState(base_pose=(0.0, 0.0, 0.0), r_min=r_min, r_max=r_max)
-            assert robot.can_reach((x, y, 0.5))
-            mask = robot.reach_mask([(x, y, 0.5), (x, y, 1.5)],
-                                    bases=[(0.0, 0.0), (x, y)])
-            assert mask.tolist() == [[True, False], [False, False]]
+        assert robot.can_reach((x, y, 0.5))
+        mask = robot.reach_mask([(x, y, 0.5), (x, y, 1.5)], bases=[(0.0, 0.0), (x, y)])
+        assert mask.tolist() == [[True, False], [False, False]]
 
 
 def test_can_reach_equals_reach_mask_at_the_annulus_and_band_edges():
-    # can_reach's one math.hypot gives reach_mask's verdict with r_min, r_max,
-    # z_min and z_max a few ulps either side of the point's distance and height
+    # can_reach's one math.hypot gives reach_mask's verdict for points a few
+    # ulps either side of R_MIN, R_MAX, Z_MIN and Z_MAX
     rng = np.random.default_rng(12)
     verdicts = set()
     for _ in range(30):
         base = (*rng.uniform(-3.0, 3.0, 2).tolist(), 0.0)
-        angle, dist = rng.uniform(-math.pi, math.pi), rng.uniform(0.2, 1.0)
-        z = rng.uniform(0.1, 1.2)
-        point = (base[0] + dist * math.cos(angle), base[1] + dist * math.sin(angle), z)
-        d = math.hypot(point[0] - base[0], point[1] - base[1])
+        angle = rng.uniform(-math.pi, math.pi)
+        c, s = math.cos(angle), math.sin(angle)
+        dist, z = rng.uniform(R_MIN, R_MAX), rng.uniform(Z_MIN, Z_MAX)
         for k in range(-3, 4):
-            for limits in (dict(r_min=d + k * math.ulp(d), r_max=d + 0.5),
-                           dict(r_min=d / 2, r_max=d + k * math.ulp(d)),
-                           dict(r_min=d / 2, r_max=d + 0.5, z_min=z + k * math.ulp(z)),
-                           dict(r_min=d / 2, r_max=d + 0.5, z_max=z + k * math.ulp(z))):
-                robot = RobotState(base_pose=base, **limits)
+            points = [(base[0] + r * c, base[1] + r * s, z)
+                      for r in (R_MIN + k * math.ulp(R_MIN), R_MAX + k * math.ulp(R_MAX))]
+            points += [(base[0] + dist * c, base[1] + dist * s, h + k * math.ulp(h))
+                       for h in (Z_MIN, Z_MAX)]
+            robot = RobotState(base_pose=base)
+            for point in points:
                 expected = bool(robot.reach_mask(point)[0, 0])
-                assert robot.can_reach(point) is expected, (base, point, limits)
+                assert robot.can_reach(point) is expected, (base, point)
                 verdicts.add(expected)
     assert verdicts == {True, False}
 

@@ -12,10 +12,10 @@ from artiscene.scene import (PRISMATIC, JointModel, KinematicScene, MobilePart,
                              RobotState, SceneState, StaticBaseMap, handle_at,
                              part_shape_at)
 from artiscene import sim
-from artiscene.sim import (ROBOT_RADIUS, Observation, SimConfig, _crop_windows,
-                           _edge_table, _near_edges, _near_polygon, _node_hash,
-                           _visible_faces, _window_nodes, arm_blocked, attempt_pull,
-                           motion_direction, nav_grid, render_observation)
+from artiscene.sim import (EYE_HEIGHT, ROBOT_RADIUS, STEP_SIZE, Observation, SimConfig,
+                           _crop_windows, _edge_table, _near_edges, _near_polygon,
+                           _node_hash, _visible_faces, _window_nodes, arm_blocked,
+                           attempt_pull, motion_direction, nav_grid, render_observation)
 from shipped import aligned_box, load
 
 
@@ -26,12 +26,18 @@ def slab_scene():
     return KinematicScene(base, ())
 
 
-def noiseless(density=1000.0):
-    return SimConfig(surface_point_density=density, noise_sigma=0.0,
-                     dropout_prob=0.0)
+def noiseless():
+    return SimConfig(noise_sigma=0.0, dropout_prob=0.0)
 
 
-def test_face_sampling_density_and_planarity():
+@pytest.fixture()
+def density(monkeypatch):
+    """Sets the surface point density of the renders in one test."""
+    return lambda value: monkeypatch.setattr(sim, "SURFACE_POINT_DENSITY", value)
+
+
+def test_face_sampling_density_and_planarity(density):
+    density(1000.0)
     scene = slab_scene()
     obs = render_observation(scene, SceneState({}), (2.0, 0.0, 1.0), noiseless(),
                              np.random.default_rng(1))
@@ -51,10 +57,10 @@ def test_render_deterministic_for_seed():
     assert np.array_equal(a.cloud.points, b.cloud.points)
 
 
-def test_noise_sigma_matches_plane_residual():
+def test_noise_sigma_matches_plane_residual(density):
+    density(1000.0)
     scene = slab_scene()
-    cfg = SimConfig(surface_point_density=1000.0, noise_sigma=0.005,
-                    dropout_prob=0.0)
+    cfg = SimConfig(noise_sigma=0.005, dropout_prob=0.0)
     rms = []
     for seed in range(20):
         rng = np.random.default_rng(seed)
@@ -64,14 +70,16 @@ def test_noise_sigma_matches_plane_residual():
     assert np.mean(rms) == pytest.approx(0.005, rel=0.15)
 
 
-def test_viewpoint_inside_obstacle_rejected():
+def test_viewpoint_inside_obstacle_rejected(density):
+    density(1000.0)
     scene = slab_scene()
     with pytest.raises(InvalidViewpointError):
         render_observation(scene, SceneState({}), (0.0, 0.0, 1.0), noiseless(),
                            np.random.default_rng(1))
 
 
-def test_back_faces_culled():
+def test_back_faces_culled(density):
+    density(1000.0)
     scene = slab_scene()
     obs = render_observation(scene, SceneState({}), (2.0, 0.0, 1.0), noiseless(),
                              np.random.default_rng(1))
@@ -84,7 +92,7 @@ def reference_render(scene, state, viewpoint, config, rng):
     points = []
     boxes = list(scene.base.obstacles)
     boxes += [part_shape_at(p, state.theta(p.id)) for p in scene.parts]
-    pitch = 1.0 / math.sqrt(config.surface_point_density)
+    pitch = 1.0 / math.sqrt(sim.SURFACE_POINT_DENSITY)
     frames = ((0, 1, 2), (0, 1, 2), (0, 2, 1), (0, 2, 1), (1, 2, 0), (1, 2, 0))
     for box in boxes:
         h, rot = box.half_extents, box.orientation
@@ -136,7 +144,7 @@ def test_crop_render_equals_full_render_then_crop(name):
         for part in scene.parts:
             center = handle_at(part, state.theta(part.id))
             viewpoint = center + np.array([0.0, -0.55, 0.0])
-            viewpoint[2] = config.eye_height
+            viewpoint[2] = EYE_HEIGHT
             full_rng = np.random.default_rng(seed)
             crop_rng = np.random.default_rng(seed)
             ref_rng = np.random.default_rng(seed)
@@ -174,7 +182,7 @@ def test_noisy_render_equals_the_normal_draw_bit_for_bit(config):
     for seed, part in enumerate(scene.parts[:4]):
         center = handle_at(part, state.theta(part.id))
         viewpoint = center + np.array([0.0, -0.55, 0.0])
-        viewpoint[2] = config.eye_height
+        viewpoint[2] = EYE_HEIGHT
         ref_rng = np.random.default_rng(seed)
         ref = reference_render(scene, state, viewpoint, config, ref_rng)
         inside = np.sum((ref - center) ** 2, axis=1) <= r2
@@ -388,9 +396,8 @@ def pull_setup():
 def test_perfect_pull_advances_full_step():
     scene, state, part, grasp = pull_setup()
     direction = motion_direction(part, 0.0)
-    cfg = SimConfig()
-    result = attempt_pull(scene, state, part.id, grasp, direction, cfg)
-    assert result.advanced == pytest.approx(cfg.step_prismatic, abs=1e-12)
+    result = attempt_pull(scene, state, part.id, grasp, direction)
+    assert result.advanced == pytest.approx(STEP_SIZE[PRISMATIC], abs=1e-12)
     assert not result.slipped
 
 
@@ -399,32 +406,32 @@ def test_perpendicular_pull_slips():
     t = motion_direction(part, 0.0)
     perp = np.array([t[1], -t[0], 0.0])
     perp /= np.linalg.norm(perp)
-    result = attempt_pull(scene, state, part.id, grasp, perp, SimConfig())
+    result = attempt_pull(scene, state, part.id, grasp, perp)
     assert result.slipped
     assert result.advanced == 0.0
     assert result.state.theta(part.id) == 0.0
 
 
-def test_angled_pull_cosine_contract():
+def test_angled_pull_cosine_contract(monkeypatch):
     scene, state, part, grasp = pull_setup()
     t = motion_direction(part, 0.0)
     perp = np.cross(t, [0.0, 0.0, 1.0])
     perp /= np.linalg.norm(perp)
     ang = math.radians(30.0)
     direction = math.cos(ang) * t + math.sin(ang) * perp
-    cfg = SimConfig(step_prismatic=0.02)
-    result = attempt_pull(scene, state, part.id, grasp, direction, cfg)
+    monkeypatch.setitem(STEP_SIZE, PRISMATIC, 0.02)
+    result = attempt_pull(scene, state, part.id, grasp, direction)
     assert result.advanced == pytest.approx(0.02 * math.cos(ang), abs=1e-9)
 
 
-def test_pull_clamps_at_limit_and_cumulative_sum():
+def test_pull_clamps_at_limit_and_cumulative_sum(monkeypatch):
     scene, state, part, grasp = pull_setup()
-    cfg = SimConfig(step_prismatic=0.04)
+    monkeypatch.setitem(STEP_SIZE, PRISMATIC, 0.04)
     total = 0.0
     for i in range(6):
         g = handle_at(part, state.theta(part.id))
         d = motion_direction(part, state.theta(part.id))
-        result = attempt_pull(scene, state, part.id, g, d, cfg)
+        result = attempt_pull(scene, state, part.id, g, d)
         state = result.state
         total += result.advanced
         assert state.theta(part.id) <= part.joint.limit_max + 1e-12
@@ -436,8 +443,7 @@ def test_pull_clamps_at_limit_and_cumulative_sum():
 def test_far_grasp_rejected():
     scene, state, part, _ = pull_setup()
     with pytest.raises(GraspFailureError):
-        attempt_pull(scene, state, part.id, (0.0, 1.0, 0.5),
-                     motion_direction(part, 0.0), SimConfig())
+        attempt_pull(scene, state, part.id, (0.0, 1.0, 0.5), motion_direction(part, 0.0))
 
 
 def test_revolute_motion_direction_is_tangent():
@@ -644,28 +650,22 @@ def test_observation_hotspot_bound():
 
 def test_sim_config_validation():
     with pytest.raises(ValueError):
-        SimConfig(surface_point_density=0.0)
-    with pytest.raises(ValueError):
         SimConfig(dropout_prob=1.0)
-    with pytest.raises(ValueError):
-        SimConfig(slip_angle=math.pi)
     with pytest.raises(ValueError):
         SimConfig(noise_sigma=-1.0)
     # NaN fails every comparison, so each bound must be written to reject it
     for field, values in (("noise_sigma", (math.nan, math.inf)),
-                          ("surface_point_density", (math.nan, math.inf)),
-                          ("eye_height", (math.nan, math.inf, -math.inf)),
-                          ("step_revolute", (0.0, -0.05, math.nan, math.inf)),
-                          ("step_prismatic", (0.0, -0.01, math.nan, math.inf))):
+                          ("dropout_prob", (math.nan, -0.01, math.inf))):
         for value in values:
             with pytest.raises(ValueError, match=field):
                 SimConfig(**{field: value})
 
 
-def test_noiseless_render_points_lie_on_surfaces():
+def test_noiseless_render_points_lie_on_surfaces(density):
+    density(400.0)
     scene, _ = load("kitchen")
     obs = render_observation(scene, scene.initial_state(), (3.0, 1.5, 1.0),
-                             noiseless(density=400), np.random.default_rng(1))
+                             noiseless(), np.random.default_rng(1))
     boxes = list(scene.base.obstacles) + [p.shape for p in scene.parts]
     for p in obs.cloud.points[::7]:
         dists = []
