@@ -36,23 +36,6 @@ HEATMAP_SIGMA = 0.10           # contact heatmap width for segmentation, meters
 MOTION_TAU = 0.02              # nearest-neighbor distance marking motion, meters
 
 
-@dataclass(frozen=True)
-class ContactHeatmap:
-    """Gaussian interaction-region weighting centered on the contact point."""
-
-    center: np.ndarray
-    sigma: float = HEATMAP_SIGMA
-
-    def __post_init__(self):
-        if self.sigma <= 0.0:
-            raise ValueError("sigma must be positive")
-        object.__setattr__(self, "center", as_vec3(self.center))
-
-    def weights(self, points: np.ndarray) -> np.ndarray:
-        d2 = np.sum((np.asarray(points, dtype=float) - self.center) ** 2, axis=1)
-        return np.exp(-d2 / (2.0 * self.sigma ** 2))
-
-
 @dataclass
 class EstimatedArticulation:
     part_id: str
@@ -74,21 +57,23 @@ class ScrewFit:
     transform: RigidTransform
 
 
-def segment_mobile_part(pre: Observation, post: Observation,
-                        heatmap: ContactHeatmap, tau: float = MOTION_TAU) -> np.ndarray:
+def segment_mobile_part(pre: Observation, post: Observation) -> np.ndarray:
     """Mask over the pre cloud selecting the moved part.
 
-    Points whose nearest neighbor in the post cloud is farther than tau are
-    motion candidates; the mask is region-grown (radius 2 tau) through the
-    candidates from the heatmap-weighted seeds.
+    Points whose nearest neighbor in the post cloud is farther than
+    MOTION_TAU are motion candidates; the mask is region-grown (radius
+    2 MOTION_TAU) through the candidates from the seeds, the candidates whose
+    contact heatmap weight, a Gaussian of width HEATMAP_SIGMA around the pre
+    hotspot, exceeds 0.1.
     """
     pts = pre.cloud.points
     if pts.shape[0] == 0 or len(post.cloud) == 0:
         raise ValueError("clouds must be non-empty")
     d, _ = post.cloud.kdtree.query(pts)
-    candidates = erode_isolated(pre.cloud, d > tau)
-    seeds = candidates & (heatmap.weights(pts) > 0.1)
-    mask = _region_grow(pts, candidates, seeds, 2.0 * tau)
+    candidates = erode_isolated(pre.cloud, d > MOTION_TAU)
+    d2 = np.sum((pts - pre.hotspot) ** 2, axis=1)
+    seeds = candidates & (np.exp(-d2 / (2.0 * HEATMAP_SIGMA ** 2)) > 0.1)
+    mask = _region_grow(pts, candidates, seeds, 2.0 * MOTION_TAU)
     if int(mask.sum()) < MIN_MOBILE_POINTS:
         raise SegmentationFailedError(
             f"only {int(mask.sum())} mobile points (need {MIN_MOBILE_POINTS})")
@@ -321,8 +306,8 @@ def _line_distance(p1, u1, p2, u2) -> float:
 
 def estimate_record(part_id: str, pre: Observation, post: Observation) -> EstimatedArticulation:
     """Full object-level estimation for one observation pair."""
-    pre_mask = segment_mobile_part(pre, post, ContactHeatmap(pre.hotspot))
-    post_mask = segment_mobile_part(post, pre, ContactHeatmap(post.hotspot))
+    pre_mask = segment_mobile_part(pre, post)
+    post_mask = segment_mobile_part(post, pre)
     fit = fit_screw(pre.cloud.subset(pre_mask), post.cloud.subset(post_mask),
                     anchors=(pre.hotspot, post.hotspot))
     return EstimatedArticulation(

@@ -27,6 +27,7 @@ UNKNOWN = "unknown"
 DISPLACED_TAU = 0.02
 FAILURE_THRESHOLD = 0.02       # chamfer displacement, meters
 REPOSITION_DISTANCE = 0.30     # base-to-hotspot distance after a failure
+SNAP_RADIUS = 0.50             # farthest free cell a reposition target snaps to
 RETREAT_DISTANCE = 0.50        # backoff before the post observation
 APPROACH_DISTANCE = 0.55       # initial stand-off in front of a handle
 OBSERVATION_RADIUS = 0.30      # crop radius around the interaction site
@@ -84,22 +85,21 @@ def _compliance_action(obs: Observation, grasp) -> np.ndarray:
         raise NoActionError(str(e)) from e
 
 
-def detect_failure(pre: Observation, current: Observation,
-                   threshold: float = FAILURE_THRESHOLD) -> bool:
-    """Failure iff the clouds moved less than the threshold (strict): exactly
-    0.5 * (m_pre + m_cur) < threshold, the symmetric chamfer distance of the
-    mean _nearest_distances of the pre and current clouds.
+def detect_failure(pre: Observation, current: Observation) -> bool:
+    """Failure iff the clouds moved less than FAILURE_THRESHOLD (strict):
+    exactly 0.5 * (m_pre + m_cur) < FAILURE_THRESHOLD, the symmetric chamfer
+    distance of the mean _nearest_distances of the pre and current clouds.
 
     The current cloud is first queried against the pre cloud's tree, which
     every check of an attempt shares. Both means are >= 0 and rounding is
-    monotone, so 0.5 * m_cur >= threshold already proves no failure; only
+    monotone, so 0.5 * m_cur >= FAILURE_THRESHOLD proves no failure; only
     otherwise is the current cloud given a tree and the pre cloud queried
     against it."""
     m_cur = float(pre.cloud.kdtree.query(current.cloud.points)[0].mean())
-    if 0.5 * m_cur >= threshold:
+    if 0.5 * m_cur >= FAILURE_THRESHOLD:
         return False
     m_pre = float(current.cloud.kdtree.query(pre.cloud.points)[0].mean())
-    return 0.5 * (m_pre + m_cur) < threshold
+    return 0.5 * (m_pre + m_cur) < FAILURE_THRESHOLD
 
 
 def _nearest_distances(pre: Observation, current: Observation) -> tuple:
@@ -108,18 +108,17 @@ def _nearest_distances(pre: Observation, current: Observation) -> tuple:
             pre.cloud.kdtree.query(current.cloud.points)[0])
 
 
-def classify_joint(pre: Observation, current: Observation,
-                   threshold: float = CLASSIFY_THRESHOLD) -> str:
-    """Joint type from the rotation between displaced-subset plane normals.
+def classify_joint(pre: Observation, current: Observation) -> str:
+    """Joint type from the rotation between displaced-subset plane normals:
+    prismatic up to CLASSIFY_THRESHOLD, revolute above it.
 
     Counterclockwise rotation seen from above (about world +z) is 'left'.
     Returns 'unknown' when either displaced subset is too small or degenerate.
     """
-    return _classify(pre, current, _nearest_distances(pre, current), threshold)
+    return _classify(pre, current, _nearest_distances(pre, current))
 
 
-def _classify(pre: Observation, current: Observation, distances: tuple,
-              threshold: float = CLASSIFY_THRESHOLD) -> str:
+def _classify(pre: Observation, current: Observation, distances: tuple) -> str:
     """classify_joint on the pair's _nearest_distances; the displaced subsets
     are eroded to drop isolated flicker (dropout and crop-boundary noise)."""
     moved_pre, moved_cur = (o.cloud.points[erode_isolated(o.cloud, d > DISPLACED_TAU)]
@@ -132,19 +131,19 @@ def _classify(pre: Observation, current: Observation, distances: tuple,
     except DegenerateGeometryError:
         return UNKNOWN
     angle = math.acos(float(np.clip(n_pre @ n_cur, -1.0, 1.0)))
-    if angle <= threshold:
+    if angle <= CLASSIFY_THRESHOLD:
         return PRISMATIC_KIND
     side = float(np.cross(n_pre, n_cur)[2])
     return REVOLUTE_LEFT if side >= 0.0 else REVOLUTE_RIGHT
 
 
-def reposition_base(kind: str, hotspot, robot: RobotState, distance: float,
-                    grid: OccupancyGrid, snap_radius: float = 0.5) -> tuple:
-    """New base pose after a failed attempt.
+def reposition_base(kind: str, hotspot, robot: RobotState, grid: OccupancyGrid) -> tuple:
+    """New base pose after a failed attempt, REPOSITION_DISTANCE from the
+    hotspot.
 
     Revolute: step diagonally back and to the side the handle is heading
     toward (the rotation side). Prismatic: retreat straight back from the
-    hotspot. The pose snaps to the nearest free grid cell.
+    hotspot. The pose snaps to the nearest free grid cell within SNAP_RADIUS.
     """
     h = np.asarray(hotspot, dtype=float).reshape(3)
     bx, by, _ = robot.base_pose
@@ -160,10 +159,10 @@ def reposition_base(kind: str, hotspot, robot: RobotState, distance: float,
         direction = back
     else:
         raise ValueError(f"unknown joint kind {kind!r}")
-    target = grid.nearest_free(h[:2] + direction * distance, snap_radius)
+    target = grid.nearest_free(h[:2] + direction * REPOSITION_DISTANCE, SNAP_RADIUS)
     if target is None:
         raise RepositionFailedError(
-            f"no free cell within {snap_radius} m of the reposition target")
+            f"no free cell within {SNAP_RADIUS} m of the reposition target")
     heading = math.atan2(h[1] - target[1], h[0] - target[0])
     return (float(target[0]), float(target[1]), heading)
 
@@ -225,9 +224,8 @@ class _EventLog:
         self.t += 1
 
 
-def explore_scene(scene: KinematicScene, sim_config: SimConfig, handles=None,
-                  robot: RobotState | None = None, *,
-                  rng: np.random.Generator) -> ExplorationResult:
+def explore_scene(scene: KinematicScene, sim_config: SimConfig, handles=None, *,
+                  robot: RobotState, rng: np.random.Generator) -> ExplorationResult:
     """Run the discovery stage over every handle and collect observation pairs.
 
     Per handle: stand in front of it, take a pre observation, pull along the
@@ -235,7 +233,6 @@ def explore_scene(scene: KinematicScene, sim_config: SimConfig, handles=None,
     detected failures (up to MAX_ATTEMPTS), then retreat and take the post
     observation. Joint parameters are never touched, only joint states.
     """
-    robot = robot or RobotState()
     if handles is None:
         handles = [Handle(p.id, p.handle) for p in scene.parts]
     state = scene.initial_state()
@@ -318,7 +315,7 @@ def _explore_handle(scene, state, hd: Handle, sim_config, robot, rng, log):
         grid = nav_grid(scene, state)
         hotspot = _current_hotspot(scene, state, part_id, hd)
         try:
-            pose = reposition_base(classified, hotspot, robot, REPOSITION_DISTANCE, grid)
+            pose = reposition_base(classified, hotspot, robot, grid)
         except RepositionFailedError:
             log.add("reposition-failed", handle=hd.label)
             attempts = MAX_ATTEMPTS

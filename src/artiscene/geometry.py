@@ -19,12 +19,12 @@ if TYPE_CHECKING:
     from scipy.spatial import cKDTree
 
 UNIT_TOL = 1e-9
+INLIER_TOL = 0.008  # distance from a consensus plane that counts as on it, meters
 
 
 def as_vec3(v) -> np.ndarray:
     """Convert to a float64 (3,) array."""
-    a = np.asarray(v, dtype=float).reshape(3)
-    return a
+    return np.asarray(v, dtype=float).reshape(3)
 
 
 def unit(v) -> np.ndarray:
@@ -80,18 +80,14 @@ def rotation_axis_angle(rot: np.ndarray) -> tuple[np.ndarray, float]:
 
 @dataclass(frozen=True)
 class RigidTransform:
-    """Proper rigid transform x -> R x + t."""
+    """Proper rigid transform x -> R x + t; the program derives every one, unchecked."""
 
     rotation: np.ndarray
     translation: np.ndarray
 
     def __post_init__(self):
-        r = np.asarray(self.rotation, dtype=float).reshape(3, 3)
-        t = as_vec3(self.translation)
-        if np.linalg.norm(r @ r.T - np.eye(3)) > 1e-8 or abs(np.linalg.det(r) - 1.0) > 1e-8:
-            raise ValueError("rotation must be orthonormal with determinant +1")
-        object.__setattr__(self, "rotation", r)
-        object.__setattr__(self, "translation", t)
+        object.__setattr__(self, "rotation", np.asarray(self.rotation, dtype=float).reshape(3, 3))
+        object.__setattr__(self, "translation", as_vec3(self.translation))
 
     def apply(self, points: np.ndarray) -> np.ndarray:
         """Apply to one point (3,) or a stack (N, 3)."""
@@ -107,23 +103,18 @@ class RigidTransform:
 
 @dataclass(frozen=True)
 class OrientedBox:
-    """Box given by center, positive half extents and an orthonormal orientation."""
+    """Box given by center, positive half extents and a proper orthonormal
+    orientation; only boxes read from a scene file are checked (scene._box_from_json)."""
 
     center: np.ndarray
     half_extents: np.ndarray
     orientation: np.ndarray
 
     def __post_init__(self):
-        c = as_vec3(self.center)
-        h = as_vec3(self.half_extents)
-        r = np.asarray(self.orientation, dtype=float).reshape(3, 3)
-        if np.any(h <= 0.0):
-            raise ValueError("half_extents must be strictly positive")
-        if np.linalg.norm(r @ r.T - np.eye(3)) > 1e-8:
-            raise ValueError("orientation must be orthonormal")
-        object.__setattr__(self, "center", c)
-        object.__setattr__(self, "half_extents", h)
-        object.__setattr__(self, "orientation", r)
+        object.__setattr__(self, "center", as_vec3(self.center))
+        object.__setattr__(self, "half_extents", as_vec3(self.half_extents))
+        object.__setattr__(self, "orientation",
+                           np.asarray(self.orientation, dtype=float).reshape(3, 3))
 
     def inflated(self, margin: float) -> "OrientedBox":
         return OrientedBox(self.center, self.half_extents + margin, self.orientation)
@@ -193,7 +184,7 @@ def _box_arrays(boxes: list, margin: float):
             np.array([b.orientation for b in boxes]))
 
 
-def obb_overlaps(first, second, margin: float = 0.02) -> np.ndarray:
+def obb_overlaps(first, second, margin: float) -> np.ndarray:
     """Separating-axis overlap test, with every box inflated by the margin,
     for every a in first and b in second, as a (len(first), len(second))
     bool array computed in one array pass.
@@ -291,17 +282,16 @@ def plane_normal(points: np.ndarray, viewpoint=None) -> np.ndarray:
 
 
 def consensus_plane_normal(points: np.ndarray, viewpoint=None, min_points: int = 6,
-                           inlier_tol: float = 0.008, tree: cKDTree | None = None
-                           ) -> np.ndarray:
+                           tree: cKDTree | None = None) -> np.ndarray:
     """Plane normal of the dominant surface in a mixed neighborhood.
 
     A neighborhood at a part edge is often bimodal (a front face plus a
     perpendicular edge strip or a nearby static surface), which wrecks a
     single least-squares fit. Micro-planes fitted around spread anchor points
-    vote by inlier count and the consensus surface is refit over its inliers.
-    Deterministic: anchors are every k-th point, no sampling. tree, when
-    given, is a KD-tree over the same points and is queried instead of a new
-    one.
+    vote by inlier count (points within INLIER_TOL of the plane) and the
+    consensus surface is refit over its inliers. Deterministic: anchors are
+    every k-th point, no sampling. tree, when given, is a KD-tree over the
+    same points and is queried instead of a new one.
     """
     pts = np.asarray(points, dtype=float).reshape(-1, 3)
     n = pts.shape[0]
@@ -316,7 +306,7 @@ def consensus_plane_normal(points: np.ndarray, viewpoint=None, min_points: int =
     # the per-anchor plane_normal fit, stacked: its degeneracy test and normal
     planar = ~(eigvals[:, 1] <= 1e-12 * np.maximum(eigvals[:, 2], 1e-300))
     cand = eigvecs[:, :, 0] / np.linalg.norm(eigvecs[:, :, 0], axis=1, keepdims=True)
-    inliers = np.abs((pts - mean[:, None]) @ cand[:, :, None])[:, :, 0] <= inlier_tol
+    inliers = np.abs((pts - mean[:, None]) @ cand[:, :, None])[:, :, 0] <= INLIER_TOL
     counts = np.where(planar, inliers.sum(axis=1), 0)
     best = int(np.argmax(counts))  # the first anchor with the most inliers
     if counts[best] < max(min_points, 3):

@@ -44,13 +44,11 @@ class EndEffectorTrajectory:
         return self.waypoints.mean(axis=0)
 
 
-def part_trajectory(part: MobilePart, theta_start: float, theta_goal: float,
-                    K: int) -> EndEffectorTrajectory:
+def part_trajectory(part: MobilePart, theta_start: float,
+                    theta_goal: float) -> EndEffectorTrajectory:
     """The handle posed by part_pose_at at K+1 evenly spaced joint states
     from theta_start to theta_goal; a state past the joint limits raises
     LimitViolationError."""
-    if K < 1:
-        raise ValueError("K must be >= 1")
     delta = theta_goal - theta_start
     wps = [part_pose_at(part, theta_start + i * delta / K).apply(part.handle)
            for i in range(K + 1)]
@@ -78,41 +76,38 @@ def check_path(grid: OccupancyGrid, from_pose, to_pose) -> bool:
 
 
 def select_base(trajectory: EndEffectorTrajectory, scene: KinematicScene,
-                grid: OccupancyGrid, arm: RobotState, n_samples: int = N_SAMPLES,
-                sample_range: float = SAMPLE_RANGE, *, rng: np.random.Generator):
+                grid: OccupancyGrid, arm: RobotState, *, rng: np.random.Generator):
     """Sampled base pose reaching the most trajectory waypoints.
 
-    Draws poses uniformly in the disc around the trajectory centroid, keeps
-    the first n_samples collision-free ones of at most 20 * n_samples draws,
-    scores each by waypoints inside the reach annulus and height band, and
-    returns the argmax (ties: nearest the centroid, then lowest sample
-    index). Raises NoBaseFoundError when no valid sample appears.
+    Draws poses uniformly in the SAMPLE_RANGE disc around the trajectory
+    centroid, keeps the first n = N_SAMPLES collision-free ones of at most
+    20 * n draws, scores each by waypoints inside the reach annulus and
+    height band, and returns the argmax (ties: nearest the centroid, then
+    lowest sample index); NoBaseFoundError when no valid sample appears.
 
-    The (radius, angle) draws are rng.random(16 * n_samples), then, only
-    while fewer than n_samples were free, rng.random(24 * n_samples): one
-    rng.random(40 * n_samples) call's numbers, a float64 taking one word of
-    the stream; no caller reads the generator afterwards. Each block is
+    The (radius, angle) draws are rng.random(16 * n), then, only while
+    fewer than n were free, rng.random(24 * n): one rng.random(40 * n)
+    call's numbers, a float64 taking one word of the stream; no caller
+    reads the generator afterwards. Each block is
     tested for free floor in one pass. Samples are scored nearest first, and
     one of the 16 nearest that reaches every waypoint ends the scoring. The
     reach test is RobotState.reach_mask, whose math.hypot fallback keeps the
     verdict at the annulus edges equal to the scalar can_reach.
     """
-    if n_samples < 1:
-        raise ValueError("n_samples must be >= 1")
     cxy = trajectory.centroid()[:2]
     lo, hi = scene.base.floor_min - 1e-12, scene.base.floor_max + 1e-12
     blocks = []
-    for n_draws in (16 * n_samples, 24 * n_samples):
+    for n_draws in (16 * N_SAMPLES, 24 * N_SAMPLES):
         u = rng.random(n_draws)
-        r = sample_range * np.sqrt(u[0::2])
+        r = SAMPLE_RANGE * np.sqrt(u[0::2])
         phi = u[1::2] * 2.0 * math.pi
         x = cxy[0] + r * np.cos(phi)
         y = cxy[1] + r * np.sin(phi)
         ok = grid.free_at(x, y) & (lo[0] <= x) & (x <= hi[0]) & (lo[1] <= y) & (y <= hi[1])
         blocks.append((x[ok], y[ok]))
-        if len(blocks[0][0]) >= n_samples:
+        if len(blocks[0][0]) >= N_SAMPLES:
             break
-    x, y = (np.concatenate(v)[:n_samples] for v in zip(*blocks))
+    x, y = (np.concatenate(v)[:N_SAMPLES] for v in zip(*blocks))
     if len(x) == 0:
         raise NoBaseFoundError("no collision-free base sample in range")
     dx, dy = x - cxy[0], y - cxy[1]
@@ -160,11 +155,9 @@ def _unmounted_obstacles(scene: KinematicScene, active_id: str) -> list:
 
 
 def _environment_boxes(scene: KinematicScene, committed: dict, active_id: str,
-                       obstacles=None) -> list:
-    """Collision environment for one part's sweep: its unmounted obstacles
-    (found here unless given), plus every other part at its committed state."""
-    if obstacles is None:
-        obstacles = _unmounted_obstacles(scene, active_id)
+                       obstacles: list) -> list:
+    """Collision environment for one part's sweep: its unmounted obstacles,
+    plus every other part at its committed state."""
     return list(obstacles) + [part_shape_at(p, committed[p.id])
                               for p in scene.parts if p.id != active_id]
 
@@ -182,17 +175,17 @@ def _standing_box(box):
 
 
 def _step_world(scene: KinematicScene, committed: dict, part: MobilePart,
-                travel: dict, obstacles=None):
+                travel: dict, obstacles: list):
     """Collision-check one step's sweep, then build its standing grid.
 
     Returns (colliding pair, None) when the sweep hits the committed
     environment, so a rejected step builds no grid; otherwise (None, the
     committed state's travel grid, from travel by sorted committed states or
     built and kept there, with the inflated sweep boxes added). obstacles
-    are the part's unmounted obstacles, found here unless given.
+    are the part's _unmounted_obstacles.
     """
     sweep = sample_part_sweep(part)
-    env = _environment_boxes(scene, committed, part.id, obstacles=obstacles)
+    env = _environment_boxes(scene, committed, part.id, obstacles)
     pair = check_part_collision(sweep, env)
     if pair is not None:
         return pair, None
@@ -204,8 +197,7 @@ def _step_world(scene: KinematicScene, committed: dict, part: MobilePart,
 
 def evaluate_candidate_order(scene: KinematicScene, state: SceneState,
                              robot: RobotState, order, goal: dict,
-                             config: PlannerConfig, candidate_idx: int = 0,
-                             worlds: dict | None = None):
+                             config: PlannerConfig, candidate_idx: int, worlds: dict):
     """Simulate committing the order step by step.
 
     Per step: the part's sweep is collision-checked against the committed
@@ -217,11 +209,11 @@ def evaluate_candidate_order(scene: KinematicScene, state: SceneState,
     per plan: a part id maps to its unmounted obstacles, the sorted committed
     states to their travel grid (built when a sweep clears), (states, part
     id) to the step's _step_world result, and (part id, start, goal) to the
-    part's trajectory, its waypoints read-only. None shares nothing. Base
-    selection is not shared: its generator is keyed on candidate_idx, and
-    sharing it would re-roll bases and change every pinned digest.
+    part's trajectory, its waypoints read-only; an empty dict shares
+    nothing. Base selection is not shared: its generator is keyed on
+    candidate_idx, and sharing it would re-roll bases and change every
+    pinned digest.
     """
-    worlds = {} if worlds is None else worlds
     committed = dict(state.joint_states)
     prev_pose = robot.base_pose
     steps = []
@@ -244,7 +236,7 @@ def evaluate_candidate_order(scene: KinematicScene, state: SceneState,
                           "sweep_config": pair[0], "environment_box": pair[1]}
         key = part_id, theta_start, theta_goal
         if key not in worlds:
-            worlds[key] = part_trajectory(part, theta_start, theta_goal, K)
+            worlds[key] = part_trajectory(part, theta_start, theta_goal)
             worlds[key].waypoints.flags.writeable = False
         trajectory = worlds[key]
         rng = np.random.default_rng([config.seed, candidate_idx, step_idx])
@@ -279,14 +271,13 @@ def _candidate_orders(part_ids, rng: np.random.Generator):
 
 
 def plan_scene(scene: KinematicScene, state: SceneState, robot: RobotState,
-               goal: dict, config: PlannerConfig | None = None) -> InteractionPlan:
+               goal: dict, config: PlannerConfig) -> InteractionPlan:
     """Search interaction orders and return the first fully feasible plan.
 
     Orderings are exhaustive for up to 6 goal parts, sampled otherwise.
     Infeasibility is a result (feasible=False with per-candidate diagnostics),
     not an error.
     """
-    config = config or PlannerConfig()
     for part_id in goal:
         scene.part(part_id)  # raises UnknownPartError
     rng = np.random.default_rng([config.seed, 0xC0FFEE])
@@ -310,7 +301,8 @@ def validate_plan(scene: KinematicScene, state: SceneState, robot: RobotState,
     prev_pose = robot.base_pose
     travel = {}
     for step in plan.steps:
-        pair, standing_grid = _step_world(scene, committed, scene.part(step.part_id), travel)
+        pair, standing_grid = _step_world(scene, committed, scene.part(step.part_id), travel,
+                                          _unmounted_obstacles(scene, step.part_id))
         if pair is not None or not standing_grid.is_free(step.base_pose[:2]):
             return False
         reach = robot.at(step.base_pose).reach_mask(step.trajectory.waypoints)

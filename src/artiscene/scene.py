@@ -285,12 +285,17 @@ def _box_from_json(d: dict, where: str) -> OrientedBox:
     _require_finite(d, ("center", "half_extents", "rotation", "yaw_deg"), where)
     if "rotation" in d:
         rot = np.asarray(d["rotation"], dtype=float).reshape(3, 3)
+        if np.linalg.norm(rot @ rot.T - np.eye(3)) > 1e-8 or abs(np.linalg.det(rot) - 1.0) > 1e-8:
+            raise SceneFormatError(f"{where}.rotation", "must be orthonormal with determinant +1")
     else:
         rot = rodrigues_rotation((0.0, 0.0, 1.0), math.radians(float(d.get("yaw_deg", 0.0))))
     try:
-        return OrientedBox(d["center"], d["half_extents"], rot)
+        box = OrientedBox(d["center"], d["half_extents"], rot)
     except ValueError as e:
         raise SceneFormatError(where, str(e)) from e
+    if np.any(box.half_extents <= 0.0):
+        raise SceneFormatError(f"{where}.half_extents", "must be strictly positive")
+    return box
 
 
 def _joint_to_json(j: JointModel) -> dict:
@@ -409,11 +414,15 @@ def save_scene(scene: KinematicScene, path, extra: dict | None = None) -> None:
 
 def load_scene_extras(path) -> tuple[KinematicScene, dict]:
     """Load and validate a scene file in one read; returns the scene and its
-    non-schema keys (e.g. 'sim', 'robot')."""
+    sections other than the schema's, which may only be 'sim' and 'robot'."""
     doc = _read_scene_doc(path)
     scene = scene_from_json(doc)
+    extras = {k: v for k, v in doc.items() if k not in ("schema_version", "base", "parts")}
+    unknown = sorted(set(extras) - {"sim", "robot"})
+    if unknown:
+        raise SceneFormatError(", ".join(unknown), "unknown top-level section")
     _validate_handles_reachable(scene)
-    return scene, {k: v for k, v in doc.items() if k not in ("schema_version", "base", "parts")}
+    return scene, extras
 
 
 def _validate_handles_reachable(scene: KinematicScene) -> None:

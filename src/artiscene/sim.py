@@ -426,23 +426,23 @@ class OccupancyGrid:
 
     _labels = cached_property(lambda self: _region_labels(self.occupied))
 
-    def with_boxes(self, boxes, robot_radius: float = ROBOT_RADIUS) -> "OccupancyGrid":
-        """This grid with every cell within robot_radius of a box's footprint
+    def with_boxes(self, boxes) -> "OccupancyGrid":
+        """This grid with every cell within ROBOT_RADIUS of a box's footprint
         occupied. A box's mask is rasterized once per grid geometry, over the
-        cells within robot_radius + resolution of its bounding box (no other
+        cells within ROBOT_RADIUS + resolution of its bounding box (no other
         is that near), and kept on the box as (rows, cols, read-only mask).
         OR is exact and order-free: boxes added later give the same grid."""
         xs, ys = self.cell_centers()
         occ = self.occupied.copy()
-        key = ("nav_grid", *self.origin.tolist(), len(xs), len(ys), self.resolution, robot_radius)
-        pad = robot_radius + self.resolution
+        key = ("nav_grid", *self.origin.tolist(), len(xs), len(ys), self.resolution, ROBOT_RADIUS)
+        pad = ROBOT_RADIUS + self.resolution
         for box in boxes:
             window = box.memo.get(key)
             if window is None:
                 fp = box.footprint()
                 cols = slice(*np.searchsorted(xs, (fp[:, 0].min() - pad, fp[:, 0].max() + pad)))
                 rows = slice(*np.searchsorted(ys, (fp[:, 1].min() - pad, fp[:, 1].max() + pad)))
-                mask = _near_polygon(xs[None, cols], ys[rows, None], fp, robot_radius)
+                mask = _near_polygon(xs[None, cols], ys[rows, None], fp, ROBOT_RADIUS)
                 mask.flags.writeable = False
                 window = box.memo[key] = (rows, cols, mask)
             rows, cols, mask = window
@@ -529,19 +529,14 @@ def _near_edges(x: float, y: float, edges: list, radius: float) -> bool:
     return inside or best <= radius * radius
 
 
-def nav_grid(scene: KinematicScene, state: SceneState,
-             resolution: float = GRID_RESOLUTION, robot_radius: float = ROBOT_RADIUS,
-             extra_boxes=()) -> OccupancyGrid:
-    """Occupancy grid: base obstacles plus parts at their current state,
-    inflated by the robot radius."""
-    if resolution <= 0.0:
-        raise ValueError("resolution must be positive")
-    lo = scene.base.floor_min
-    hi = scene.base.floor_max
-    nx = max(1, int(math.ceil((hi[0] - lo[0]) / resolution)))
-    ny = max(1, int(math.ceil((hi[1] - lo[1]) / resolution)))
+def nav_grid(scene: KinematicScene, state: SceneState) -> OccupancyGrid:
+    """Occupancy grid of GRID_RESOLUTION cells: base obstacles plus parts at
+    their current state, inflated by ROBOT_RADIUS."""
+    lo, hi = scene.base.floor_min, scene.base.floor_max
+    nx = max(1, int(math.ceil((hi[0] - lo[0]) / GRID_RESOLUTION)))
+    ny = max(1, int(math.ceil((hi[1] - lo[1]) / GRID_RESOLUTION)))
     boxes = list(scene.base.obstacles)
     boxes.extend(part_shape_at(p, state.theta(p.id)) for p in scene.parts)
-    boxes.extend(extra_boxes)
-    empty = OccupancyGrid(np.array(lo, dtype=float), resolution, np.zeros((ny, nx), dtype=bool))
-    return empty.with_boxes(boxes, robot_radius)
+    empty = OccupancyGrid(np.array(lo, dtype=float), GRID_RESOLUTION,
+                          np.zeros((ny, nx), dtype=bool))
+    return empty.with_boxes(boxes)

@@ -94,8 +94,9 @@ def order_feasible_oracle(scene, state, robot, order, goal, cfg):
     same deterministic sampler the planner uses.
     """
     from artiscene.errors import NoBaseFoundError
-    from artiscene.planner import (K, MARGIN, STANDING_MARGIN, _environment_boxes,
-                                   part_trajectory, sample_part_sweep, select_base)
+    from artiscene.planner import (MARGIN, STANDING_MARGIN, _environment_boxes,
+                                   _unmounted_obstacles, part_trajectory,
+                                   sample_part_sweep, select_base)
     from artiscene.scene import SceneState
     from artiscene.sim import nav_grid
 
@@ -105,7 +106,7 @@ def order_feasible_oracle(scene, state, robot, order, goal, cfg):
     for step_idx, pid in enumerate(order):
         part = scene.part(pid)
         sweep = sample_part_sweep(part)
-        env = _environment_boxes(scene, committed, pid)
+        env = _environment_boxes(scene, committed, pid, _unmounted_obstacles(scene, pid))
         for box in sweep:
             for other in env:
                 if boxes_overlap_oracle(box.inflated(MARGIN),
@@ -114,10 +115,8 @@ def order_feasible_oracle(scene, state, robot, order, goal, cfg):
                     return False
         committed_state = SceneState(committed)
         travel = nav_grid(scene, committed_state)
-        standing = nav_grid(scene, committed_state,
-                            extra_boxes=[b.inflated(STANDING_MARGIN)
-                                         for b in sweep])
-        traj = part_trajectory(part, committed[pid], goal[pid], K)
+        standing = travel.with_boxes([b.inflated(STANDING_MARGIN) for b in sweep])
+        traj = part_trajectory(part, committed[pid], goal[pid])
         try:
             pose, _ = select_base(traj, scene, standing, robot,
                                   rng=np.random.default_rng([cfg.seed, step_idx + 777]))

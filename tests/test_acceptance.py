@@ -10,6 +10,7 @@ import time
 
 import numpy as np
 
+from artiscene import planner
 from artiscene.cli import main as cli_main
 from artiscene.errors import EstimationFailedError, LimitViolationError
 from artiscene.estimation import fit_screw
@@ -69,19 +70,19 @@ def test_criterion_1_rotation_group():
     report(1, ok, f"1000 rotations, worst deviation {worst:.2e}, {elapsed:.2f}s")
 
 
-def test_criterion_2_trajectory_suite():
+def test_criterion_2_trajectory_suite(monkeypatch):
     rng = np.random.default_rng(202)
     worst = 0.0
     for case in range(1000):
         p = rng.normal(size=3)
         axis = rand_unit(rng)
-        k = int(rng.integers(1, 15))
+        monkeypatch.setattr(planner, "K", int(rng.integers(1, 15)))
         if rng.random() < 0.5:
             pivot = rng.normal(size=3)
             joint = JointModel("revolute", axis, pivot, 0.0, math.pi / 2)
             g = rng.uniform(0.05, math.pi / 2)
             s = rng.uniform(0.0, g) if case % 2 else 0.0  # odd cases start opened
-            traj = part_trajectory(handle_part(joint, p), s, g, k)
+            traj = part_trajectory(handle_part(joint, p), s, g)
             start = rodrigues_rotation(axis, s) @ (p - pivot) + pivot
             end = rodrigues_rotation(axis, g) @ (p - pivot) + pivot
             worst = max(worst, float(np.abs(traj.waypoints[0] - start).max()),
@@ -94,7 +95,7 @@ def test_criterion_2_trajectory_suite():
             joint = JointModel("prismatic", axis, None, 0.0, 0.15)
             g = rng.uniform(0.01, 0.15)
             s = rng.uniform(0.0, g) if case % 2 else 0.0
-            traj = part_trajectory(handle_part(joint, p), s, g, k)
+            traj = part_trajectory(handle_part(joint, p), s, g)
             worst = max(worst, float(np.abs(traj.waypoints[0] - (p + s * axis)).max()),
                         float(np.abs(traj.waypoints[-1] - (p + g * axis)).max()))
             diffs = np.diff(traj.waypoints, axis=0)
@@ -102,11 +103,12 @@ def test_criterion_2_trajectory_suite():
         if s == 0.0:
             worst = max(worst, float(np.abs(traj.waypoints[0] - p).max()))
     door = JointModel("revolute", (0, 0, 1.0), (0, 0, 0), 0, math.pi / 2)
-    quarter = part_trajectory(handle_part(door, (1.0, 0.0, 0.0)), 0.0, math.pi / 2, 2)
+    monkeypatch.setattr(planner, "K", 2)
+    quarter = part_trajectory(handle_part(door, (1.0, 0.0, 0.0)), 0.0, math.pi / 2)
     expected = np.array([[1, 0, 0], [math.sqrt(2) / 2, math.sqrt(2) / 2, 0], [0, 1, 0]])
     worst = max(worst, float(np.abs(quarter.waypoints - expected).max()))
     try:
-        part_trajectory(handle_part(door, (1.0, 0.0, 0.0)), 0.0, math.pi, 2)
+        part_trajectory(handle_part(door, (1.0, 0.0, 0.0)), 0.0, math.pi)
         past_limit = "accepted"
     except LimitViolationError:
         past_limit = "rejected"
@@ -228,7 +230,7 @@ def test_criterion_6_ordering_oracle():
     orders = list(itertools.permutations(sorted(goal)))
     planner_verdicts = {}
     for idx, order in enumerate(orders):
-        _, rej = evaluate_candidate_order(scene, state, robot, order, goal, cfg, idx)
+        _, rej = evaluate_candidate_order(scene, state, robot, order, goal, cfg, idx, {})
         planner_verdicts[order] = rej is None
     oracle_verdicts = {order: order_feasible_oracle(scene, state, robot, order,
                                                     goal, cfg)
@@ -266,7 +268,7 @@ def test_criterion_7_path_blocking_fixture():
     cfg = PlannerConfig(seed=0)
     rejected_confirmed = True
     for idx, order in enumerate(itertools.permutations(sorted(goal))):
-        _, rej = evaluate_candidate_order(scene, state, robot, order, goal, cfg, idx)
+        _, rej = evaluate_candidate_order(scene, state, robot, order, goal, cfg, idx, {})
         if rej is None:
             continue
         if rej["reason"] != "path-blocked":

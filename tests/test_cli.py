@@ -253,6 +253,55 @@ def test_non_finite_scene_number_exits_2(tmp_path):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("field,value", [
+    pytest.param("rotation", [1, 0, 0, 0, 1, 0, 0, 0, -1], id="improper-rotation"),
+    pytest.param("half_extents", [0.2, 0.0, 0.12], id="zero-half-extent"),
+])
+def test_bad_scene_box_exits_2(tmp_path, capsys, field, value):
+    doc = json.loads((SCENES / "minimal_drawer.json").read_text())
+    doc["parts"][0]["shape"][field] = value
+    scene = tmp_path / "scene.json"
+    scene.write_text(json.dumps(doc))
+    rc = main(["plan", "--scene", str(scene),
+               "--goal", str(write_goal(tmp_path, {"drawer_1": 0.1})),
+               "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith(f"error: parts[0].shape.{field}: ")
+    assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize("command", ["explore", "plan", "run-all"])
+@pytest.mark.parametrize("section", [
+    pytest.param({"simm": {"noise_sigma": 5}}, id="misspelled-sim"),
+    pytest.param({"planner": {"max_candidates": 0}}, id="removed-planner"),
+])
+def test_unknown_scene_section_exits_2_before_out(tmp_path, capsys, command, section):
+    # a scene file may hold the schema's keys and the sim and robot sections
+    doc = json.loads((SCENES / "minimal_drawer.json").read_text())
+    scene = tmp_path / "scene.json"
+    scene.write_text(json.dumps({**doc, **section}))
+    args = [command, "--scene", str(scene), "--out", str(tmp_path / "out")]
+    if command != "explore":
+        args += ["--goal", str(write_goal(tmp_path, {"drawer_1": 0.1}))]
+    assert main(args) == 2
+    assert capsys.readouterr().err == f"error: {next(iter(section))}: unknown top-level section\n"
+    assert not (tmp_path / "out").exists()
+
+
+def test_written_scene_files_load_with_their_sections(tmp_path, drawer_scene):
+    # base_map.json and estimated_scene.json carry the input's sim and robot
+    # sections, the only ones besides the schema's that a scene file may hold
+    doc = json.loads(drawer_scene.read_text())
+    doc["sim"] = {"noise_sigma": 0.002}
+    drawer_scene.write_text(json.dumps(doc))
+    out = tmp_path / "out"
+    assert main(["run-all", "--scene", str(drawer_scene), "--out", str(out),
+                 "--goal", str(write_goal(tmp_path, {"drawer_1": 0.1}))]) == 0
+    for written in ("explore/base_map.json", "estimate/estimated_scene.json"):
+        _, extras = load_scene_extras(out / written)
+        assert extras == {"robot": doc["robot"], "sim": doc["sim"]}, written
+
+
 @pytest.mark.parametrize("command,extra", [
     pytest.param("explore", ["--config", "{bad"], id="explore-bad-config"),
     pytest.param("explore", ["--config", '{"sim": {"bogus": 1}}'],

@@ -5,7 +5,7 @@ import pytest
 
 from artiscene import estimation, geometry
 from artiscene.errors import EstimationFailedError, SegmentationFailedError
-from artiscene.estimation import (ContactHeatmap, EstimatedArticulation,
+from artiscene.estimation import (EstimatedArticulation,
                                   articulation_errors, estimate_record,
                                   estimated_part, fit_screw, obb_from_points,
                                   segment_mobile_part)
@@ -39,18 +39,6 @@ def line_distance(p1, u1, p2, u2):
     if n < 1e-9:
         return np.linalg.norm(w - (w @ u1) * u1)
     return abs(float(w @ c)) / n
-
-
-# --- heatmap -----------------------------------------------------------------
-
-def test_heatmap_weights():
-    hm = ContactHeatmap((0.0, 0.0, 0.0), sigma=0.1)
-    w = hm.weights(np.array([[0.0, 0, 0], [0.1, 0, 0], [1.0, 0, 0]]))
-    assert w[0] == pytest.approx(1.0)
-    assert w[1] == pytest.approx(math.exp(-0.5))
-    assert w[2] < 1e-20
-    with pytest.raises(ValueError):
-        ContactHeatmap((0, 0, 0), sigma=0.0)
 
 
 # --- fit_screw ---------------------------------------------------------------
@@ -183,7 +171,7 @@ def test_segmentation_selects_moved_drawer_only():
     rng = np.random.default_rng(7)
     pre, labels = two_part_observation(rng)
     post, _ = two_part_observation(np.random.default_rng(7), drawer_delta=0.10)
-    mask = segment_mobile_part(pre, post, ContactHeatmap(pre.hotspot), tau=0.02)
+    mask = segment_mobile_part(pre, post)
     assert mask.sum() >= 30
     assert set(labels[mask]) == {1}          # drawer points only
     assert (labels[mask] == 1).sum() >= 200  # nearly all of the drawer
@@ -194,7 +182,22 @@ def test_segmentation_no_motion_fails():
     pre, _ = two_part_observation(rng)
     post, _ = two_part_observation(np.random.default_rng(8))
     with pytest.raises(SegmentationFailedError):
-        segment_mobile_part(pre, post, ContactHeatmap(pre.hotspot), tau=0.02)
+        segment_mobile_part(pre, post)
+
+
+def test_segmentation_seeds_within_the_heatmap_radius_of_the_pre_hotspot():
+    # a candidate seeds the region grow when exp(-d^2 / (2 HEATMAP_SIGMA^2))
+    # > 0.1, that is within HEATMAP_SIGMA * sqrt(2 ln 10) of the pre hotspot
+    radius = estimation.HEATMAP_SIGMA * math.sqrt(2.0 * math.log(10.0))
+    pre, labels = two_part_observation(np.random.default_rng(7))
+    post, _ = two_part_observation(np.random.default_rng(7), drawer_delta=0.10)
+    drawer = pre.cloud.points[labels == 1]
+    x, _, z = drawer[np.argmin(drawer[:, 0])]  # the drawer's western edge
+    near = Observation(pre.cloud, (x - (radius - 0.03), 0.0, z), pre.viewpoint)
+    assert np.array_equal(segment_mobile_part(near, post), segment_mobile_part(pre, post))
+    far = Observation(pre.cloud, (x - (radius + 0.01), 0.0, z), pre.viewpoint)
+    with pytest.raises(SegmentationFailedError, match="only 0 mobile points"):
+        segment_mobile_part(far, post)
 
 
 def test_segmentation_candidates_monotone_in_tau():

@@ -62,19 +62,21 @@ def test_compliance_needs_local_points():
         _compliance_action(obs, obs.hotspot + np.array([3.0, 0.0, 0.0]))
 
 
-def test_detect_failure_thresholds():
+def test_detect_failure_thresholds(monkeypatch):
     rng = np.random.default_rng(3)
     still = face_observation(rng)
-    assert detect_failure(still, still, 0.02)              # no motion: failure
+    assert FAILURE_THRESHOLD == 0.02
+    assert detect_failure(still, still)  # no motion: failure
     moved = face_observation(rng, offset=(0.0, -0.10, 0.0))
-    assert not detect_failure(still, moved, 0.02)          # drawer advanced
+    assert not detect_failure(still, moved)  # drawer advanced
     # boundary: displacement exactly at threshold is not a failure (strict <);
     # 0.03125 = 2^-5 keeps the chamfer mean exactly representable
     exact = face_observation(np.random.default_rng(3), offset=(0.0, -0.03125, 0.0))
-    assert not detect_failure(still, exact, 0.03125)
+    monkeypatch.setattr(exploration, "FAILURE_THRESHOLD", 0.03125)
+    assert not detect_failure(still, exact)
 
 
-def test_detect_failure_equals_thresholded_chamfer():
+def test_detect_failure_equals_thresholded_chamfer(monkeypatch):
     # the check decided on the pre cloud's tree alone, or on both means,
     # equals the symmetric chamfer against the threshold on every pair: at
     # thresholds on, just above and just below both the chamfer and half the
@@ -97,7 +99,8 @@ def test_detect_failure_equals_thresholded_chamfer():
                 expected = chamfer < threshold
                 fresh = (Observation(PointCloud(o.cloud.points), o.hotspot, o.viewpoint)
                          for o in (pre, cur))
-                assert detect_failure(*fresh, threshold) == expected, (chamfer, threshold)
+                monkeypatch.setattr(exploration, "FAILURE_THRESHOLD", threshold)
+                assert detect_failure(*fresh) == expected, (chamfer, threshold)
                 decided["first" if half_cur >= threshold else f"second-{expected}"] += 1
     assert set(decided) == {"first", "second-True", "second-False"}
 
@@ -142,7 +145,8 @@ def test_classify_small_rotation_is_prismatic():
     pre = face_observation(rng)
     post = face_observation(rng, normal_angle=math.radians(2.0),
                             offset=(0.0, -0.05, 0.0))
-    assert classify_joint(pre, post, threshold=math.radians(5.0)) == PRISMATIC_KIND
+    assert exploration.CLASSIFY_THRESHOLD == math.radians(5.0)
+    assert classify_joint(pre, post) == PRISMATIC_KIND
 
 
 def test_classify_no_motion_unknown():
@@ -153,13 +157,13 @@ def test_classify_no_motion_unknown():
 
 def empty_grid():
     base = StaticBaseMap((), (0, 0), (4, 4))
-    return nav_grid(KinematicScene(base, ()), SceneState({}), 0.05, 0.3)
+    return nav_grid(KinematicScene(base, ()), SceneState({}))
 
 
 def test_reposition_prismatic_retreats_along_pull():
     grid = empty_grid()
     robot = RobotState(base_pose=(1.8, 1.0, 0.0))
-    pose = reposition_base(PRISMATIC_KIND, (2.0, 1.0, 0.6), robot, 0.30, grid)
+    pose = reposition_base(PRISMATIC_KIND, (2.0, 1.0, 0.6), robot, grid)
     assert pose[0] == pytest.approx(1.7, abs=0.051)
     assert pose[1] == pytest.approx(1.0, abs=0.051)
 
@@ -168,8 +172,8 @@ def test_reposition_revolute_moves_to_rotation_side():
     grid = empty_grid()
     robot = RobotState(base_pose=(2.0, 1.0, math.pi / 2))
     hotspot = (2.0, 2.0, 0.5)
-    left = reposition_base(REVOLUTE_LEFT, hotspot, robot, 0.30, grid)
-    right = reposition_base(REVOLUTE_RIGHT, hotspot, robot, 0.30, grid)
+    left = reposition_base(REVOLUTE_LEFT, hotspot, robot, grid)
+    right = reposition_base(REVOLUTE_RIGHT, hotspot, robot, grid)
     # facing +y, a counterclockwise (left) part swings its handle toward +x
     assert left[0] > 2.0
     assert right[0] < 2.0
@@ -180,26 +184,26 @@ def test_reposition_revolute_moves_to_rotation_side():
 
 def test_reposition_snaps_to_free_cell():
     scene, _ = load("kitchen")
-    grid = nav_grid(scene, scene.initial_state(), 0.05, 0.30)
+    grid = nav_grid(scene, scene.initial_state())
     robot = RobotState(base_pose=(3.0, 2.8, math.pi / 2))
     # target 0.3 from a hotspot on the counter face is inside the inflated zone
-    pose = reposition_base(PRISMATIC_KIND, (3.0, 3.37, 0.7), robot, 0.30, grid)
+    pose = reposition_base(PRISMATIC_KIND, (3.0, 3.37, 0.7), robot, grid)
     assert grid.is_free(pose[:2])
 
 
-def test_reposition_fails_when_no_free_cell():
+def test_reposition_fails_when_no_free_cell(monkeypatch):
     scene, _ = load("kitchen")
-    grid = nav_grid(scene, scene.initial_state(), 0.05, 0.30)
+    grid = nav_grid(scene, scene.initial_state())
     robot = RobotState(base_pose=(3.0, 3.05, math.pi / 2))
     # a target deep inside the counter with a tiny snap radius cannot resolve
+    monkeypatch.setattr(exploration, "SNAP_RADIUS", 0.05)
     with pytest.raises(RepositionFailedError):
-        reposition_base(PRISMATIC_KIND, (3.0, 3.9, 0.7), robot, 0.30, grid,
-                        snap_radius=0.05)
+        reposition_base(PRISMATIC_KIND, (3.0, 3.9, 0.7), robot, grid)
 
 
 def test_explore_minimal_drawer_noiseless():
     scene, _ = load("minimal_drawer")
-    result = explore_scene(scene, noiseless_sim(), rng=np.random.default_rng(0))
+    result = explore_scene(scene, noiseless_sim(), robot=RobotState(), rng=np.random.default_rng(0))
     assert len(result.records) == 1
     rec = result.records[0]
     assert rec.succeeded
@@ -213,7 +217,7 @@ def test_explore_minimal_drawer_noiseless():
 
 def test_explore_succeeded_record_invariant():
     scene, _ = load("minimal_drawer")
-    result = explore_scene(scene, SimConfig(), rng=np.random.default_rng(5))
+    result = explore_scene(scene, SimConfig(), robot=RobotState(), rng=np.random.default_rng(5))
     for rec in result.records:
         # the record's displacement is the chamfer distance, to the bit
         assert rec.displacement == cloud_displacement(rec.pre.cloud, rec.post.cloud)
@@ -227,7 +231,7 @@ def test_explore_empty_space_handle_fails_out(monkeypatch):
     monkeypatch.setattr(exploration, "MAX_ATTEMPTS", 2)
     handles = [Handle("ghost", np.array([0.5, 0.5, 0.5]))]
     result = explore_scene(scene, noiseless_sim(), handles=handles,
-                           rng=np.random.default_rng(0))
+                           robot=RobotState(), rng=np.random.default_rng(0))
     rec = result.records[0]
     assert not rec.succeeded
     assert rec.attempts_used == 2
@@ -237,7 +241,7 @@ def test_explore_empty_space_handle_fails_out(monkeypatch):
 def test_explore_single_attempt_on_perfect_drawer():
     # noiseless reachable prismatic joint: the first attempt must succeed
     scene, _ = load("minimal_drawer")
-    result = explore_scene(scene, noiseless_sim(), rng=np.random.default_rng(1))
+    result = explore_scene(scene, noiseless_sim(), robot=RobotState(), rng=np.random.default_rng(1))
     assert result.records[0].attempts_used == 1
 
 
@@ -247,7 +251,7 @@ def test_explore_step_and_attempt_budgets_respected(monkeypatch):
     monkeypatch.setattr(exploration, "MAX_ATTEMPTS", 2)
     handles = [Handle("ghost", np.array([0.5, 0.5, 0.5]))]
     result = explore_scene(scene, noiseless_sim(), handles=handles,
-                           rng=np.random.default_rng(3))
+                           robot=RobotState(), rng=np.random.default_rng(3))
     assert result.records[0].attempts_used <= 2
     pulls = sum(1 for ev in result.events
                 if ev["event"] in ("pull", "pull-failed", "pull-blocked"))
@@ -260,7 +264,7 @@ def test_final_check_logs_the_last_step(monkeypatch):
     scene, _ = load("minimal_drawer")
     monkeypatch.setattr(exploration, "MAX_STEPS", 1)
     monkeypatch.setattr(exploration, "MAX_ATTEMPTS", 1)
-    result = explore_scene(scene, noiseless_sim(), rng=np.random.default_rng(3))
+    result = explore_scene(scene, noiseless_sim(), robot=RobotState(), rng=np.random.default_rng(3))
     steps = [(ev["event"], ev["step"]) for ev in result.events if "step" in ev]
     assert steps == [("pull", 1), ("failure", 1)]
     assert not result.records[0].succeeded
@@ -277,7 +281,7 @@ def test_explore_survives_a_failed_pre_observation(monkeypatch):
 
     monkeypatch.setattr(exploration, "_observe", first_fails)
     scene, _ = load("minimal_drawer")
-    result = explore_scene(scene, noiseless_sim(), rng=np.random.default_rng(0))
+    result = explore_scene(scene, noiseless_sim(), robot=RobotState(), rng=np.random.default_rng(0))
     rec = result.records[0]
     assert rec.pre is None and rec.post is not None
     assert not any(ev["event"] == "observe-failed" for ev in result.events)
@@ -318,7 +322,7 @@ def test_explore_reuses_poses_footprint_masks_and_kd_trees(monkeypatch):
     monkeypatch.setattr(scene_module, "part_pose_at", counting_pose)
     monkeypatch.setattr(sim, "_near_polygon", counting_near_polygon)
     monkeypatch.setattr(geometry, "kd_tree", counting_tree)
-    result = explore_scene(scene, SimConfig(), rng=np.random.default_rng(0))
+    result = explore_scene(scene, SimConfig(), robot=RobotState(), rng=np.random.default_rng(0))
     assert all(r.succeeded for r in result.records)
 
     assert len(poses) > len(scene.parts) and max(poses.values()) == 1
@@ -357,7 +361,7 @@ def test_explore_builds_each_crop_window_once_per_viewpoint_and_site(monkeypatch
     scene, _ = load("kitchen")
     monkeypatch.setattr(exploration, "render_observation", locating_render)
     monkeypatch.setattr(sim, "_window_nodes", counting_window_nodes)
-    result = explore_scene(scene, SimConfig(), rng=np.random.default_rng(0))
+    result = explore_scene(scene, SimConfig(), robot=RobotState(), rng=np.random.default_rng(0))
     assert all(r.succeeded for r in result.records)
 
     n_boxes = len(scene.base.obstacles) + len(scene.parts)
@@ -374,7 +378,7 @@ def test_explore_keeps_no_pending_draw():
         pass
 
     rng = Rng(np.random.PCG64(0))
-    explore_scene(load("blocked_aisle")[0], SimConfig(), rng=rng)
+    explore_scene(load("blocked_aisle")[0], SimConfig(), robot=RobotState(), rng=rng)
     gone = weakref.ref(rng)
     del rng
     assert gone() is None and sim._pending is None
@@ -433,7 +437,7 @@ def test_a_deferred_classification_equals_the_completed_attempts_own(monkeypatch
     scene, _ = load("kitchen")
     monkeypatch.setattr(exploration, "_observe", recording_observe)
     monkeypatch.setattr(exploration, "_classify", post_unknown_classify)
-    result = explore_scene(scene, SimConfig(), rng=np.random.default_rng(0))
+    result = explore_scene(scene, SimConfig(), robot=RobotState(), rng=np.random.default_rng(0))
     assert not any(e["event"] == "failure" for e in result.events)
 
     kinds = Counter()
@@ -480,7 +484,7 @@ def _edge_boxes(scene):
     return [aligned_box((x, y, 0.5), (0.1, 0.15, 0.5)) for x, y in centers]
 
 
-def test_cached_nav_grid_equals_fresh_rasterization():
+def test_cached_nav_grid_equals_fresh_rasterization(monkeypatch):
     scene, _ = load("kitchen")
     rng = np.random.default_rng(7)
     states = [scene.initial_state()]
@@ -500,7 +504,9 @@ def test_cached_nav_grid_equals_fresh_rasterization():
             extra.append(extra[0])  # a box given twice
         if case % 4 < 3:
             extra += edge_boxes
-        grid = nav_grid(scene, state, resolution, radius, extra_boxes=extra)
+        monkeypatch.setattr(sim, "GRID_RESOLUTION", resolution)
+        monkeypatch.setattr(sim, "ROBOT_RADIUS", radius)
+        grid = nav_grid(scene, state).with_boxes(extra)
         assert np.array_equal(grid.occupied,
                               _rasterize(scene, state, resolution, radius, extra)), case
     # each box keeps one (rows, cols, mask) per grid geometry: its footprint

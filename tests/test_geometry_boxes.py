@@ -163,7 +163,7 @@ def test_obb_overlaps_batched_matches_single_pairs():
     # a cross axis whose norm sits at the 1e-12 skip cutoff
     c = OrientedBox((3.0, 0, 0), (0.5, 0.5, 0.5), rodrigues_rotation((0, 0, 1), 1e-12))
     assert obb_overlaps([a], [c], 0.0).tolist() == [[False]]
-    assert obb_overlaps([], [a, b]).shape == (0, 2)
-    assert obb_overlaps([a, b], ()).shape == (2, 0)
+    assert obb_overlaps([], [a, b], 0.02).shape == (0, 2)
+    assert obb_overlaps([a, b], (), 0.02).shape == (2, 0)
     with pytest.raises(ValueError):
         obb_overlaps([a], [b], margin=-0.1)

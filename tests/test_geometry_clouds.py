@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 from scipy.spatial import cKDTree
 
+from artiscene import geometry
 from artiscene.errors import DegenerateGeometryError
 from artiscene.geometry import (PointCloud, consensus_plane_normal,
                                 fit_rigid_transform, load_xyz, plane_normal,
@@ -213,7 +214,7 @@ CONSENSUS_CASES = (_planes_case, _mirrored_case, _line_and_plane_case, _collinea
                    _coincident_case, _clusters_case, _small_case)
 
 
-def test_consensus_plane_normal_matches_loop_reference():
+def test_consensus_plane_normal_matches_loop_reference(monkeypatch):
     rng = np.random.default_rng(2025)
     outcomes = Counter()
     for case in range(420):
@@ -221,10 +222,12 @@ def test_consensus_plane_normal_matches_loop_reference():
         pts = make(rng, int(rng.integers(3, 200)))
         pts = pts[rng.permutation(len(pts))]
         kwargs = {"viewpoint": rng.normal(size=3) if rng.random() < 0.5 else None,
-                  "min_points": int(rng.integers(1, 40)),
-                  "inlier_tol": float(rng.choice([0.002, 0.008, 0.05]))}
+                  "min_points": int(rng.integers(1, 40))}
+        inlier_tol = float(rng.choice([0.002, 0.008, 0.05]))
+        monkeypatch.setattr(geometry, "INLIER_TOL", inlier_tol)
         try:
-            expected, tied = reference_consensus_plane_normal(pts, **kwargs)
+            expected, tied = reference_consensus_plane_normal(pts, inlier_tol=inlier_tol,
+                                                               **kwargs)
         except DegenerateGeometryError as e:
             with pytest.raises(DegenerateGeometryError) as got:
                 consensus_plane_normal(pts, **kwargs)

@@ -70,9 +70,3 @@ def test_rigid_transform_compose_inverse():
         inv = t.inverse()  # t after its inverse: x -> R (R' x + t') + t
         assert np.allclose(t.rotation @ inv.rotation, np.eye(3), atol=1e-12)
         assert np.allclose(t.rotation @ inv.translation + t.translation, 0.0, atol=1e-12)
-
-
-def test_rejects_improper_rotation():
-    bad = np.diag([1.0, 1.0, -1.0])
-    with pytest.raises(ValueError):
-        RigidTransform(bad, np.zeros(3))

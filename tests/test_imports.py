@@ -10,6 +10,7 @@ TYPE_CHECKING imports are used in).
 """
 
 import ast
+import math
 from collections import Counter
 from pathlib import Path
 
@@ -132,3 +133,77 @@ def test_every_definition_has_a_caller_in_src():
     trees = {p.stem: ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
     found = [d for d in uncalled(trees) if d.split(".")[1] not in CALLED_FROM_OUTSIDE]
     assert not found, f"defined in src/artiscene but called only from outside it: {found}"
+
+
+# defaulted parameters that no call in src passes, each with the reason
+DEFAULT_ONLY = {
+    "main(argv)": "the console script calls main() and tests pass an argument list",
+    "validate_plan(config)": "the benchmark's set-up check passes it; it goes with a "
+                             "benchmark change (ROADMAP item 2)",
+    "explore_scene(handles)": "a handle detector model is to pass detected handles "
+                              "(ROADMAP item 6)",
+}
+
+
+def defaulted_parameters(tree):
+    """(function, parameter, its positional index after self, or None when
+    keyword-only) for every parameter with a default, methods included."""
+    methods = {id(m) for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for m in c.body}
+    for node in ast.walk(tree):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            args = node.args
+            positional = [*args.posonlyargs, *args.args][id(node) in methods:]
+            first = len(positional) - len(args.defaults)
+            for i, arg in enumerate(positional[first:], first):
+                yield node.name, arg.arg, i
+            for arg, default in zip(args.kwonlyargs, args.kw_defaults):
+                if default is not None:
+                    yield node.name, arg.arg, None
+
+
+def passed(trees):
+    """name -> (the most positional arguments of a call to it, the keywords
+    passed), over calls by name or attribute; a *args or **kwargs argument
+    counts as passing every parameter."""
+    found = {}
+    for tree in trees.values():
+        for call in (n for n in ast.walk(tree) if isinstance(n, ast.Call)):
+            name = getattr(call.func, "id", getattr(call.func, "attr", None))
+            most, keywords = found.setdefault(name, (0, set()))
+            starred = any(isinstance(a, ast.Starred) for a in call.args)
+            keywords |= {k.arg for k in call.keywords}
+            found[name] = (math.inf if starred or None in keywords
+                           else max(most, len(call.args)), keywords)
+    return found
+
+
+def never_passed(trees):
+    """'module.function(parameter)' for each defaulted parameter that no call
+    in trees passes, by position or by keyword."""
+    calls = passed(trees)
+    return sorted(f"{module}.{function}({param})" for module, tree in trees.items()
+                  for function, param, index in defaulted_parameters(tree)
+                  if not (param in calls.get(function, (0, ()))[1]
+                          or (index is not None and calls.get(function, (0,))[0] > index)))
+
+
+def test_default_guard_sees_parameters_no_call_passes():
+    tree = ast.parse("def f(a, b=1, *, c=2, d=3): pass\n"
+                     "def g(x=0): pass\n"
+                     "def h(y=0): pass\n"
+                     "def k(z=0): pass\n"
+                     "class A:\n"
+                     "    def m(self, p=1, q=2): pass\n"
+                     "f(0, 1, d=4)\n"
+                     "g(*args)\n"
+                     "k(**kwargs)\n"
+                     "A().m(5)\n"
+                     "h\n")
+    assert never_passed({"mod": tree}) == ["mod.f(c)", "mod.h(y)", "mod.m(q)"]
+
+
+def test_every_default_is_passed_somewhere_in_src():
+    trees = {p.stem: ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
+    found = [d for d in never_passed(trees) if d.split(".", 1)[1] not in DEFAULT_ONLY]
+    assert not found, f"defaulted parameters that no call in src/artiscene passes: {found}"
+    assert sorted(d.split(".", 1)[1] for d in never_passed(trees)) == sorted(DEFAULT_ONLY)

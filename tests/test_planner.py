@@ -34,8 +34,14 @@ def pris_joint(axis=(1.0, 0.0, 0.0), lim=0.15):
 
 # --- trajectories ------------------------------------------------------------
 
-def test_revolute_quarter_circle_hand_computed():
-    traj = part_trajectory(handle_part(rev_joint(), (1.0, 0.0, 0.0)), 0.0, math.pi / 2, K=2)
+def trajectory(monkeypatch, part, theta_start, theta_goal, k):
+    """part_trajectory with planner.K set to k."""
+    monkeypatch.setattr(planner, "K", k)
+    return part_trajectory(part, theta_start, theta_goal)
+
+
+def test_revolute_quarter_circle_hand_computed(monkeypatch):
+    traj = trajectory(monkeypatch, handle_part(rev_joint(), (1.0, 0.0, 0.0)), 0.0, math.pi / 2, 2)
     expected = np.array([[1.0, 0.0, 0.0],
                          [math.sqrt(2) / 2, math.sqrt(2) / 2, 0.0],
                          [0.0, 1.0, 0.0]])
@@ -43,18 +49,18 @@ def test_revolute_quarter_circle_hand_computed():
     assert traj.part_id == "p" and traj.goal_delta == math.pi / 2
 
 
-def test_revolute_first_waypoint_is_grasp():
+def test_revolute_first_waypoint_is_grasp(monkeypatch):
     rng = np.random.default_rng(0)
     for _ in range(50):
         p = rng.normal(size=3)
         axis = rng.normal(size=3)
         axis /= np.linalg.norm(axis)
         part = handle_part(rev_joint(axis, rng.normal(size=3)), p)
-        traj = part_trajectory(part, 0.0, rng.uniform(0.1, math.pi / 2), K=7)
+        traj = trajectory(monkeypatch, part, 0.0, rng.uniform(0.1, math.pi / 2), 7)
         assert np.allclose(traj.waypoints[0], p, atol=1e-15)
 
 
-def test_revolute_radius_preserved():
+def test_revolute_radius_preserved(monkeypatch):
     rng = np.random.default_rng(1)
     for _ in range(100):
         axis = rng.normal(size=3)
@@ -63,7 +69,7 @@ def test_revolute_radius_preserved():
         p = rng.normal(size=3)
         part = handle_part(rev_joint(axis, pivot), p)
         start = rng.uniform(0.0, 0.5)
-        traj = part_trajectory(part, start, rng.uniform(start + 0.05, math.pi / 2), K=10)
+        traj = trajectory(monkeypatch, part, start, rng.uniform(start + 0.05, math.pi / 2), 10)
         rel = traj.waypoints - pivot
         radial = rel - np.outer(rel @ axis, axis)
         r = np.linalg.norm(radial, axis=1)
@@ -72,26 +78,24 @@ def test_revolute_radius_preserved():
         assert np.allclose(traj.waypoints[0], first, atol=1e-12)
 
 
-def test_prismatic_spacing_and_endpoint():
+def test_prismatic_spacing_and_endpoint(monkeypatch):
     part = handle_part(pris_joint(), (0.0, 0.0, 0.0))
-    traj = part_trajectory(part, 0.0, 0.15, K=3)
+    traj = trajectory(monkeypatch, part, 0.0, 0.15, 3)
     assert np.allclose(traj.waypoints[:, 0], [0.0, 0.05, 0.10, 0.15], atol=1e-12)
     diffs = np.diff(traj.waypoints, axis=0)
     assert np.allclose(diffs, diffs[0], atol=1e-12)  # affine in i
     assert np.allclose(traj.waypoints[-1], [0.15, 0, 0], atol=1e-12)
     # from an opened state: the handle starts where that state put it
-    traj = part_trajectory(part, 0.03, 0.15, K=4)
+    traj = trajectory(monkeypatch, part, 0.03, 0.15, 4)
     assert np.allclose(traj.waypoints[:, 0], [0.03, 0.06, 0.09, 0.12, 0.15], atol=1e-12)
     assert traj.goal_delta == pytest.approx(0.12, abs=1e-15)
 
 
-def test_trajectory_limit_violation():
+def test_trajectory_limit_violation(monkeypatch):
     with pytest.raises(LimitViolationError):
-        part_trajectory(handle_part(pris_joint(), (0, 0, 0)), 0.0, 0.5, K=3)
+        trajectory(monkeypatch, handle_part(pris_joint(), (0, 0, 0)), 0.0, 0.5, 3)
     with pytest.raises(LimitViolationError):
-        part_trajectory(handle_part(rev_joint(), (1, 0, 0)), 0.0, 2 * math.pi, K=3)
-    with pytest.raises(ValueError):
-        part_trajectory(handle_part(rev_joint(), (1, 0, 0)), 0.0, 0.1, K=0)
+        trajectory(monkeypatch, handle_part(rev_joint(), (1, 0, 0)), 0.0, 2 * math.pi, 3)
 
 
 def test_waypoint_count_invariant():
@@ -165,7 +169,7 @@ def test_collision_check_reports_the_loops_first_pair():
 
 def open_floor_grid():
     base = StaticBaseMap((), (0, 0), (4, 4))
-    return nav_grid(KinematicScene(base, ()), SceneState({}), 0.05, 0.3)
+    return nav_grid(KinematicScene(base, ()), SceneState({}))
 
 
 def test_path_on_empty_grid():
@@ -176,7 +180,7 @@ def test_path_on_empty_grid():
 def test_path_blocked_by_full_wall():
     wall = aligned_box((2.0, 2.0, 0.5), (0.1, 2.0, 0.5))
     base = StaticBaseMap((wall,), (0, 0), (4, 4))
-    grid = nav_grid(KinematicScene(base, ()), SceneState({}), 0.05, 0.3)
+    grid = nav_grid(KinematicScene(base, ()), SceneState({}))
     assert not check_path(grid, (0.5, 2.0, 0.0), (3.5, 2.0, 0.0))
     assert check_path(grid, (0.5, 0.5, 0.0), (0.5, 3.5, 0.0))
 
@@ -184,7 +188,7 @@ def test_path_blocked_by_full_wall():
 def test_path_pose_in_occupied_cell_unreachable():
     wall = aligned_box((2.0, 2.0, 0.5), (0.1, 2.0, 0.5))
     base = StaticBaseMap((wall,), (0, 0), (4, 4))
-    grid = nav_grid(KinematicScene(base, ()), SceneState({}), 0.05, 0.3)
+    grid = nav_grid(KinematicScene(base, ()), SceneState({}))
     assert not check_path(grid, (2.0, 2.0, 0.0), (0.5, 0.5, 0.0))
 
 
@@ -307,41 +311,50 @@ def test_check_path_matches_bfs_reference(monkeypatch):
 
 # --- base selection ----------------------------------------------------------
 
+def select(monkeypatch, n_samples, sample_range, *args, rng):
+    """select_base with planner.N_SAMPLES and planner.SAMPLE_RANGE set."""
+    monkeypatch.setattr(planner, "N_SAMPLES", n_samples)
+    monkeypatch.setattr(planner, "SAMPLE_RANGE", sample_range)
+    return select_base(*args, rng=rng)
+
+
 def test_select_base_full_coverage():
     scene = KinematicScene(StaticBaseMap((), (0, 0), (4, 4)), ())
-    grid = nav_grid(scene, SceneState({}), 0.05, 0.3)
+    grid = nav_grid(scene, SceneState({}))
     wps = np.column_stack([np.linspace(1.9, 2.1, 11), np.full(11, 2.0),
                            np.full(11, 0.6)])
     traj = EndEffectorTrajectory("p", wps, 0.2, 10)
     arm = RobotState()
-    pose, score = select_base(traj, scene, grid, arm, n_samples=200,
-                              rng=np.random.default_rng(3))
+    assert planner.N_SAMPLES == 200
+    pose, score = select_base(traj, scene, grid, arm, rng=np.random.default_rng(3))
     assert score == 11
     assert all(arm.at(pose).can_reach(w) for w in wps)
 
 
-def test_select_base_no_free_samples():
+def test_select_base_no_free_samples(monkeypatch):
     wall = aligned_box((2.0, 2.0, 0.5), (1.9, 1.9, 0.5))
     scene = KinematicScene(StaticBaseMap((wall,), (0, 0), (4, 4)), ())
-    grid = nav_grid(scene, SceneState({}), 0.05, 0.3)
+    grid = nav_grid(scene, SceneState({}))
     traj = EndEffectorTrajectory("p", np.tile([2.0, 2.0, 0.6], (3, 1)), 0.1, 2)
     with pytest.raises(NoBaseFoundError):
-        select_base(traj, scene, grid, RobotState(), n_samples=50,
-                    sample_range=0.5, rng=np.random.default_rng(0))
+        select(monkeypatch, 50, 0.5, traj, scene, grid, RobotState(),
+               rng=np.random.default_rng(0))
 
 
-def test_select_base_deterministic_and_prefix_monotone():
+def test_select_base_deterministic_and_prefix_monotone(monkeypatch):
     scene = KinematicScene(StaticBaseMap((), (0, 0), (4, 4)), ())
-    grid = nav_grid(scene, SceneState({}), 0.05, 0.3)
+    grid = nav_grid(scene, SceneState({}))
     wps = np.column_stack([np.linspace(1.0, 3.0, 11), np.full(11, 2.0),
                            np.full(11, 0.6)])
     traj = EndEffectorTrajectory("p", wps, 0.2, 10)
     arm = RobotState()
-    p1, s1 = select_base(traj, scene, grid, arm, 200, rng=np.random.default_rng(9))
-    p2, s2 = select_base(traj, scene, grid, arm, 200, rng=np.random.default_rng(9))
+    p1, s1 = select(monkeypatch, 200, planner.SAMPLE_RANGE, traj, scene, grid, arm,
+                    rng=np.random.default_rng(9))
+    p2, s2 = select(monkeypatch, 200, planner.SAMPLE_RANGE, traj, scene, grid, arm,
+                    rng=np.random.default_rng(9))
     assert p1 == p2 and s1 == s2
-    _, s_prefix = select_base(traj, scene, grid, arm, 50,
-                              rng=np.random.default_rng(9))
+    _, s_prefix = select(monkeypatch, 50, planner.SAMPLE_RANGE, traj, scene, grid, arm,
+                         rng=np.random.default_rng(9))
     assert s1 >= s_prefix
 
 
@@ -394,7 +407,7 @@ def test_select_base_matches_loop_reference(monkeypatch):
             obstacles.append(aligned_box((c[0], c[1], 0.5),
                                                       (half[0], half[1], 0.5)))
         scene = KinematicScene(StaticBaseMap(tuple(obstacles), lo, hi), ())
-        grid = nav_grid(scene, SceneState({}), 0.05, 0.3)
+        grid = nav_grid(scene, SceneState({}))
         n_wp = int(rng.integers(2, 12))
         start = rng.uniform(lo, hi)
         wps = np.column_stack([start + np.cumsum(rng.normal(0.0, 0.05, (n_wp, 2)), axis=0),
@@ -423,11 +436,11 @@ def test_select_base_matches_loop_reference(monkeypatch):
             regimes["budget spent"] += 1
         if expected is None:
             with pytest.raises(NoBaseFoundError):
-                select_base(traj, scene, grid, arm, n_samples, sample_range,
-                            rng=np.random.default_rng(case))
+                select(monkeypatch, n_samples, sample_range, traj, scene, grid, arm,
+                       rng=np.random.default_rng(case))
         else:
-            assert select_base(traj, scene, grid, arm, n_samples, sample_range,
-                               rng=np.random.default_rng(case)) == expected, case
+            assert select(monkeypatch, n_samples, sample_range, traj, scene, grid, arm,
+                          rng=np.random.default_rng(case)) == expected, case
     assert 0 < raised < 300
     assert set(regimes) == {"first block", "second block", "budget spent"}, regimes
 
@@ -446,7 +459,7 @@ class _Scripted:
         return out[0] if size is None else np.array(out)
 
 
-def test_select_base_matches_loop_reference_on_cell_edges_and_floor_slack():
+def test_select_base_matches_loop_reference_on_cell_edges_and_floor_slack(monkeypatch):
     """Samples exactly on cell edges, exactly at floor_min - 1e-12 and
     floor_max + 1e-12, and one float past them, on a grid that reaches past
     the floor on every side."""
@@ -472,10 +485,11 @@ def test_select_base_matches_loop_reference_on_cell_edges_and_floor_slack():
                                              _Scripted(stream))
         except NoBaseFoundError:
             with pytest.raises(NoBaseFoundError):
-                select_base(traj, scene, grid, arm, n_samples, 1.0, rng=_Scripted(stream))
+                select(monkeypatch, n_samples, 1.0, traj, scene, grid, arm,
+                       rng=_Scripted(stream))
             continue
-        assert select_base(traj, scene, grid, arm, n_samples, 1.0,
-                           rng=_Scripted(stream)) == expected, (cx, cy, n_samples, first)
+        assert select(monkeypatch, n_samples, 1.0, traj, scene, grid, arm,
+                      rng=_Scripted(stream)) == expected, (cx, cy, n_samples, first)
         for v in expected[0][:2]:
             chosen["slack" if v in slack else "past" if v in past else "edge"] += 1
     # bases are chosen on the slack itself but never past it
@@ -499,7 +513,7 @@ def test_unknown_goal_part_raises():
     scene, _ = load("minimal_drawer")
     with pytest.raises(UnknownPartError):
         plan_scene(scene, scene.initial_state(), RobotState(base_pose=(1.5, 1, 0)),
-                   {"nope": 0.1})
+                   {"nope": 0.1}, PlannerConfig())
 
 
 def test_candidate_orders_sample_goals_of_more_than_6_parts(monkeypatch):
@@ -530,7 +544,7 @@ def test_galley_ordering_constraint_matches_oracle():
     cfg = PlannerConfig(seed=0)
     verdicts = {}
     for idx, order in enumerate(itertools.permutations(sorted(goal))):
-        _, rej = evaluate_candidate_order(scene, state, robot, order, goal, cfg, idx)
+        _, rej = evaluate_candidate_order(scene, state, robot, order, goal, cfg, idx, {})
         verdicts[order] = rej is None
     # exactly the orders opening the island door before the dishwasher work
     for order, ok in verdicts.items():
@@ -583,7 +597,7 @@ def test_plan_scene_builds_each_step_world_once(monkeypatch):
     # evaluating every order on its own, without sharing, agrees
     diagnostics, steps = [], []
     for idx, order in enumerate(itertools.permutations(sorted(goal))):
-        steps, rej = evaluate_candidate_order(scene, state, robot, order, goal, cfg, idx)
+        steps, rej = evaluate_candidate_order(scene, state, robot, order, goal, cfg, idx, {})
         if rej is None:
             break
         diagnostics.append(rej)
@@ -592,7 +606,7 @@ def test_plan_scene_builds_each_step_world_once(monkeypatch):
     assert plan_to_json(plan, scene) == plan_to_json(
         InteractionPlan(True, steps, diagnostics), scene)
     assert shared < len(builds) - shared
-    # each standing grid equals the grid nav_grid builds from every box at once
+    # each standing grid equals one with_boxes pass over every box at once
     worlds = {}
     for idx, order in enumerate(itertools.permutations(sorted(goal))):
         if evaluate_candidate_order(scene, state, robot, order, goal, cfg, idx, worlds)[1] is None:
@@ -603,8 +617,18 @@ def test_plan_scene_builds_each_step_world_once(monkeypatch):
         if pair is None:
             boxes = [planner._standing_box(b)
                      for b in planner.sample_part_sweep(scene.part(part_id))]
-            full = real_nav_grid(scene, SceneState(dict(states)), extra_boxes=boxes)
+            full = every_box_at_once(scene, SceneState(dict(states)), boxes)
             assert np.array_equal(grid.occupied, full.occupied), (states, part_id)
+
+
+def every_box_at_once(scene, state, extra):
+    """The grid of nav_grid(scene, state) with the extra boxes rasterized in
+    the same with_boxes pass as the scene's own boxes."""
+    grid = nav_grid(scene, state)
+    boxes = list(scene.base.obstacles) + [scene_module.part_shape_at(p, state.theta(p.id))
+                                          for p in scene.parts]
+    empty = OccupancyGrid(grid.origin, grid.resolution, np.zeros_like(grid.occupied))
+    return empty.with_boxes(boxes + list(extra))
 
 
 def test_plan_scene_makes_one_sat_pass_per_step_world(monkeypatch):
@@ -621,7 +645,7 @@ def test_plan_scene_makes_one_sat_pass_per_step_world(monkeypatch):
     worlds = []
     real_step_world = planner._step_world
 
-    def counting_step_world(scene, committed, part, travel, obstacles=None):
+    def counting_step_world(scene, committed, part, travel, obstacles):
         worlds.append((tuple(sorted(committed.items())), part.id))
         return real_step_world(scene, committed, part, travel, obstacles)
 
@@ -645,10 +669,10 @@ def test_plan_scene_builds_each_trajectory_once(monkeypatch):
     built, used = {}, []
     real_trajectory, real_select_base = planner.part_trajectory, planner.select_base
 
-    def counting_trajectory(part, theta_start, theta_goal, K):
+    def counting_trajectory(part, theta_start, theta_goal):
         key = (part.id, theta_start, theta_goal)
         assert key not in built, key
-        built[key] = real_trajectory(part, theta_start, theta_goal, K)
+        built[key] = real_trajectory(part, theta_start, theta_goal)
         return built[key]
 
     def recording_select_base(trajectory, *args, **kwargs):
@@ -665,14 +689,15 @@ def test_plan_scene_builds_each_trajectory_once(monkeypatch):
     for (part_id, theta_start, theta_goal), trajectory in built.items():
         with pytest.raises(ValueError, match="read-only"):
             trajectory.waypoints[0, 0] = 0.0
-        fresh = real_trajectory(scene.part(part_id), theta_start, theta_goal, planner.K)
+        fresh = real_trajectory(scene.part(part_id), theta_start, theta_goal)
         assert np.array_equal(trajectory.waypoints, fresh.waypoints)
         assert (trajectory.part_id, trajectory.goal_delta, trajectory.K) == \
             (fresh.part_id, fresh.goal_delta, fresh.K)
     # evaluating every order on its own, without sharing, agrees
     monkeypatch.setattr(planner, "part_trajectory", real_trajectory)
     assert plan.diagnostics == [
-        evaluate_candidate_order(scene, state, robot, order, goal, PlannerConfig(seed=0), idx)[1]
+        evaluate_candidate_order(scene, state, robot, order, goal, PlannerConfig(seed=0), idx,
+                                 {})[1]
         for idx, order in enumerate(itertools.permutations(sorted(goal)))]
 
 
@@ -696,7 +721,7 @@ def test_blocked_aisle_dishwasher_planned_last():
     # the rejected ordering is genuinely blocked: flood fill confirms
     cfg = PlannerConfig(seed=0)
     steps, rej = evaluate_candidate_order(scene, state, robot,
-                                          ("dishwasher", "east_drawer"), goal, cfg, 0)
+                                          ("dishwasher", "east_drawer"), goal, cfg, 0, {})
     assert rej is not None and rej["reason"] == "path-blocked"
     committed = state.with_theta("dishwasher", goal["dishwasher"])
     grid = nav_grid(scene, committed)

@@ -248,6 +248,36 @@ def test_non_finite_scene_numbers_name_the_field(path, value, field):
     assert exc.value.field == field
 
 
+# boxes are checked where a scene file enters, not by the OrientedBox
+# constructor: a proper orthonormal rotation and positive half extents
+BAD_BOXES = [
+    (("parts", 0, "shape", "rotation"), [1, 0, 0, 0, 1, 0, 0, 0, -1],
+     "parts[0].shape.rotation"),  # improper: a reflection
+    (("parts", 0, "shape", "rotation"), [1, 0, 0, 0, 1, 0.1, 0, 0, 1],
+     "parts[0].shape.rotation"),  # not orthonormal
+    (("parts", 0, "shape", "half_extents"), [0.2, 0.0, 0.12], "parts[0].shape.half_extents"),
+    (("parts", 0, "shape", "half_extents"), [0.2, 0.015, -0.12],
+     "parts[0].shape.half_extents"),
+    (("base", "obstacles"), [{"center": [0.5, 0.5, 0.5], "half_extents": [0.1, 0.0, 0.1]}],
+     "base.obstacles[0].half_extents"),
+]
+
+
+@pytest.mark.parametrize("path,value,field", BAD_BOXES,
+                         ids=["improper-rotation", "skewed-rotation", "zero-half-extent",
+                              "negative-half-extent", "flat-obstacle"])
+def test_bad_scene_boxes_name_the_field(path, value, field):
+    scene, _ = load("minimal_drawer")
+    doc = scene_to_json(scene)
+    target = doc
+    for key in path[:-1]:
+        target = target[key]
+    target[path[-1]] = value
+    with pytest.raises(SceneFormatError) as exc:
+        scene_from_json(json.loads(json.dumps(doc)))
+    assert exc.value.field == field
+
+
 def test_overlapping_parts_rejected_at_load(tmp_path):
     scene, _ = load("minimal_drawer")
     doc = scene_to_json(scene)

@@ -357,7 +357,7 @@ def test_explore_computes_each_face_grid_once():
     scene, _ = load("kitchen")
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sim, "_node_hash", counting_hash)
-        explore_scene(scene, SimConfig(), rng=np.random.default_rng(0))
+        explore_scene(scene, SimConfig(), robot=RobotState(), rng=np.random.default_rng(0))
     info = sim._face_grid.cache_info()
     assert info.misses == info.currsize and info.hits > 10 * info.misses
     assert len(hashed) == 2 * info.misses  # two hashes per grid, none per window
@@ -460,20 +460,27 @@ def test_revolute_motion_direction_is_tangent():
 
 # --- nav grid ----------------------------------------------------------------
 
-def test_empty_scene_all_free():
+def grid_of(monkeypatch, scene, state, resolution, robot_radius):
+    """nav_grid with sim.GRID_RESOLUTION and sim.ROBOT_RADIUS set."""
+    monkeypatch.setattr(sim, "GRID_RESOLUTION", resolution)
+    monkeypatch.setattr(sim, "ROBOT_RADIUS", robot_radius)
+    return nav_grid(scene, state)
+
+
+def test_empty_scene_all_free(monkeypatch):
     base = StaticBaseMap((), (0, 0), (2, 2))
     scene = KinematicScene(base, ())
-    grid = nav_grid(scene, SceneState({}), 0.1, 0.2)
+    grid = grid_of(monkeypatch, scene, SceneState({}), 0.1, 0.2)
     assert not grid.occupied.any()
 
 
-def test_inflation_cell_count_arithmetic():
+def test_inflation_cell_count_arithmetic(monkeypatch):
     # axis-aligned obstacle width w across x: ceil((w + 2r) / res) cells occupied
     w, r, res = 0.5, 0.3, 0.05
     box = aligned_box((2.012 + w / 2, 2.0, 0.5), (w / 2, 0.2, 0.5))
     base = StaticBaseMap((box,), (0, 0), (4.5, 4.0))
     scene = KinematicScene(base, ())
-    grid = nav_grid(scene, SceneState({}), res, r)
+    grid = grid_of(monkeypatch, scene, SceneState({}), res, r)
     iy = grid.cell_of((0.0, 2.0))[1]
     row = grid.occupied[iy]
     assert int(row.sum()) == math.ceil((w + 2 * r) / res)
@@ -481,9 +488,9 @@ def test_inflation_cell_count_arithmetic():
 
 def test_open_door_occupies_aisle_strip():
     scene, _ = load("kitchen")
-    closed = nav_grid(scene, scene.initial_state(), 0.05, 0.30)
+    closed = nav_grid(scene, scene.initial_state())
     open_state = scene.initial_state().with_theta("door_1", math.pi / 2)
-    opened = nav_grid(scene, open_state, 0.05, 0.30)
+    opened = nav_grid(scene, open_state)
     assert opened.occupied.sum() > closed.occupied.sum()
     # cells in front of the face line become occupied only when open
     newly = opened.occupied & ~closed.occupied
@@ -493,12 +500,12 @@ def test_open_door_occupies_aisle_strip():
     assert ys[rows].min() < 3.4 - 0.35
 
 
-def test_inflation_monotone_in_radius():
+def test_inflation_monotone_in_radius(monkeypatch):
     scene, _ = load("kitchen")
     state = scene.initial_state()
-    prev = nav_grid(scene, state, 0.05, 0.10).occupied
+    prev = grid_of(monkeypatch, scene, state, 0.05, 0.10).occupied
     for r in (0.20, 0.30, 0.40):
-        cur = nav_grid(scene, state, 0.05, r).occupied
+        cur = grid_of(monkeypatch, scene, state, 0.05, r).occupied
         assert np.all(prev <= cur)
         prev = cur
 
@@ -506,7 +513,7 @@ def test_inflation_monotone_in_radius():
 def test_nearest_free_keeps_a_free_point_and_snaps_an_occupied_one():
     box = aligned_box((2.0, 2.0, 0.5), (0.4, 0.3, 0.5))
     scene = KinematicScene(StaticBaseMap((box,), (0, 0), (4, 4)), ())
-    grid = nav_grid(scene, SceneState({}), 0.05, 0.3)
+    grid = nav_grid(scene, SceneState({}))
     free_xy = np.array([0.512, 0.437])
     assert np.array_equal(grid.nearest_free(free_xy, 0.0), free_xy)
     snapped = grid.nearest_free((2.0, 2.0), 1.0)
@@ -528,12 +535,12 @@ def _polygon_distance(x, y, poly):
     return 0.0 if inside else best
 
 
-def test_point_and_grid_footprint_queries_agree():
+def test_point_and_grid_footprint_queries_agree(monkeypatch):
     # arm_blocked asks one point what nav_grid asks every cell center
     box = OrientedBox((2.0, 2.0, 0.5), (0.4, 0.2, 0.5),
                       rodrigues_rotation((0.0, 0.0, 1.0), 0.6))
     scene = KinematicScene(StaticBaseMap((box,), (0, 0), (4, 4)), ())
-    grid = nav_grid(scene, SceneState({}), 0.1, 0.3)
+    grid = grid_of(monkeypatch, scene, SceneState({}), 0.1, 0.3)
     xs, ys = grid.cell_centers()
     fp = box.footprint()
     edges = _edge_table(fp)
