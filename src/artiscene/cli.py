@@ -293,8 +293,8 @@ def run_plan(scene: KinematicScene, goal: dict, planner_cfg: PlannerConfig,
     if plan.feasible:
         lines.append("order: " + " -> ".join(plan.order()))
         for s in plan.steps:
-            lines.append(f"  {s.part_id}: base=({s.base_pose[0]:.3f}, "
-                         f"{s.base_pose[1]:.3f}) reach={s.reach_count}/{s.trajectory.K + 1}")
+            lines.append(f"  {s.part_id}: base=({s.base_pose[0]:.3f}, {s.base_pose[1]:.3f}) "
+                         f"reach={s.reach_count}/{len(s.trajectory.waypoints)}")
     for d in plan.diagnostics:
         lines.append(f"rejected {d['order']}: {d['reason']} at {d['step']}")
     (out / "summary.txt").write_text("\n".join(lines) + "\n")

@@ -18,7 +18,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from .errors import EstimationFailedError, SegmentationFailedError
-from .geometry import (DegenerateGeometryError, OrientedBox, PointCloud,
+from .geometry import (MOTION_TAU, DegenerateGeometryError, OrientedBox, PointCloud,
                        RigidTransform, as_vec3, consensus_plane_normal,
                        erode_isolated, fit_rigid_transform, kd_tree,
                        rotation_axis_angle, unit)
@@ -33,7 +33,6 @@ REVOLUTE_MAX_ANGLE = math.radians(175.0)
 MIN_TRANSLATION = 1e-4
 MIN_MOBILE_POINTS = 30
 HEATMAP_SIGMA = 0.10           # contact heatmap width for segmentation, meters
-MOTION_TAU = 0.02              # nearest-neighbor distance marking motion, meters
 
 
 @dataclass
@@ -349,5 +348,5 @@ def estimated_part(est: EstimatedArticulation, pre: Observation,
     shape = obb_from_points(points)
     lo, hi = default_limits(est.kind)
     joint = JointModel(est.kind, est.axis,
-                       est.pivot if est.kind == REVOLUTE else None, lo, hi, 0.0)
+                       est.pivot if est.kind == REVOLUTE else None, lo, hi)
     return MobilePart(est.part_id, shape, joint, pre.hotspot)

@@ -89,7 +89,7 @@ def execute_plan(scene: KinematicScene, state: SceneState, plan: InteractionPlan
 
 def _next_waypoint(trajectory, progress: float, delta: float, grasp: np.ndarray):
     """First waypoint strictly ahead of the current progress."""
-    k = trajectory.K
+    k = len(trajectory.waypoints) - 1
     idx = min(k, int(math.floor(progress / delta * k + 1e-9)) + 1)
     for i in range(idx, k + 1):
         w = trajectory.waypoints[i]

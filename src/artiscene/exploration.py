@@ -11,7 +11,7 @@ import numpy as np
 
 from .errors import (GraspFailureError, InvalidViewpointError, NoActionError,
                      RepositionFailedError)
-from .geometry import (DegenerateGeometryError, consensus_plane_normal,
+from .geometry import (MOTION_TAU, DegenerateGeometryError, consensus_plane_normal,
                        erode_isolated, plane_normal, unit)
 from .scene import KinematicScene, RobotState, SceneState, handle_at
 from .sim import (EYE_HEIGHT, GRASP_TOLERANCE, Observation, OccupancyGrid,
@@ -23,8 +23,6 @@ REVOLUTE_RIGHT = "revolute-right"
 PRISMATIC_KIND = "prismatic"
 UNKNOWN = "unknown"
 
-# minimum nearest-neighbor displacement for a point to count as moved
-DISPLACED_TAU = 0.02
 FAILURE_THRESHOLD = 0.02       # chamfer displacement, meters
 REPOSITION_DISTANCE = 0.30     # base-to-hotspot distance after a failure
 SNAP_RADIUS = 0.50             # farthest free cell a reposition target snaps to
@@ -121,7 +119,7 @@ def classify_joint(pre: Observation, current: Observation) -> str:
 def _classify(pre: Observation, current: Observation, distances: tuple) -> str:
     """classify_joint on the pair's _nearest_distances; the displaced subsets
     are eroded to drop isolated flicker (dropout and crop-boundary noise)."""
-    moved_pre, moved_cur = (o.cloud.points[erode_isolated(o.cloud, d > DISPLACED_TAU)]
+    moved_pre, moved_cur = (o.cloud.points[erode_isolated(o.cloud, d > MOTION_TAU)]
                             for o, d in zip((pre, current), distances))
     if moved_pre.shape[0] < 3 or moved_cur.shape[0] < 3:
         return UNKNOWN
@@ -192,9 +190,9 @@ def _outward_normal_xy(box, point) -> np.ndarray | None:
     return xy / n if n > 1e-6 else None
 
 
-def _approach_pose(scene: KinematicScene, grid: OccupancyGrid, hotspot,
-                   distance: float):
-    """Stand in front of the handle: offset along the nearest face normal."""
+def _approach_pose(scene: KinematicScene, grid: OccupancyGrid, hotspot):
+    """Stand APPROACH_DISTANCE in front of the handle, along the nearest
+    face normal."""
     h = np.asarray(hotspot, dtype=float).reshape(3)
     boxes = list(scene.base.obstacles) + [p.shape for p in scene.parts]
     out = None
@@ -203,7 +201,7 @@ def _approach_pose(scene: KinematicScene, grid: OccupancyGrid, hotspot,
         out = _outward_normal_xy(nearest, h)
     if out is None:
         out = np.array([0.0, -1.0])
-    target = grid.nearest_free(h[:2] + out * distance, 1.0)
+    target = grid.nearest_free(h[:2] + out * APPROACH_DISTANCE, 1.0)
     if target is None:
         return None
     heading = math.atan2(h[1] - target[1], h[0] - target[0])
@@ -276,7 +274,7 @@ def _explore_handle(scene, state, hd: Handle, sim_config, robot, rng, log):
     part_id = resolve_grasped_part(scene, state, hd.position)
     hotspot0 = _current_hotspot(scene, state, part_id, hd)
 
-    pose = _approach_pose(scene, grid, hotspot0, APPROACH_DISTANCE)
+    pose = _approach_pose(scene, grid, hotspot0)
     if pose is None:
         log.add("navigate-failed", handle=hd.label)
         return ExplorationRecord(hd.label, None, None, 0, UNKNOWN, False,

@@ -20,6 +20,7 @@ if TYPE_CHECKING:
 
 UNIT_TOL = 1e-9
 INLIER_TOL = 0.008  # distance from a consensus plane that counts as on it, meters
+MOTION_TAU = 0.02   # nearest-neighbor distance marking a point as moved, meters
 
 
 def as_vec3(v) -> np.ndarray:

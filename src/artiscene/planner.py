@@ -32,13 +32,6 @@ class EndEffectorTrajectory:
     part_id: str
     waypoints: np.ndarray  # (K+1, 3)
     goal_delta: float
-    K: int
-
-    def __post_init__(self):
-        w = np.asarray(self.waypoints, dtype=float).reshape(-1, 3)
-        if w.shape[0] != self.K + 1:
-            raise ValueError("waypoint count must be K+1")
-        object.__setattr__(self, "waypoints", w)
 
     def centroid(self) -> np.ndarray:
         return self.waypoints.mean(axis=0)
@@ -52,7 +45,7 @@ def part_trajectory(part: MobilePart, theta_start: float,
     delta = theta_goal - theta_start
     wps = [part_pose_at(part, theta_start + i * delta / K).apply(part.handle)
            for i in range(K + 1)]
-    return EndEffectorTrajectory(part.id, np.asarray(wps), delta, K)
+    return EndEffectorTrajectory(part.id, np.asarray(wps), delta)
 
 
 def sample_part_sweep(part: MobilePart) -> list:

@@ -35,14 +35,14 @@ Z_MIN, Z_MAX = 0.10, 1.20
 
 @dataclass(frozen=True)
 class JointModel:
-    """One-DoF joint: revolute (axis + pivot) or prismatic (axis only)."""
+    """One-DoF joint: revolute (axis + pivot) or prismatic (axis only),
+    closed at state 0.0, which its limits bracket."""
 
     kind: str
     axis: np.ndarray
     pivot: np.ndarray | None = None
     limit_min: float = 0.0
     limit_max: float = 0.0
-    state: float = 0.0
 
     def __post_init__(self):
         if self.kind not in (REVOLUTE, PRISMATIC):
@@ -54,9 +54,9 @@ class JointModel:
             object.__setattr__(self, "pivot", as_vec3(self.pivot))
         elif self.pivot is not None:
             raise ValueError("prismatic joints carry no pivot")
-        if not (self.limit_min <= self.state <= self.limit_max):
+        if not (self.limit_min <= 0.0 <= self.limit_max):
             raise LimitViolationError(
-                f"state {self.state} outside limits [{self.limit_min}, {self.limit_max}]")
+                f"closed state 0.0 outside limits [{self.limit_min}, {self.limit_max}]")
 
     def clamp(self, theta: float) -> float:
         return min(max(theta, self.limit_min), self.limit_max)
@@ -196,7 +196,7 @@ class KinematicScene:
         return [p.id for p in self.parts]
 
     def initial_state(self) -> SceneState:
-        return SceneState({p.id: p.joint.state for p in self.parts})
+        return SceneState({p.id: 0.0 for p in self.parts})
 
 
 def part_pose_at(part: MobilePart, theta: float) -> RigidTransform:

@@ -166,29 +166,9 @@ def _draw_from(state: dict, args: tuple):
     return _draw(rng, *args), rng.bit_generator.state
 
 
-def _cpus_apart() -> set:
-    """The CPUs this process may use other than the calling thread's current
-    one; empty where that is unknown (no Linux /proc or affinity call)."""
-    try:
-        with open("/proc/thread-self/stat") as f:  # field 39: the thread's CPU
-            cpu = int(f.read().rsplit(")", 1)[1].split()[36])
-        return os.sched_getaffinity(0) - {cpu}
-    except (OSError, AttributeError, ValueError, IndexError):
-        return set()
-
-
-def _pin(cpus: set) -> None:
-    """Worker initializer: run on cpus, or where the scheduler puts it."""
-    try:
-        os.sched_setaffinity(0, cpus)
-    except OSError:
-        pass
-
-
-# the one thread that makes the next render's draw ahead, kept off the first
-# render's CPU: left to the scheduler, it is woken on the core of the render
-# thread that woke it and delays that thread instead of overlapping it;
-# False where no other CPU is known, and renders then draw serially
+# the one thread that makes the next render's draw ahead; False where the
+# process may use one CPU only, or the affinity call is missing, and renders
+# then draw serially
 _worker = None
 # (generator, its start state, _draw args, future) of that draw; any render
 # may replace it, but one takes it only on an exact match, so sharing it
@@ -209,11 +189,10 @@ def _take_draw(rng: np.random.Generator, args: tuple):
         drawn = _draw(rng, *args)
         state = rng.bit_generator.state
     if _worker is None:
-        cpus, _worker = _cpus_apart(), False
-        if cpus:
+        _worker = False
+        if hasattr(os, "sched_getaffinity") and len(os.sched_getaffinity(0)) > 1:
             from concurrent.futures import ThreadPoolExecutor
-            _worker = ThreadPoolExecutor(1, thread_name_prefix="artiscene-draw",
-                                         initializer=_pin, initargs=(cpus,))
+            _worker = ThreadPoolExecutor(1, thread_name_prefix="artiscene-draw")
     # default_rng's PCG64 only: its state is a dict of ints, which == above
     # compares exactly, and _draw_from rebuilds it
     if _worker and type(rng.bit_generator) is np.random.PCG64:
@@ -255,14 +234,13 @@ def render_observation(scene: KinematicScene, state: SceneState, viewpoint,
     The draw (_draw) takes, in this order, one uniform per visible node for
     dropout and three standard normals per kept node, scaled by sigma. After
     drawing, the render has the next draw with the same node count, dropout
-    and sigma made ahead on a worker thread kept off the render thread's CPU
-    (where the process has another), from a copy of the generator at its
-    current state. The next render takes that draw only if it is passed the
-    same generator object, the generator is still in the copy's start state
-    and the node count, dropout and sigma are equal; it then sets the
-    generator to the copy's end state. Otherwise it discards the draw and
-    draws itself, so both ways give the same points and leave the generator
-    in the same state.
+    and sigma made ahead on a worker thread (where the process may use more
+    than one CPU), from a copy of the generator at its current state. The
+    next render takes that draw only if it is passed the same generator
+    object, the generator is still in the copy's start state and the node
+    count, dropout and sigma are equal; it then sets the generator to the
+    copy's end state. Otherwise it discards the draw and draws itself, so
+    both ways give the same points and leave the generator in the same state.
     """
     vp = as_vec3(viewpoint)
     pitch = 1.0 / math.sqrt(SURFACE_POINT_DENSITY)

@@ -1,9 +1,11 @@
 import builtins
 import dataclasses
 import json
+import os
 import shutil
 import subprocess
 import sys
+import threading
 from collections import Counter
 from pathlib import Path
 
@@ -270,6 +272,20 @@ def test_bad_scene_box_exits_2(tmp_path, capsys, field, value):
     assert not (tmp_path / "out").exists()
 
 
+def test_joint_limits_that_exclude_the_closed_state_exit_2(tmp_path, capsys):
+    # every joint starts closed, at state 0.0, so its limits must bracket 0.0
+    doc = json.loads(KITCHEN.read_text())
+    doc["parts"][0]["joint"]["limits_deg"] = [10, 90]
+    scene = tmp_path / "scene.json"
+    scene.write_text(json.dumps(doc))
+    rc = main(["plan", "--scene", str(scene),
+               "--goal", str(write_goal(tmp_path, {"door_1": 45.0})),
+               "--out", str(tmp_path / "out")])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: parts[0].joint: closed state 0.0 ")
+    assert not (tmp_path / "out").exists()
+
+
 @pytest.mark.parametrize("command", ["explore", "plan", "run-all"])
 @pytest.mark.parametrize("section", [
     pytest.param({"simm": {"noise_sigma": 5}}, id="misspelled-sim"),
@@ -493,8 +509,30 @@ def test_scipy_loads_only_with_the_first_kd_tree(tmp_path, drawer_scene, command
     proc = subprocess.run([sys.executable, "-c", FRESH_INTERPRETER, str(src), *argv,
                            "--out", str(tmp_path / "out")],
                           capture_output=True, text=True, check=True)
-    ahead = explores and bool(sim._cpus_apart())  # a worker needs another CPU
+    ahead = explores and len(os.sched_getaffinity(0)) > 1  # a worker needs two CPUs
     assert proc.stdout.splitlines()[-1] == f"{explores} {ahead} {1 + ahead}"
+
+
+def test_draw_ahead_worker_needs_a_second_cpu(tmp_path, monkeypatch, drawer_scene):
+    # explore starts one artiscene-draw thread where the process may use two
+    # CPUs and none where it may use one, and writes the same bytes either way
+    written = []
+    for cpus in ({0}, {0, 1}):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, cpus=cpus: set(cpus))
+        monkeypatch.setattr(sim, "_worker", None)
+        before = set(threading.enumerate())
+        out = tmp_path / f"out{len(cpus)}"
+        assert main(["explore", "--scene", str(drawer_scene), "--out", str(out),
+                     "--seed", "0"]) == 0
+        started = [t for t in set(threading.enumerate()) - before
+                   if t.name.startswith("artiscene-draw")]
+        assert len(started) == len(cpus) - 1
+        assert bool(sim._worker) == (len(cpus) > 1)
+        if sim._worker:
+            sim._worker.shutdown()
+        written.append({p.relative_to(out): p.read_bytes()
+                        for p in sorted(out.rglob("*")) if p.is_file()})
+    assert written[0] == written[1]
 
 
 def test_estimate_missing_records_exits_runtime(tmp_path):

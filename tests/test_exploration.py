@@ -211,7 +211,7 @@ def test_explore_minimal_drawer_noiseless():
     assert rec.displacement >= 0.05
     assert rec.attempts_used <= 3
     # ground-truth joint parameters untouched; only the state moved
-    assert scene.parts[0].joint.state == 0.0
+    assert scene.initial_state().theta("drawer_1") == 0.0
     assert result.final_state.theta("drawer_1") > 0.1
 
 

@@ -1,6 +1,8 @@
 """Every name a module under src/artiscene imports is used in that module,
-and every function, class and method it defines is named somewhere in
-src/artiscene outside its own body.
+every function, class and method it defines is named somewhere in
+src/artiscene outside its own body, and every parameter and dataclass field
+is one that calls in src/artiscene set: passed where it has a default, and
+not always as one and the same UPPER_CASE constant.
 
 Deleting code tends to leave its imports, and the helpers only it called,
 behind; these guards read each module's syntax tree, so they need no
@@ -10,7 +12,7 @@ TYPE_CHECKING imports are used in).
 """
 
 import ast
-import math
+import re
 from collections import Counter
 from pathlib import Path
 
@@ -135,7 +137,8 @@ def test_every_definition_has_a_caller_in_src():
     assert not found, f"defined in src/artiscene but called only from outside it: {found}"
 
 
-# defaulted parameters that no call in src passes, each with the reason
+# defaulted parameters and dataclass fields that no call in src passes, each
+# with the reason
 DEFAULT_ONLY = {
     "main(argv)": "the console script calls main() and tests pass an argument list",
     "validate_plan(config)": "the benchmark's set-up check passes it; it goes with a "
@@ -145,46 +148,59 @@ DEFAULT_ONLY = {
 }
 
 
-def defaulted_parameters(tree):
-    """(function, parameter, its positional index after self, or None when
-    keyword-only) for every parameter with a default, methods included."""
+def is_dataclass(node):
+    return any(getattr(d.func if isinstance(d, ast.Call) else d, "id", None) == "dataclass"
+               for d in node.decorator_list)
+
+
+def parameters(tree):
+    """(name, parameter, its positional index or None when keyword-only,
+    whether it has a default) for every function and method parameter, self
+    aside, and every @dataclass field, which its __init__ takes in order."""
     methods = {id(m) for c in ast.walk(tree) if isinstance(c, ast.ClassDef) for m in c.body}
     for node in ast.walk(tree):
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             args = node.args
             positional = [*args.posonlyargs, *args.args][id(node) in methods:]
             first = len(positional) - len(args.defaults)
-            for i, arg in enumerate(positional[first:], first):
-                yield node.name, arg.arg, i
+            for i, arg in enumerate(positional):
+                yield node.name, arg.arg, i, i >= first
             for arg, default in zip(args.kwonlyargs, args.kw_defaults):
-                if default is not None:
-                    yield node.name, arg.arg, None
+                yield node.name, arg.arg, None, default is not None
+        elif isinstance(node, ast.ClassDef) and is_dataclass(node):
+            fields = [n for n in node.body if isinstance(n, ast.AnnAssign)]
+            for i, f in enumerate(fields):
+                yield node.name, f.target.id, i, f.value is not None
 
 
-def passed(trees):
-    """name -> (the most positional arguments of a call to it, the keywords
-    passed), over calls by name or attribute; a *args or **kwargs argument
-    counts as passing every parameter."""
+def arguments(trees):
+    """name -> one {position or keyword: the argument's source} per call to
+    it by name or attribute, or None for a call with *args or **kwargs,
+    which may pass anything; a name handed to a call as an argument (a class
+    or function called further on) counts as one such call."""
     found = {}
     for tree in trees.values():
         for call in (n for n in ast.walk(tree) if isinstance(n, ast.Call)):
             name = getattr(call.func, "id", getattr(call.func, "attr", None))
-            most, keywords = found.setdefault(name, (0, set()))
-            starred = any(isinstance(a, ast.Starred) for a in call.args)
-            keywords |= {k.arg for k in call.keywords}
-            found[name] = (math.inf if starred or None in keywords
-                           else max(most, len(call.args)), keywords)
+            given = {i: ast.unparse(a) for i, a in enumerate(call.args)}
+            given.update({k.arg: ast.unparse(k.value) for k in call.keywords})
+            if any(isinstance(a, ast.Starred) for a in call.args) or None in given:
+                given = None
+            found.setdefault(name, []).append(given)
+            for a in call.args:
+                if isinstance(a, ast.Name):
+                    found.setdefault(a.id, []).append(None)
     return found
 
 
 def never_passed(trees):
-    """'module.function(parameter)' for each defaulted parameter that no call
-    in trees passes, by position or by keyword."""
-    calls = passed(trees)
-    return sorted(f"{module}.{function}({param})" for module, tree in trees.items()
-                  for function, param, index in defaulted_parameters(tree)
-                  if not (param in calls.get(function, (0, ()))[1]
-                          or (index is not None and calls.get(function, (0,))[0] > index)))
+    """'module.name(parameter)' for each defaulted parameter or dataclass
+    field that no call in trees passes, by position or by keyword."""
+    calls = arguments(trees)
+    return sorted(f"{module}.{name}({param})" for module, tree in trees.items()
+                  for name, param, index, defaulted in parameters(tree)
+                  if defaulted and not any(given is None or param in given or index in given
+                                           for given in calls.get(name, ())))
 
 
 def test_default_guard_sees_parameters_no_call_passes():
@@ -194,12 +210,22 @@ def test_default_guard_sees_parameters_no_call_passes():
                      "def k(z=0): pass\n"
                      "class A:\n"
                      "    def m(self, p=1, q=2): pass\n"
+                     "@dataclass\n"
+                     "class C:\n"
+                     "    r: int\n"
+                     "    s: int = 0\n"
+                     "    t: int = 0\n"
+                     "@dataclass(frozen=True)\n"
+                     "class E:\n"
+                     "    u: int = 0\n"
                      "f(0, 1, d=4)\n"
                      "g(*args)\n"
                      "k(**kwargs)\n"
                      "A().m(5)\n"
+                     "C(0, t=1)\n"
+                     "build(E)\n"
                      "h\n")
-    assert never_passed({"mod": tree}) == ["mod.f(c)", "mod.h(y)", "mod.m(q)"]
+    assert never_passed({"mod": tree}) == ["mod.C(s)", "mod.f(c)", "mod.h(y)", "mod.m(q)"]
 
 
 def test_every_default_is_passed_somewhere_in_src():
@@ -207,3 +233,57 @@ def test_every_default_is_passed_somewhere_in_src():
     found = [d for d in never_passed(trees) if d.split(".", 1)[1] not in DEFAULT_ONLY]
     assert not found, f"defaulted parameters that no call in src/artiscene passes: {found}"
     assert sorted(d.split(".", 1)[1] for d in never_passed(trees)) == sorted(DEFAULT_ONLY)
+
+
+# parameters that every call in src passes the same UPPER_CASE constant, each
+# with the reason
+CONSTANT_ONLY = {
+    "inflated(margin)": "OrientedBox.inflated is a general box primitive: the reference "
+                        "checks in tests/oracles.py inflate boxes by MARGIN",
+    "_near_polygon(radius)": "tests probe radii a few ulps either side of each distance",
+    "_near_edges(radius)": "tests probe radii a few ulps either side of each distance",
+}
+CONSTANT = re.compile(r"(\w+\.)*[A-Z][A-Z0-9_]*")  # NAME or module.NAME
+
+
+def set_alike(trees):
+    """'name(parameter)' for each parameter or dataclass field that every
+    call in trees passes as one and the same UPPER_CASE constant."""
+    calls = arguments(trees)
+    found = set()
+    for tree in trees.values():
+        for name, param, index, _ in parameters(tree):
+            seen = {"*" if given is None else given.get(param, given.get(index))
+                    for given in calls.get(name, ())}
+            if len(seen) == 1 and CONSTANT.fullmatch(seen.pop() or ""):
+                found.add(f"{name}({param})")
+    return sorted(found)
+
+
+def test_constant_guard_sees_parameters_every_call_sets_alike():
+    tree = ast.parse("def f(a, b, *, c=0): pass\n"
+                     "def g(x): pass\n"
+                     "def h(y, z=0): pass\n"
+                     "@dataclass\n"
+                     "class D:\n"
+                     "    p: int\n"
+                     "    q: int = 0\n"
+                     "class A:\n"
+                     "    def m(self, u, v): pass\n"
+                     "f(K, 1, c=mod.LIMIT)\n"
+                     "f(K, 2, c=mod.LIMIT)\n"
+                     "g(K)\n"
+                     "g(2 * K)\n"
+                     "h(K, Z)\n"
+                     "h(*args)\n"
+                     "D(K, q=Q)\n"
+                     "D(K)\n"
+                     "A().m(K, v=K)\n")
+    assert set_alike({"mod": tree}) == ["D(p)", "f(a)", "f(c)", "m(u)", "m(v)"]
+
+
+def test_no_parameter_is_set_alike_by_every_call_in_src():
+    trees = {p.stem: ast.parse(p.read_text()) for p in sorted(PACKAGE.glob("*.py"))}
+    found = [d for d in set_alike(trees) if d not in CONSTANT_ONLY]
+    assert not found, f"parameters that every call in src/artiscene sets alike: {found}"
+    assert set_alike(trees) == sorted(CONSTANT_ONLY)

@@ -98,9 +98,10 @@ def test_trajectory_limit_violation(monkeypatch):
         trajectory(monkeypatch, handle_part(rev_joint(), (1, 0, 0)), 0.0, 2 * math.pi, 3)
 
 
-def test_waypoint_count_invariant():
-    with pytest.raises(ValueError):
-        EndEffectorTrajectory("x", np.zeros((5, 3)), 0.1, K=10)
+def test_waypoint_count_invariant(monkeypatch):
+    part = handle_part(pris_joint(), (0, 0, 0))
+    assert len(part_trajectory(part, 0.0, 0.1).waypoints) == planner.K + 1 == 11
+    assert len(trajectory(monkeypatch, part, 0.0, 0.1, 4).waypoints) == 5
 
 
 # --- sweeps ------------------------------------------------------------------
@@ -323,7 +324,7 @@ def test_select_base_full_coverage():
     grid = nav_grid(scene, SceneState({}))
     wps = np.column_stack([np.linspace(1.9, 2.1, 11), np.full(11, 2.0),
                            np.full(11, 0.6)])
-    traj = EndEffectorTrajectory("p", wps, 0.2, 10)
+    traj = EndEffectorTrajectory("p", wps, 0.2)
     arm = RobotState()
     assert planner.N_SAMPLES == 200
     pose, score = select_base(traj, scene, grid, arm, rng=np.random.default_rng(3))
@@ -335,7 +336,7 @@ def test_select_base_no_free_samples(monkeypatch):
     wall = aligned_box((2.0, 2.0, 0.5), (1.9, 1.9, 0.5))
     scene = KinematicScene(StaticBaseMap((wall,), (0, 0), (4, 4)), ())
     grid = nav_grid(scene, SceneState({}))
-    traj = EndEffectorTrajectory("p", np.tile([2.0, 2.0, 0.6], (3, 1)), 0.1, 2)
+    traj = EndEffectorTrajectory("p", np.tile([2.0, 2.0, 0.6], (3, 1)), 0.1)
     with pytest.raises(NoBaseFoundError):
         select(monkeypatch, 50, 0.5, traj, scene, grid, RobotState(),
                rng=np.random.default_rng(0))
@@ -346,7 +347,7 @@ def test_select_base_deterministic_and_prefix_monotone(monkeypatch):
     grid = nav_grid(scene, SceneState({}))
     wps = np.column_stack([np.linspace(1.0, 3.0, 11), np.full(11, 2.0),
                            np.full(11, 0.6)])
-    traj = EndEffectorTrajectory("p", wps, 0.2, 10)
+    traj = EndEffectorTrajectory("p", wps, 0.2)
     arm = RobotState()
     p1, s1 = select(monkeypatch, 200, planner.SAMPLE_RANGE, traj, scene, grid, arm,
                     rng=np.random.default_rng(9))
@@ -412,7 +413,7 @@ def test_select_base_matches_loop_reference(monkeypatch):
         start = rng.uniform(lo, hi)
         wps = np.column_stack([start + np.cumsum(rng.normal(0.0, 0.05, (n_wp, 2)), axis=0),
                                rng.uniform(0.0, 1.4, n_wp)])
-        traj = EndEffectorTrajectory("p", wps, 0.1, n_wp - 1)
+        traj = EndEffectorTrajectory("p", wps, 0.1)
         r_min = rng.uniform(0.05, 0.5)
         monkeypatch.setattr(scene_module, "R_MIN", r_min)
         monkeypatch.setattr(scene_module, "R_MAX", r_min + rng.uniform(0.1, 1.0))
@@ -478,7 +479,7 @@ def test_select_base_matches_loop_reference_on_cell_edges_and_floor_slack(monkey
     chosen = Counter()
     for cx, cy, n_samples, first in itertools.product(coords, coords, (1, 3), range(4)):
         stream = [u for k in range(20 * n_samples) for u in pairs[(first + k) % 4]]
-        traj = EndEffectorTrajectory("p", [[cx, cy, 0.6]] * 2, 0.1, 1)
+        traj = EndEffectorTrajectory("p", np.array([[cx, cy, 0.6]] * 2), 0.1)
         assert tuple(traj.centroid()[:2]) == (cx, cy)
         try:
             expected = reference_select_base(traj, scene, grid, arm, n_samples, 1.0,
@@ -505,7 +506,7 @@ def test_single_part_goal_trivial_plan():
                       PlannerConfig(seed=0))
     assert plan.feasible
     assert plan.order() == ["drawer_1"]
-    assert plan.steps[0].trajectory.K == 10
+    assert len(plan.steps[0].trajectory.waypoints) == 11
     assert validate_plan(scene, scene.initial_state(), robot, plan)
 
 
@@ -691,8 +692,8 @@ def test_plan_scene_builds_each_trajectory_once(monkeypatch):
             trajectory.waypoints[0, 0] = 0.0
         fresh = real_trajectory(scene.part(part_id), theta_start, theta_goal)
         assert np.array_equal(trajectory.waypoints, fresh.waypoints)
-        assert (trajectory.part_id, trajectory.goal_delta, trajectory.K) == \
-            (fresh.part_id, fresh.goal_delta, fresh.K)
+        assert (trajectory.part_id, trajectory.goal_delta, len(trajectory.waypoints)) == \
+            (fresh.part_id, fresh.goal_delta, len(fresh.waypoints))
     # evaluating every order on its own, without sharing, agrees
     monkeypatch.setattr(planner, "part_trajectory", real_trajectory)
     assert plan.diagnostics == [
@@ -758,7 +759,7 @@ def test_kitchen_goal_plans_with_full_reach():
     assert plan.feasible
     assert sorted(plan.order()) == sorted(goal)
     for step in plan.steps:
-        assert step.reach_count == step.trajectory.K + 1
+        assert step.reach_count == len(step.trajectory.waypoints)
     assert validate_plan(scene, scene.initial_state(), robot, plan)
 
 

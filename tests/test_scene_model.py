@@ -33,7 +33,7 @@ def test_joint_invariants():
     with pytest.raises(ValueError):
         JointModel("prismatic", (0, 0, 1.0), (0, 0, 0), 0.0, 1.0)
     with pytest.raises(LimitViolationError):
-        JointModel("prismatic", (0, 0, 1.0), None, 0.0, 0.1, state=0.2)
+        JointModel("prismatic", (0, 0, 1.0), None, 0.05, 0.1)  # closed state 0.0 outside
 
 
 def test_handle_must_touch_shape():
