@@ -13,20 +13,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import EstimationFailedError, SegmentationFailedError
 from .geometry import (MOTION_TAU, DegenerateGeometryError, OrientedBox, PointCloud,
                        RigidTransform, as_vec3, consensus_plane_normal,
-                       erode_isolated, fit_rigid_transform, kd_tree,
-                       rotation_axis_angle, unit)
+                       erode_isolated, fit_rigid_transform, rotation_axis_angle,
+                       unit)
 from .scene import PRISMATIC, REVOLUTE, JointModel, MobilePart, default_limits
 from .sim import Observation
-
-if TYPE_CHECKING:
-    from scipy.spatial import cKDTree
 
 REVOLUTE_MIN_ANGLE = math.radians(5.0)
 REVOLUTE_MAX_ANGLE = math.radians(175.0)
@@ -85,7 +81,7 @@ def _region_grow(points: np.ndarray, candidates: np.ndarray, seeds: np.ndarray,
     if cand_idx.size == 0 or not seeds.any():
         return np.zeros(points.shape[0], dtype=bool)
     cand_pts = points[cand_idx]
-    neighbours = kd_tree(cand_pts).query_ball_point(cand_pts, radius)
+    neighbours = PointCloud(cand_pts).kdtree.query_ball_point(cand_pts, radius)
     seed_local = np.flatnonzero(seeds[cand_idx])
     visited = np.zeros(cand_idx.size, dtype=bool)
     stack = list(seed_local)
@@ -125,8 +121,7 @@ def _plane_frame(normal: np.ndarray) -> np.ndarray:
     return np.column_stack([normal, v, np.cross(normal, v)])
 
 
-def _alignment_candidates(src: np.ndarray, dst: np.ndarray, tree: cKDTree,
-                          anchors=None) -> list:
+def _alignment_candidates(src: PointCloud, dst: PointCloud, anchors=None) -> list:
     """Coarse alignment candidates ranked by nearest-neighbor residual.
 
     Combines PCA eigenframe matchings (with the proper sign combinations),
@@ -134,18 +129,18 @@ def _alignment_candidates(src: np.ndarray, dst: np.ndarray, tree: cKDTree,
     thin near-vertical panels this pipeline sees), and anchored translation
     variants when the grasped contact point is known in both observations.
     Near-ties resolve toward the smaller rotation, the physical reading for
-    articulated furniture motion. tree is the KD-tree of dst. Each
-    candidate comes with the _mutual_pairs it was scored on.
+    articulated furniture motion. Each candidate comes with the _mutual_pairs
+    it was scored on.
     """
-    cs, fs = _pca_frame(src)
-    cd, fd = _pca_frame(dst)
+    cs, fs = _pca_frame(src.points)
+    cd, fd = _pca_frame(dst.points)
     rotations = [np.eye(3)]
     for sx, sy in ((1, 1), (1, -1), (-1, 1), (-1, -1)):
         d = np.diag([sx, sy, sx * sy])  # det +1
         rotations.append(fd @ d @ fs.T)
     try:
         n_s = consensus_plane_normal(src)
-        n_d = consensus_plane_normal(dst, tree=tree)
+        n_d = consensus_plane_normal(dst)
         f_s = _plane_frame(n_s)
         for sign in (1.0, -1.0):
             rotations.append(_plane_frame(sign * n_d) @ f_s.T)
@@ -158,7 +153,7 @@ def _alignment_candidates(src: np.ndarray, dst: np.ndarray, tree: cKDTree,
                           for rot in rotations)
     scored = []
     for t in candidates:
-        pairs = _mutual_pairs(t.apply(src), dst, tree)
+        pairs = _mutual_pairs(t.apply(src.points), dst)
         d, _, mutual = pairs
         # score on mutual pairs only: points whose twin is outside the other
         # observation window would otherwise drown out the true alignment
@@ -172,17 +167,16 @@ def _alignment_candidates(src: np.ndarray, dst: np.ndarray, tree: cKDTree,
     return [(t, pairs) for _, t, pairs in near + far]
 
 
-def _mutual_pairs(src_moved: np.ndarray, dst: np.ndarray, tree_dst: cKDTree):
+def _mutual_pairs(src_moved: np.ndarray, dst: PointCloud):
     """Mutual nearest-neighbor pairs; points whose twin fell outside the other
     observation window pair non-mutually and drop out."""
-    d_f, idx_f = tree_dst.query(src_moved)
-    _, idx_b = kd_tree(src_moved).query(dst)
+    d_f, idx_f = dst.kdtree.query(src_moved)
+    _, idx_b = PointCloud(src_moved).kdtree.query(dst.points)
     mutual = idx_b[idx_f] == np.arange(src_moved.shape[0])
     return d_f, idx_f, mutual
 
 
-def _refine_mutual(src: np.ndarray, dst: np.ndarray, tree: cKDTree,
-                   start: RigidTransform, pairs):
+def _refine_mutual(src: PointCloud, dst: PointCloud, start: RigidTransform, pairs):
     """Trimmed refinement on mutual pairs from a coarse alignment, whose
     _mutual_pairs are given.
 
@@ -192,7 +186,7 @@ def _refine_mutual(src: np.ndarray, dst: np.ndarray, tree: cKDTree,
     transform = start
     inlier_res = np.inf
     for i in range(25):
-        d, idx, mutual = pairs if i == 0 else _mutual_pairs(transform.apply(src), dst, tree)
+        d, idx, mutual = pairs if i == 0 else _mutual_pairs(transform.apply(src.points), dst)
         if not mutual.any():
             return None
         cut = max(3.0 * float(np.median(d[mutual])), 1e-6)
@@ -200,8 +194,7 @@ def _refine_mutual(src: np.ndarray, dst: np.ndarray, tree: cKDTree,
         if int(keep.sum()) < 3:
             return None
         try:
-            refined = fit_rigid_transform(PointCloud(src[keep]),
-                                          PointCloud(dst[idx[keep]]))
+            refined = fit_rigid_transform(src.subset(keep), PointCloud(dst.points[idx[keep]]))
         except DegenerateGeometryError:
             return None
         delta = np.linalg.norm(refined.rotation - transform.rotation) \
@@ -226,12 +219,9 @@ def fit_screw(pre_mobile: PointCloud, post_mobile: PointCloud, anchors=None) -> 
     """
     if len(pre_mobile) < MIN_MOBILE_POINTS or len(post_mobile) < MIN_MOBILE_POINTS:
         raise ValueError(f"segmented subsets need >= {MIN_MOBILE_POINTS} points")
-    src = pre_mobile.points
-    dst = post_mobile.points
-    tree = post_mobile.kdtree
     best = None
-    for start, pairs in _alignment_candidates(src, dst, tree, anchors)[:2]:
-        refined = _refine_mutual(src, dst, tree, start, pairs)
+    for start, pairs in _alignment_candidates(pre_mobile, post_mobile, anchors)[:2]:
+        refined = _refine_mutual(pre_mobile, post_mobile, start, pairs)
         if refined is not None and (best is None or refined[1] < best[1]):
             best = refined
         if best is not None and best[1] < 1e-6:
@@ -243,13 +233,13 @@ def fit_screw(pre_mobile: PointCloud, post_mobile: PointCloud, anchors=None) -> 
     axis, psi = rotation_axis_angle(transform.rotation)
     if psi >= REVOLUTE_MAX_ANGLE:
         raise EstimationFailedError("rotation too close to 180 degrees; axis sign ambiguous")
+    centroid = pre_mobile.points.mean(axis=0)
     if psi >= REVOLUTE_MIN_ANGLE:
-        pivot = _fixed_point(transform, axis, psi, src.mean(axis=0))
+        pivot = _fixed_point(transform, axis, psi, centroid)
         return ScrewFit(REVOLUTE, axis, pivot, psi, transform)
     # below the revolute threshold the motion is read as a translation; measure
     # it at the subset centroid so a residual micro-rotation times the scene
     # coordinate lever arm cannot corrupt the direction
-    centroid = src.mean(axis=0)
     delta_vec = transform.apply(centroid) - centroid
     tnorm = float(np.linalg.norm(delta_vec))
     if tnorm < MIN_TRANSLATION:

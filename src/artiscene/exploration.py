@@ -11,8 +11,8 @@ import numpy as np
 
 from .errors import (GraspFailureError, InvalidViewpointError, NoActionError,
                      RepositionFailedError)
-from .geometry import (MOTION_TAU, DegenerateGeometryError, consensus_plane_normal,
-                       erode_isolated, plane_normal, unit)
+from .geometry import (MOTION_TAU, DegenerateGeometryError, PointCloud,
+                       consensus_plane_normal, erode_isolated, plane_normal, unit)
 from .scene import KinematicScene, RobotState, SceneState, handle_at
 from .sim import (EYE_HEIGHT, GRASP_TOLERANCE, Observation, OccupancyGrid,
                   SimConfig, arm_blocked, attempt_pull, discard_pending_draw,
@@ -77,7 +77,7 @@ def _compliance_action(obs: Observation, grasp) -> np.ndarray:
         raise NoActionError(
             f"only {neigh.shape[0]} points within {LOCAL_RADIUS} m of the grasp")
     try:
-        return consensus_plane_normal(neigh, viewpoint=obs.viewpoint,
+        return consensus_plane_normal(PointCloud(neigh), viewpoint=obs.viewpoint,
                                       min_points=max(MIN_LOCAL_POINTS // 2, 3))
     except DegenerateGeometryError as e:
         raise NoActionError(str(e)) from e
@@ -208,18 +208,10 @@ def _approach_pose(scene: KinematicScene, grid: OccupancyGrid, hotspot):
     return (float(target[0]), float(target[1]), heading)
 
 
-class _EventLog:
-    """Deterministic exploration log; time is a step counter, not wall clock."""
-
-    def __init__(self):
-        self.t = 0
-        self.events: list = []
-
-    def add(self, event: str, **fields):
-        entry = {"t": self.t, "event": event}
-        entry.update(fields)
-        self.events.append(entry)
-        self.t += 1
+def _log(events: list, event: str, **fields):
+    """Append to the deterministic exploration log; time is the event's index,
+    not wall clock."""
+    events.append({"t": len(events), "event": event, **fields})
 
 
 def explore_scene(scene: KinematicScene, sim_config: SimConfig, handles=None, *,
@@ -234,17 +226,17 @@ def explore_scene(scene: KinematicScene, sim_config: SimConfig, handles=None, *,
     if handles is None:
         handles = [Handle(p.id, p.handle) for p in scene.parts]
     state = scene.initial_state()
-    log = _EventLog()
+    events: list = []
     records = []
 
     try:
         for hd in handles:
-            record, state = _explore_handle(scene, state, hd, sim_config, robot, rng, log)
+            record, state = _explore_handle(scene, state, hd, sim_config, robot, rng, events)
             records.append(record)
     finally:  # no generator or noise array outlives the run
         discard_pending_draw()
 
-    return ExplorationResult(records, log.events, state)
+    return ExplorationResult(records, events, state)
 
 
 def _observe(scene, state, viewpoint, hotspot, center, sim_config, rng):
@@ -269,26 +261,26 @@ def _pose_to_list(pose) -> list:
     return [round(float(v), 6) for v in pose]
 
 
-def _explore_handle(scene, state, hd: Handle, sim_config, robot, rng, log):
+def _explore_handle(scene, state, hd: Handle, sim_config, robot, rng, events):
     grid = nav_grid(scene, state)
     part_id = resolve_grasped_part(scene, state, hd.position)
     hotspot0 = _current_hotspot(scene, state, part_id, hd)
 
     pose = _approach_pose(scene, grid, hotspot0)
     if pose is None:
-        log.add("navigate-failed", handle=hd.label)
+        _log(events, "navigate-failed", handle=hd.label)
         return ExplorationRecord(hd.label, None, None, 0, UNKNOWN, False,
                                  failure_stage="navigation"), state
-    log.add("navigate", handle=hd.label, base=_pose_to_list(pose))
-    log.add("grasp", handle=hd.label, part=part_id,
-            hotspot=[round(float(v), 6) for v in hotspot0])
+    _log(events, "navigate", handle=hd.label, base=_pose_to_list(pose))
+    _log(events, "grasp", handle=hd.label, part=part_id,
+                 hotspot=[round(float(v), 6) for v in hotspot0])
     robot = robot.at(pose)
     viewpoint = np.array([pose[0], pose[1], EYE_HEIGHT])
 
     site = hotspot0.copy()
     pre = _observe(scene, state, viewpoint, hotspot0, site, sim_config, rng)
-    log.add("observe", handle=hd.label, phase="pre",
-            points=len(pre.cloud) if pre else 0)
+    _log(events, "observe", handle=hd.label, phase="pre",
+                 points=len(pre.cloud) if pre else 0)
 
     classified = UNKNOWN
     completed = None  # the last observation of a completed attempt
@@ -299,15 +291,15 @@ def _explore_handle(scene, state, hd: Handle, sim_config, robot, rng, log):
                                _current_hotspot(scene, state, part_id, hd),
                                site, sim_config, rng)
         if attempt_pre is None:
-            log.add("observe-failed", handle=hd.label, attempt=attempts)
+            _log(events, "observe-failed", handle=hd.label, attempt=attempts)
         else:
             state, completed, classified = _run_attempt(
                 scene, state, hd, part_id, attempt_pre, pre, site, robot,
-                viewpoint, sim_config, rng, log, classified)
+                viewpoint, sim_config, rng, events, classified)
         if completed is not None:
             break
         if attempts >= MAX_ATTEMPTS:
-            log.add("attempts-exhausted", handle=hd.label, attempts=attempts)
+            _log(events, "attempts-exhausted", handle=hd.label, attempts=attempts)
             break
         # reposition and retry
         grid = nav_grid(scene, state)
@@ -315,10 +307,10 @@ def _explore_handle(scene, state, hd: Handle, sim_config, robot, rng, log):
         try:
             pose = reposition_base(classified, hotspot, robot, grid)
         except RepositionFailedError:
-            log.add("reposition-failed", handle=hd.label)
+            _log(events, "reposition-failed", handle=hd.label)
             attempts = MAX_ATTEMPTS
             break
-        log.add("reposition", handle=hd.label, kind=classified, base=_pose_to_list(pose))
+        _log(events, "reposition", handle=hd.label, kind=classified, base=_pose_to_list(pose))
         robot = robot.at(pose)
         viewpoint = np.array([pose[0], pose[1], EYE_HEIGHT])
 
@@ -333,10 +325,10 @@ def _explore_handle(scene, state, hd: Handle, sim_config, robot, rng, log):
     if target is None:
         target = np.array([bx, by])
     viewpoint = np.array([target[0], target[1], EYE_HEIGHT])
-    log.add("retreat", handle=hd.label, base=_pose_to_list((target[0], target[1], heading)))
+    _log(events, "retreat", handle=hd.label, base=_pose_to_list((target[0], target[1], heading)))
     post = _observe(scene, state, viewpoint, hotspot, site, sim_config, rng)
-    log.add("observe", handle=hd.label, phase="post",
-            points=len(post.cloud) if post else 0)
+    _log(events, "observe", handle=hd.label, phase="post",
+                 points=len(post.cloud) if post else 0)
 
     if pre is not None and post is not None:
         # the symmetric chamfer distance, and the kind, from one query each way
@@ -356,8 +348,8 @@ def _explore_handle(scene, state, hd: Handle, sim_config, robot, rng, log):
         classified_kind=final_kind, succeeded=succeeded,
         failure_stage=None if succeeded else "manipulation",
         displacement=float(displacement))
-    log.add("record", handle=hd.label, succeeded=succeeded, kind=final_kind,
-            displacement=round(float(displacement), 6), attempts=attempts)
+    _log(events, "record", handle=hd.label, succeeded=succeeded, kind=final_kind,
+                 displacement=round(float(displacement), 6), attempts=attempts)
     return record, state
 
 
@@ -368,7 +360,7 @@ def _current_hotspot(scene, state, part_id, hd: Handle):
 
 
 def _run_attempt(scene, state, hd, part_id, attempt_pre, first_pre, site, robot,
-                 viewpoint, sim_config, rng, log, classified):
+                 viewpoint, sim_config, rng, events, classified):
     """One attempt: up to MAX_STEPS micro-interactions, then a final check.
 
     Returns (state, completed, classified). completed is the last observation
@@ -383,19 +375,19 @@ def _run_attempt(scene, state, hd, part_id, attempt_pre, first_pre, site, robot,
         hotspot = _current_hotspot(scene, state, part_id, hd)
         obs = _observe(scene, state, viewpoint, hotspot, site, sim_config, rng)
         if obs is None:
-            log.add("observe-failed", handle=hd.label, step=step)
+            _log(events, "observe-failed", handle=hd.label, step=step)
             return state, None, classified
 
         stalled = no_advance >= STALL_BREAK
         check_failure = final or i > GRACE_STEPS or stalled
         if check_failure and detect_failure(attempt_pre, obs):
             classified = _maybe_classify(first_pre, obs, classified)
-            log.add("failure", handle=hd.label, step=step, kind=classified)
+            _log(events, "failure", handle=hd.label, step=step, kind=classified)
             return state, None, classified
         if stalled or final:
             if not final:
                 # arm made progress earlier but cannot advance further: done here
-                log.add("stall", handle=hd.label, step=step)
+                _log(events, "stall", handle=hd.label, step=step)
             return state, obs, classified
 
         advanced = 0.0
@@ -405,17 +397,17 @@ def _run_attempt(scene, state, hd, part_id, attempt_pre, first_pre, site, robot,
             if part_id:
                 blocked = arm_blocked(scene, state, part_id, hotspot, robot)
             if blocked:
-                log.add("pull-blocked", handle=hd.label, step=step, reason=blocked)
+                _log(events, "pull-blocked", handle=hd.label, step=step, reason=blocked)
             elif part_id is None:
                 raise GraspFailureError("no part at the annotated handle")
             else:
                 result = attempt_pull(scene, state, part_id, hotspot, direction)
                 state = result.state
                 advanced = result.advanced
-                log.add("pull", handle=hd.label, step=step,
-                        advanced=round(float(advanced), 9), slipped=result.slipped)
+                _log(events, "pull", handle=hd.label, step=step,
+                             advanced=round(float(advanced), 9), slipped=result.slipped)
         except (NoActionError, GraspFailureError) as e:
-            log.add("pull-failed", handle=hd.label, step=step, reason=type(e).__name__)
+            _log(events, "pull-failed", handle=hd.label, step=step, reason=type(e).__name__)
 
         no_advance = 0 if abs(advanced) > 1e-12 else no_advance + 1
 

@@ -9,14 +9,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .errors import DegenerateGeometryError
-
-if TYPE_CHECKING:
-    from scipy.spatial import cKDTree
 
 UNIT_TOL = 1e-9
 INLIER_TOL = 0.008  # distance from a consensus plane that counts as on it, meters
@@ -221,13 +217,6 @@ def obb_overlaps(first, second, margin: float) -> np.ndarray:
     return sep.max(axis=-1) <= 0.0
 
 
-def kd_tree(points) -> cKDTree:
-    """KD-tree over (n, 3) points. scipy.spatial is imported on the first tree, so
-    a process that never queries neighbours (planning) starts with numpy alone."""
-    from scipy.spatial import cKDTree
-    return cKDTree(points)
-
-
 @dataclass(frozen=True)
 class PointCloud:
     """Set of 3D points."""
@@ -245,9 +234,12 @@ class PointCloud:
         return PointCloud(self.points[np.asarray(mask)])
 
     @cached_property
-    def kdtree(self) -> cKDTree:
-        """KD-tree over the points, built on first use."""
-        return kd_tree(self.points)
+    def kdtree(self):
+        """KD-tree over the points, built on first use: the one neighbour search,
+        and the one place scipy loads, so a process that never queries
+        neighbours (planning) starts with numpy alone."""
+        from scipy.spatial import cKDTree
+        return cKDTree(self.points)
 
 
 def save_xyz(cloud: PointCloud, path) -> None:
@@ -282,8 +274,8 @@ def plane_normal(points: np.ndarray, viewpoint=None) -> np.ndarray:
     return n / np.linalg.norm(n)
 
 
-def consensus_plane_normal(points: np.ndarray, viewpoint=None, min_points: int = 6,
-                           tree: cKDTree | None = None) -> np.ndarray:
+def consensus_plane_normal(cloud: PointCloud, viewpoint=None,
+                           min_points: int = 6) -> np.ndarray:
     """Plane normal of the dominant surface in a mixed neighborhood.
 
     A neighborhood at a part edge is often bimodal (a front face plus a
@@ -291,15 +283,14 @@ def consensus_plane_normal(points: np.ndarray, viewpoint=None, min_points: int =
     single least-squares fit. Micro-planes fitted around spread anchor points
     vote by inlier count (points within INLIER_TOL of the plane) and the
     consensus surface is refit over its inliers. Deterministic: anchors are
-    every k-th point, no sampling. tree, when given, is a KD-tree over the
-    same points and is queried instead of a new one.
+    every k-th point, no sampling; the neighbourhoods come from the cloud's tree.
     """
-    pts = np.asarray(points, dtype=float).reshape(-1, 3)
-    n = pts.shape[0]
+    pts = cloud.points
+    n = len(cloud)
     if n < 3:
         return plane_normal(pts, viewpoint=viewpoint)  # raises
     anchors = np.arange(0, n, max(1, n // 12))
-    _, idx = (kd_tree(pts) if tree is None else tree).query(pts[anchors], k=min(9, n))
+    _, idx = cloud.kdtree.query(pts[anchors], k=min(9, n))
     local = pts[idx]
     mean = local.mean(axis=1)
     centered = local - mean[:, None]

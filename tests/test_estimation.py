@@ -2,8 +2,9 @@ import math
 
 import numpy as np
 import pytest
+from scipy import spatial
 
-from artiscene import estimation, geometry
+from artiscene import estimation
 from artiscene.errors import EstimationFailedError, SegmentationFailedError
 from artiscene.estimation import (EstimatedArticulation,
                                   articulation_errors, estimate_record,
@@ -95,23 +96,19 @@ def test_fit_screw_builds_one_tree_of_the_post_subset(monkeypatch):
     pts = slab_points(rng) + np.array([0.3, 0.0, 0.0])
     post = PointCloud(screw_apply(pts, np.array([0.0, 0.0, 1.0]),
                                   np.array([0.5, 0.2, 0.0]), math.radians(40.0)))
-    built, built_in_geometry = [], []
-    kd_tree = estimation.kd_tree
+    built = []
+    c_kd_tree = spatial.cKDTree
 
-    def counting_tree(log):
-        def build(data, *args, **kwargs):
-            log.append(np.asarray(data).tobytes())
-            return kd_tree(data, *args, **kwargs)
-        return build
+    def counting_tree(data, *args, **kwargs):
+        built.append(np.asarray(data).tobytes())
+        return c_kd_tree(data, *args, **kwargs)
 
-    monkeypatch.setattr(estimation, "kd_tree", counting_tree(built))
-    monkeypatch.setattr(geometry, "kd_tree", counting_tree(built_in_geometry))
+    monkeypatch.setattr(spatial, "cKDTree", counting_tree)
     fit = fit_screw(PointCloud(pts), post)
     assert fit.kind == "revolute"
     # the candidate ranking, its plane normal of the post subset and the
     # refinement all query the cloud's own tree, built once
-    assert "kdtree" in vars(post) and post.points.tobytes() not in built
-    assert built_in_geometry.count(post.points.tobytes()) == 1
+    assert "kdtree" in vars(post) and built.count(post.points.tobytes()) == 1
 
 
 def test_fit_screw_sign_convention():
@@ -204,9 +201,7 @@ def test_segmentation_candidates_monotone_in_tau():
     rng = np.random.default_rng(9)
     pre, _ = two_part_observation(rng)
     post, _ = two_part_observation(np.random.default_rng(9), drawer_delta=0.10)
-    from scipy.spatial import cKDTree
-
-    d, _ = cKDTree(post.cloud.points).query(pre.cloud.points)
+    d, _ = spatial.cKDTree(post.cloud.points).query(pre.cloud.points)
     prev = None
     for tau in (0.01, 0.02, 0.04, 0.08):
         cands = d > tau
@@ -219,7 +214,7 @@ def per_point_region_grow(points, candidates, seeds, radius):
     """Region growing with one ball query per popped candidate."""
     cand_idx = np.flatnonzero(candidates)
     cand_pts = points[cand_idx]
-    tree = geometry.kd_tree(cand_pts)
+    tree = PointCloud(cand_pts).kdtree
     visited = seeds[cand_idx].copy()
     stack = list(np.flatnonzero(visited))
     while stack:

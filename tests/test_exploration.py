@@ -5,8 +5,9 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from scipy import spatial
 
-from artiscene import estimation, exploration, geometry, scene as scene_module, sim
+from artiscene import estimation, exploration, scene as scene_module, sim
 from artiscene.cli import main
 from artiscene.errors import NoActionError, RepositionFailedError
 from artiscene.exploration import (FAILURE_THRESHOLD, PRISMATIC_KIND, REVOLUTE_LEFT,
@@ -107,13 +108,13 @@ def test_detect_failure_equals_thresholded_chamfer(monkeypatch):
 
 def test_a_check_decided_by_the_first_query_builds_no_current_tree(monkeypatch):
     trees = Counter()
-    kd_tree = geometry.kd_tree
+    c_kd_tree = spatial.cKDTree
 
     def counting_tree(data, *args, **kwargs):
         trees[np.asarray(data).tobytes()] += 1
-        return kd_tree(data, *args, **kwargs)
+        return c_kd_tree(data, *args, **kwargs)
 
-    monkeypatch.setattr(geometry, "kd_tree", counting_tree)
+    monkeypatch.setattr(spatial, "cKDTree", counting_tree)
     rng = np.random.default_rng(4)
     pre = face_observation(rng)
     moved = face_observation(rng, offset=(0.0, -0.10, 0.0))
@@ -312,16 +313,16 @@ def test_explore_reuses_poses_footprint_masks_and_kd_trees(monkeypatch):
             rasterized[poly.tobytes(), np.shape(px), np.shape(py), radius] += 1
         return near_polygon(px, py, poly, radius)
 
-    kd_tree = geometry.kd_tree
+    c_kd_tree = spatial.cKDTree
 
     def counting_tree(data, *args, **kwargs):
         trees[np.asarray(data).tobytes()] += 1
-        return kd_tree(data, *args, **kwargs)
+        return c_kd_tree(data, *args, **kwargs)
 
     scene, _ = load("kitchen")
     monkeypatch.setattr(scene_module, "part_pose_at", counting_pose)
     monkeypatch.setattr(sim, "_near_polygon", counting_near_polygon)
-    monkeypatch.setattr(geometry, "kd_tree", counting_tree)
+    monkeypatch.setattr(spatial, "cKDTree", counting_tree)
     result = explore_scene(scene, SimConfig(), robot=RobotState(), rng=np.random.default_rng(0))
     assert all(r.succeeded for r in result.records)
 

@@ -230,13 +230,11 @@ def test_consensus_plane_normal_matches_loop_reference(monkeypatch):
                                                                **kwargs)
         except DegenerateGeometryError as e:
             with pytest.raises(DegenerateGeometryError) as got:
-                consensus_plane_normal(pts, **kwargs)
+                consensus_plane_normal(PointCloud(pts), **kwargs)
             assert str(got.value) == str(e), case
             outcomes[make.__name__, "raised"] += 1
             continue
-        assert np.array_equal(consensus_plane_normal(pts, **kwargs), expected), case
-        # a tree over the same points built elsewhere gives the same normal
-        assert np.array_equal(consensus_plane_normal(pts, tree=cKDTree(pts), **kwargs),
+        assert np.array_equal(consensus_plane_normal(PointCloud(pts), **kwargs),
                               expected), case
         outcomes[make.__name__, "tied" if tied else "normal"] += 1
     for make in (_planes_case, _mirrored_case, _line_and_plane_case, _clusters_case,

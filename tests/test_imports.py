@@ -2,7 +2,8 @@
 every function, class and method it defines is named somewhere in
 src/artiscene outside its own body, and every parameter and dataclass field
 is one that calls in src/artiscene set: passed where it has a default, and
-not always as one and the same UPPER_CASE constant.
+not always as one and the same UPPER_CASE constant. scipy is imported in
+one place, PointCloud.kdtree, on the first neighbour query.
 
 Deleting code tends to leave its imports, and the helpers only it called,
 behind; these guards read each module's syntax tree, so they need no
@@ -76,6 +77,53 @@ def test_module_uses_every_import(path):
     unused = {name: line for name, line in imported_names(tree).items()
               if name not in used}
     assert not unused, f"{path.name}: unused imports (name: line) {unused}"
+
+
+def scipy_imports(tree):
+    """(enclosing 'Class.function' or '<module>', line) of each import of
+    scipy or one of its submodules, in source order."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, [*scope, child.name])
+                continue
+            if isinstance(child, ast.Import):
+                modules = [alias.name for alias in child.names]
+            else:
+                modules = [child.module or ""] if isinstance(child, ast.ImportFrom) else []
+            if any(m.split(".")[0] == "scipy" for m in modules):
+                found.append((".".join(scope) or "<module>", child.lineno))
+            visit(child, scope)
+
+    visit(tree, [])
+    return found
+
+
+def test_scipy_guard_sees_every_import_and_where_it_sits():
+    tree = ast.parse("from typing import TYPE_CHECKING\n"
+                     "import scipy\n"
+                     "if TYPE_CHECKING:\n"
+                     "    from scipy.spatial import cKDTree\n"
+                     "class PointCloud:\n"
+                     "    def kdtree(self):\n"
+                     "        from scipy.spatial import cKDTree\n"
+                     "        return cKDTree(self.points)\n"
+                     "    def other(self):\n"
+                     "        import numpy, scipy.spatial as s\n"
+                     "def kdtree():\n"
+                     "    from scipy import spatial\n"
+                     "import scipyx\n"
+                     "from . import scipy\n")
+    assert scipy_imports(tree) == [("<module>", 2), ("<module>", 4), ("PointCloud.kdtree", 7),
+                                   ("PointCloud.other", 10), ("kdtree", 12)]
+
+
+def test_only_the_point_cloud_tree_imports_scipy():
+    found = [(p.name, *where) for p in sorted(PACKAGE.glob("*.py"))
+             for where in scipy_imports(ast.parse(p.read_text()))]
+    assert [f[:2] for f in found] == [("geometry.py", "PointCloud.kdtree")], found
 
 
 # defined in src but called from outside it, each with the reason
